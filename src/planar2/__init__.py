@@ -2,13 +2,15 @@
 
 Layers: fields (GF(2^n) and tower views), linearized (q-polynomials and
 the Dickson permutation test), planar (planarity predicates, coefficient
-criteria, families, sweeps), surfaces (companion hypersurfaces, linear
-factors, point counts), semifields (products induced by planar functions
-and their nuclei). Hot sweeps run through kernels, which carries numba
-and numpy backends; set PLANAR2_NO_NUMBA=1 to force the numpy path.
+criteria, the family registry, sweeps), surfaces (companion
+hypersurfaces, linear factors, point counts), semifields (products
+induced by planar functions and their nuclei). Each coefficient family is
+one record in planar.REGISTRY. Hot sweeps run through kernels, which uses
+numba when the optional extra is installed and numpy otherwise; set
+PLANAR2_NO_NUMBA=1 to force the numpy path.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .fields import (BudgetError, Fe, FieldSpec, TowerView, field, fe_from_hex,
                      smallest_irreducible, tower)

@@ -2,11 +2,13 @@
 
 Subcommands: check, audit, surface, semifield, problem27, fields. All
 reports are deterministic JSON (or CSV) embedding the modulus, tool
-version, budgets and seed, so identical invocations produce identical
-bytes. Exit codes separate tool failures from mathematical findings:
-0 = ran to completion (extras in a converse audit are findings, not
-errors), 1 = bad arguments, 2 = internal disagreement between planarity
-criteria, 3 = budget exceeded.
+version and backend, plus the budget and thread count of the subcommands
+that take them, so identical invocations produce identical bytes. A
+subcommand accepts only the flags it uses. Exit codes separate tool
+failures from mathematical findings: 0 = ran to completion (extras in a
+converse audit are findings, not errors), 1 = bad arguments (unknown
+flags included), 2 = internal disagreement between planarity criteria,
+3 = budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from .planar import DOPoly, FamilyParams
 
 
 def _meta(t, args) -> dict:
+    given = vars(args)
     return {
         "version": __version__,
         "backend": kernels.backend(),
         "modulus": f"{t.spec.modulus:x}",
         "n": t.spec.n, "m": t.m, "k": t.k,
-        "budget": args.budget,
-        "seed": args.seed,
-        "threads": args.threads,
+        **{key: given[key] for key in ("budget", "threads") if key in given},
     }
 
 
@@ -87,8 +88,7 @@ def cmd_audit(args) -> int:
 def cmd_surface(args) -> int:
     t = tower(args.m, args.k)
     f = _family_poly(args, t)
-    shape = "P4b" if args.family == "P4b" else args.family
-    g = surfaces.build_G(f, t, shape=shape)
+    g = surfaces.build_G(f, t, shape=args.family)
     factors, remainder = surfaces.linear_factor_search(g, budget=args.budget)
     psi = surfaces.specialize_normal(g, t)
     psi_h = psi.homogenize()
@@ -160,15 +160,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="planar functions over GF(2^n): checks, audits, surfaces, semifields")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, k_default=None):
+    def common(p, k_default=None, families=None, budget=True, threads=False):
         p.add_argument("--m", type=int, required=True, help="base degree, q = 2^m")
-        if k_default is not None:
+        if families is not None:
+            p.add_argument("--family", required=True, choices=families)
+            p.add_argument("--k", type=int, default=None,
+                           help="tower degree (defaults to the family's natural k)")
+        elif k_default is not None:
             p.add_argument("--k", type=int, default=k_default, help="tower degree")
-        p.add_argument("--budget", type=int, default=1 << 22)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        if budget:
+            p.add_argument("--budget", type=int, default=1 << 22)
+        if threads:
+            p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("check", help="planarity of an explicit polynomial")
     p.add_argument("--terms", required=True,
@@ -177,23 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("audit", help="sweep a family (sufficiency or converse)")
-    p.add_argument("--family", required=True, choices=planar.FAMILIES)
     p.add_argument("--mode", choices=("sufficiency", "converse"), default="sufficiency")
-    common(p, k_default=None)
-    p.add_argument("--k", type=int, default=None,
-                   help="tower degree (defaults to the family's natural k)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    common(p, families=planar.FAMILIES, threads=True)
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("surface", help="companion polynomial analysis of a family instance")
-    p.add_argument("--family", required=True, choices=("P1", "P2", "P3", "P4a", "P4b"))
     p.add_argument("--coeffs", required=True,
                    help="comma-separated hex family parameters (s | u,v | a | s1 | s2)")
-    common(p, k_default=None)
-    p.add_argument("--k", type=int, default=None)
+    common(p, families=[tag for tag, rec in planar.REGISTRY.items() if rec.companion])
     p.set_defaults(fn=cmd_surface)
 
     p = sub.add_parser("semifield", help="nuclei of the semifield of a family instance")
-    p.add_argument("--family", required=True, choices=planar.FAMILIES)
     p.add_argument("--coeffs", default="",
                    help="comma-separated hex family parameters (empty for parameter-free families)")
     p.add_argument("--e", default="1", help="isotope base point (hex)")
@@ -201,13 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="isotope")
     p.add_argument("--dump-table", default=None,
                    help="write the raw multiplication table (uint16, row-major)")
-    common(p, k_default=None)
-    p.add_argument("--k", type=int, default=None)
+    common(p, families=planar.FAMILIES, budget=False)
     p.set_defaults(fn=cmd_semifield)
 
     p = sub.add_parser("problem27", help="sparse planar vectors off the conjectured shape (k=2)")
     p.add_argument("--support", type=int, default=2)
-    common(p)
+    common(p, threads=True)
     p.set_defaults(fn=cmd_problem27)
 
     p = sub.add_parser("fields", help="print the canonical modulus table")
@@ -218,27 +216,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_FAMILY_K = {"P1": 2, "P2": 3, "P3": 3, "P4a": 4, "P4b": 4,
-             "SZ-monomial": 2, "SZ-generalized": 2, "ScherrZieve": 3,
-             "Hu2": 3, "Hu3": 3}
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if getattr(args, "k", None) is None and hasattr(args, "k"):
-        fam = getattr(args, "family", None)
-        if fam in _FAMILY_K:
-            args.k = _FAMILY_K[fam]
-        elif fam == "Knuth":
-            print("error: the Knuth family needs an explicit odd --k (it is viewed with m=1)",
+    if getattr(args, "family", None) is not None and args.k is None:
+        args.k = planar.REGISTRY[args.family].k
+        if args.k is None:
+            print(f"error: the {args.family} family has no natural tower degree; pass --k",
                   file=sys.stderr)
             return 1
-        else:
-            args.k = 2
     try:
         return args.fn(args)
     except BudgetError as exc:

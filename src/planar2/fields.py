@@ -348,7 +348,7 @@ class Fe:
         return isinstance(other, Fe) and other.spec == self.spec and other.bits == self.bits
 
     def __hash__(self):
-        return hash((self.bits, self.spec.n))
+        return hash(self.bits)  # equal to an equal int's hash, as __eq__ requires
 
     def __bool__(self):
         return self.bits != 0

@@ -24,6 +24,7 @@ family characterizations is asymptotic in m.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -354,154 +355,169 @@ class FamilyParams:
     tower: TowerView
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ValueError(message)
+@dataclass(frozen=True)
+class Family:
+    """One coefficient family: where it lives, what it admits, what it builds.
+
+    k is the natural tower degree (None: the caller picks the degree and m
+    must be 1); tower_ok states any further condition on (m, k). A
+    parameter is a tuple of arity field elements, drawn from the whole
+    field or, with subfield set, from GF(q); admits decides it. terms(t,
+    *params) lists the (coeff, u, v) terms of the family polynomial. shape
+    gives the exponent pairs of the coefficient space a converse audit
+    sweeps, and companion names the build_G case for that shape. Exponent
+    indices are taken mod n, so small m needs no special case.
+    """
+    tag: str
+    k: int | None
+    terms: Callable
+    arity: int = 1
+    admits: Callable = lambda t, *params: True
+    admits_msg: str = ""
+    tower_ok: Callable[[int, int], bool] = lambda m, k: True
+    tower_msg: str = ""
+    subfield: bool = False
+    shape: Callable[[int], list[tuple[int, int]]] | None = None
+    companion: str | None = None
+
+
+def _p2_delta(t, u, v) -> int:
+    """Delta(u, v) = u v^q + u^q v^(q^2) + u^(q^2) v + N(u) + N(v), as bits."""
+    mul = t.spec.mul
+    u0, u1, u2 = (t.frobq(u, j).bits for j in range(3))
+    v0, v1, v2 = (t.frobq(v, j).bits for j in range(3))
+    return (mul(u0, v1) ^ mul(u1, v2) ^ mul(u2, v0)
+            ^ mul(mul(u0, u1), u2) ^ mul(mul(v0, v1), v2))
+
+
+def _p2_terms(t, u, v):
+    m = t.m
+    uq, uq2 = t.frobq(u), t.frobq(u, 2)
+    vq, vq2 = t.frobq(v), t.frobq(v, 2)
+    den = t.fe(1 ^ _p2_delta(t, u, v))
+    a = (vq + uq * uq2 + uq2 * v * vq) / den
+    b = (uq2 * vq) / den
+    c = (vq * vq2 + uq2 + u * uq2 * vq) / den
+    return [(a, 0, m), (b, m, 2 * m), (c, 0, 2 * m)]
+
+
+def _p4a_terms(t, s1):
+    s1q2 = t.frobq(s1, 2)
+    return [(s1q2 / (1 + s1 * s1q2), 0, 2 * t.m)]
+
+
+def _p4b_terms(t, s2):
+    m = t.m
+    den = 1 + t.rel_norm(s2)
+    s2q, s2q2, s2q3 = t.frobq(s2), t.frobq(s2, 2), t.frobq(s2, 3)
+    return [((s2q * s2q2 * s2q3) / den, 0, m), ((s2q2 * s2q3) / den, 0, 2 * m),
+            (s2q3 / den, 0, 3 * m)]
+
+
+def _scherr_zieve_admits(t, c):
+    e = (1 << 2 * t.m) + (1 << t.m) + 1
+    return c ** e == 1 and c ** (e // 3) != 1
+
+
+def _k4_shape(m):
+    return [(0, m), (0, 2 * m), (0, 3 * m)]
+
+
+REGISTRY = {f.tag: f for f in (
+    Family("P1", 2, lambda t, s: [(t.frobq(s) / (1 + t.rel_norm(s)), 0, t.m)],
+           admits=lambda t, s: t.rel_norm(s) != 1,
+           admits_msg="P1 needs s with s^(1+q) != 1",
+           shape=lambda m: [(0, m), (1, m + 1)], companion="P1"),
+    Family("P2", 3, _p2_terms, arity=2,
+           admits=lambda t, u, v: _p2_delta(t, u, v) != 1,
+           admits_msg="P2 needs (u,v) with Delta != 1",
+           shape=lambda m: [(0, m), (m, 2 * m), (0, 2 * m)], companion="P2"),
+    Family("P3", 3, lambda t, a: [(a, 1, t.m + 1), (t.frobq(a), 1, 2 * t.m + 1)],
+           shape=lambda m: [(1, m + 1), (m + 1, 2 * m + 1), (1, 2 * m + 1)],
+           companion="P3"),
+    Family("P4a", 4, _p4a_terms,
+           admits=lambda t, s1: s1 * t.frobq(s1, 2) != 1,
+           admits_msg="P4a needs s1 with s1^(1+q^2) != 1",
+           shape=_k4_shape, companion="P4a"),
+    Family("P4b", 4, _p4b_terms,
+           admits=lambda t, s2: t.rel_norm(s2) != 1,
+           admits_msg="P4b needs s2 with s2^(1+q+q^2+q^3) != 1",
+           shape=_k4_shape, companion="P4a"),
+    Family("SZ-monomial", 2, lambda t, c: [(c, 0, t.m)], subfield=True,
+           admits=lambda t, c: bool(c) and t.in_base(c) and t.abs_trace_base(c) == 0,
+           admits_msg="monomial family needs trace-zero c in GF(q)*"),
+    Family("SZ-generalized", 2, lambda t, c: [(c, 0, t.m)],
+           admits=lambda t, c: bool(c) and t.abs_trace_base(t.rel_norm(c)) == 0,
+           admits_msg="generalized monomial family needs c != 0 with trace-zero c^(1+q)"),
+    Family("ScherrZieve", 3, lambda t, c: [(c, t.m, 2 * t.m)],
+           admits=_scherr_zieve_admits,
+           admits_msg="needs c^(q^2+q+1) = 1 and c^((q^2+q+1)/3) != 1",
+           tower_ok=lambda m, k: m % 2 == 0, tower_msg="this monomial family needs m even"),
+    Family("Hu2", 3, lambda t: [(1, 0, t.m), (1, t.m, 2 * t.m)], arity=0,
+           tower_ok=lambda m, k: m % 3 != 2,
+           tower_msg="this binomial family needs m != 2 (mod 3)"),
+    Family("Hu3", 3, lambda t: [(1, 0, 2 * t.m), (1, t.m, 2 * t.m)], arity=0,
+           tower_ok=lambda m, k: m % 3 != 1,
+           tower_msg="this binomial family needs m != 1 (mod 3)"),
+    Family("Knuth", None,
+           lambda t: [(1, 0, 1), (1, 1, 1)] + [(1, 1, j) for j in range(2, t.k)], arity=0,
+           tower_ok=lambda m, k: m == 1 and k % 2 == 1,
+           tower_msg="the binary-semifield companion is viewed over GF(2) (m=1) "
+                     "with odd degree k"),
+)}
+
+FAMILIES = tuple(REGISTRY)
+
+
+def family_record(fam: str, t: TowerView | None = None) -> Family:
+    """The registry record of fam; with a tower, also check that fam lives there."""
+    rec = REGISTRY.get(fam)
+    if rec is None:
+        raise ValueError(f"unknown family tag {fam!r}; expected one of {FAMILIES}")
+    if t is not None:
+        if rec.k is not None and t.k != rec.k:
+            raise ValueError(f"{fam} lives on a k={rec.k} tower")
+        if not rec.tower_ok(t.m, t.k):
+            raise ValueError(rec.tower_msg)
+    return rec
 
 
 def family_coeffs(p: FamilyParams) -> DOPoly:
     """Concrete polynomial for admissible family parameters."""
     t = p.tower
-    m = t.m
-    fam = p.family
-    if fam == "P1":
-        _require(t.k == 2, "P1 lives on a k=2 tower")
-        (s,) = p.params
-        nrm = t.rel_norm(s)
-        _require(nrm != 1, "P1 needs s with s^(1+q) != 1")
-        a = t.frobq(s) / (1 + nrm)
-        return DOPoly(t, [(a, 0, m)])
-    if fam == "P2":
-        _require(t.k == 3, "P2 lives on a k=3 tower")
-        u, v = p.params
-        uq, uq2 = t.frobq(u), t.frobq(u, 2)
-        vq, vq2 = t.frobq(v), t.frobq(v, 2)
-        delta = u * vq + uq * vq2 + uq2 * v + t.rel_norm(u) + t.rel_norm(v)
-        _require(delta != 1, "P2 needs (u,v) with Delta != 1")
-        den = 1 + delta
-        a = (vq + uq * uq2 + uq2 * v * vq) / den
-        b = (uq2 * vq) / den
-        c = (vq * vq2 + uq2 + u * uq2 * vq) / den
-        return DOPoly(t, [(a, 0, m), (b, m, 2 * m), (c, 0, 2 * m)])
-    if fam == "P3":
-        _require(t.k == 3, "P3 lives on a k=3 tower")
-        (a,) = p.params
-        return DOPoly(t, [(a, 1, m + 1), (t.frobq(a), 1, 2 * m + 1)])
-    if fam == "P4a":
-        _require(t.k == 4, "P4a lives on a k=4 tower")
-        (s1,) = p.params
-        w = s1 * t.frobq(s1, 2)
-        _require(w != 1, "P4a needs s1 with s1^(1+q^2) != 1")
-        b = t.frobq(s1, 2) / (1 + w)
-        return DOPoly(t, [(b, 0, 2 * m)])
-    if fam == "P4b":
-        _require(t.k == 4, "P4b lives on a k=4 tower")
-        (s2,) = p.params
-        nrm = t.rel_norm(s2)
-        _require(nrm != 1, "P4b needs s2 with s2^(1+q+q^2+q^3) != 1")
-        den = 1 + nrm
-        s2q, s2q2, s2q3 = t.frobq(s2), t.frobq(s2, 2), t.frobq(s2, 3)
-        a = (s2q * s2q2 * s2q3) / den
-        b = (s2q2 * s2q3) / den
-        c = s2q3 / den
-        return DOPoly(t, [(a, 0, m), (b, 0, 2 * m), (c, 0, 3 * m)])
-    if fam == "SZ-monomial":
-        _require(t.k == 2, "the monomial family lives on a k=2 tower")
-        (c,) = p.params
-        _require(bool(c) and t.in_base(c), "monomial family needs c in GF(q)*")
-        _require(t.abs_trace_base(c) == 0, "monomial family needs trace-zero c")
-        return DOPoly(t, [(c, 0, m)])
-    if fam == "SZ-generalized":
-        _require(t.k == 2, "the generalized monomial family lives on a k=2 tower")
-        (c,) = p.params
-        _require(bool(c), "generalized monomial family needs c != 0")
-        _require(t.abs_trace_base(t.rel_norm(c)) == 0,
-                 "generalized monomial family needs trace-zero c^(1+q)")
-        return DOPoly(t, [(c, 0, m)])
-    if fam == "ScherrZieve":
-        _require(t.k == 3, "this monomial family lives on a k=3 tower")
-        _require(m % 2 == 0, "this monomial family needs m even")
-        (c,) = p.params
-        e = (1 << 2 * m) + (1 << m) + 1
-        _require(c ** e == 1, "needs c^(q^2+q+1) = 1")
-        _require(c ** (e // 3) != 1, "needs c^((q^2+q+1)/3) != 1")
-        return DOPoly(t, [(c, m, 2 * m)])
-    if fam == "Hu2":
-        _require(t.k == 3, "this binomial family lives on a k=3 tower")
-        _require(m % 3 != 2, "this binomial family needs m != 2 (mod 3)")
-        return DOPoly(t, [(1, 0, m), (1, m, 2 * m)])
-    if fam == "Hu3":
-        _require(t.k == 3, "this binomial family lives on a k=3 tower")
-        _require(m % 3 != 1, "this binomial family needs m != 1 (mod 3)")
-        return DOPoly(t, [(1, 0, 2 * m), (1, m, 2 * m)])
-    if fam == "Knuth":
-        _require(m == 1, "the binary-semifield companion is viewed over GF(2), m=1")
-        n = t.k
-        _require(n % 2 == 1, "the binary-semifield companion needs odd degree")
-        terms = [(1, 0, 1), (1, 1, 1)] + [(1, 1, j) for j in range(2, n)]
-        return DOPoly(t, terms)
-    raise ValueError(f"unknown family tag {fam!r}; expected one of {FAMILIES}")
+    rec = family_record(p.family, t)
+    if len(p.params) != rec.arity:
+        raise ValueError(f"{p.family} takes {rec.arity} parameters, got {len(p.params)}")
+    if not rec.admits(t, *p.params):
+        raise ValueError(rec.admits_msg)
+    n = t.spec.n
+    return DOPoly(t, [(c, u % n, v % n) for c, u, v in rec.terms(t, *p.params)])
 
 
 def family_param_space(fam: str, t: TowerView) -> list[FamilyParams]:
     """All admissible parameters, sorted by integer encoding."""
-    spec = t.spec
-    if fam == "P1":
-        return [FamilyParams(fam, (x,), t) for x in spec.elements()
-                if t.rel_norm(x) != 1]
-    if fam == "P2":
-        out = []
-        for ub in range(spec.order):
-            u = spec.fe(ub)
-            uq, uq2 = t.frobq(u), t.frobq(u, 2)
-            nu = t.rel_norm(u)
-            for vb in range(spec.order):
-                v = spec.fe(vb)
-                delta = u * t.frobq(v) + uq * t.frobq(v, 2) + uq2 * v + nu + t.rel_norm(v)
-                if delta != 1:
-                    out.append(FamilyParams(fam, (u, v), t))
-        return out
-    if fam == "P3":
-        return [FamilyParams(fam, (x,), t) for x in spec.elements()]
-    if fam == "P4a":
-        return [FamilyParams(fam, (x,), t) for x in spec.elements()
-                if x * t.frobq(x, 2) != 1]
-    if fam == "P4b":
-        return [FamilyParams(fam, (x,), t) for x in spec.elements()
-                if t.rel_norm(x) != 1]
-    if fam == "SZ-monomial":
-        return [FamilyParams(fam, (x,), t)
-                for x in sorted(t.subfield_members(), key=lambda e: e.bits)
-                if x and t.abs_trace_base(x) == 0]
-    if fam == "SZ-generalized":
-        return [FamilyParams(fam, (x,), t) for x in spec.elements()
-                if x and t.abs_trace_base(t.rel_norm(x)) == 0]
-    if fam == "ScherrZieve":
-        if t.m % 2 != 0:
-            raise ValueError("this monomial family needs m even")
-        e = (1 << 2 * t.m) + (1 << t.m) + 1
-        return [FamilyParams(fam, (x,), t) for x in spec.elements()
-                if x and x ** e == 1 and x ** (e // 3) != 1]
-    if fam in ("Hu2", "Hu3", "Knuth"):
-        family_coeffs(FamilyParams(fam, (), t))  # validates the tower/m condition
-        return [FamilyParams(fam, (), t)]
-    raise ValueError(f"unknown family tag {fam!r}; expected one of {FAMILIES}")
-
-
-_SHAPES = {
-    "P1": lambda m: [(0, m), (1, m + 1)],
-    "P2": lambda m: [(0, m), (m, 2 * m), (0, 2 * m)],
-    "P3": lambda m: [(1, m + 1), (m + 1, 2 * m + 1), (1, 2 * m + 1)],
-    "P4a": lambda m: [(0, m), (0, 2 * m), (0, 3 * m)],
-    "P4b": lambda m: [(0, m), (0, 2 * m), (0, 3 * m)],
-}
+    rec = family_record(fam, t)
+    if not rec.arity:
+        pool = []
+    elif rec.subfield:
+        pool = sorted(t.subfield_members(), key=lambda e: e.bits)
+    else:
+        pool = list(t.spec.elements())
+    return [FamilyParams(fam, params, t)
+            for params in itertools.product(pool, repeat=rec.arity)
+            if rec.admits(t, *params)]
 
 
 def family_shape(fam: str, t: TowerView) -> list[tuple[int, int]]:
-    """Exponent pairs of the family's coefficient shape (sweep layout)."""
-    if fam not in _SHAPES:
+    """Exponent pairs of the family's coefficient shape (sweep layout), mod n."""
+    rec = family_record(fam)
+    if rec.shape is None:
         raise ValueError(f"no coefficient-space shape for family {fam!r}")
-    return _SHAPES[fam](t.m)
+    n = t.spec.n
+    pairs = [(min(u % n, v % n), max(u % n, v % n)) for u, v in rec.shape(t.m)]
+    if len(set(pairs)) != len(pairs):
+        raise ValueError(f"two columns of the {fam} shape coincide at m={t.m}")
+    return pairs
 
 
 def family_tuple(fam: str, f: DOPoly, t: TowerView) -> tuple[int, ...]:
@@ -607,7 +623,7 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
         if len(params) > budget:
             raise BudgetError(f"{len(params)} parameters exceed the audit budget {budget}")
         polys = [family_coeffs(p) for p in params]
-        if fam in _SHAPES:
+        if family_record(fam).shape is not None:
             exponents = [((1 << u) + (1 << v)) for u, v in family_shape(fam, t)]
             rows = np.array([family_tuple(fam, f, t) for f in polys], dtype=np.int64)
             mask = _sweep_mask(spec, exponents, rows, threads) if len(rows) else np.zeros(0, bool)

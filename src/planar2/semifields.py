@@ -149,7 +149,7 @@ def presemifield_from_planar(f: DOPoly, check_planar: bool = True) -> Presemifie
 
 
 @functools.lru_cache(maxsize=None)
-def _abs_trace_table_for(n: int) -> np.ndarray:
+def _abs_trace_table(n: int) -> np.ndarray:
     spec = field(n)
     xs = np.arange(spec.order, dtype=np.int64)
     acc = np.zeros_like(xs)
@@ -159,15 +159,11 @@ def _abs_trace_table_for(n: int) -> np.ndarray:
     return acc
 
 
-def _abs_trace_table(spec: FieldSpec) -> np.ndarray:
-    return _abs_trace_table_for(spec.n)
-
-
 def knuth_mul(spec: FieldSpec, x: Fe, y: Fe) -> Fe:
     """x*y = xy + (x Tr(y) + y Tr(x))^2 with the absolute trace; n odd."""
     if spec.n % 2 == 0:
         raise ValueError("the binary-semifield product needs odd n")
-    tr_t = _abs_trace_table(spec)
+    tr_t = _abs_trace_table(spec.n)
     inner = spec.mul(x.bits, int(tr_t[y.bits])) ^ spec.mul(y.bits, int(tr_t[x.bits]))
     return Fe(spec.mul(x.bits, y.bits) ^ spec.sqr(inner), spec)
 
@@ -177,7 +173,7 @@ def knuth_presemifield(n: int) -> Presemifield:
     if n % 2 == 0:
         raise ValueError("the binary-semifield product needs odd n")
     xs = np.arange(spec.order, dtype=np.int64)
-    tr = _abs_trace_table(spec)
+    tr = _abs_trace_table(spec.n)
     inner = vec_mul(spec, xs[:, None], tr[None, :]) ^ vec_mul(spec, xs[None, :], tr[:, None])
     t = vec_mul(spec, xs[:, None], xs[None, :]) ^ vec_frob(spec, inner, 1)
     return Presemifield(spec, "knuth", table=t)

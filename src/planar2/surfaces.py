@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .fields import BudgetError, Fe, FieldSpec, TowerView, vec_frob, vec_mul, vec_pow
-from .planar import DOPoly, family_shape
+from .planar import REGISTRY, DOPoly, family_record, family_shape
 
 COUNT_LIMIT = 1 << 24  # affine/projective enumeration budget (points)
 
@@ -281,40 +281,33 @@ class LinearForm:
 # Companion polynomials of the four supported shapes
 # ---------------------------------------------------------------------------
 
-def _detect_shape(f: DOPoly, t: TowerView) -> str:
-    exps = f.exponent_pairs()
-    if t.k == 2:
-        return "P1"
-    if t.k == 3:
-        if exps <= set(family_shape("P2", t)):
-            return "P2"
-        if exps <= set(family_shape("P3", t)):
-            return "P3"
-        raise ValueError("k=3 polynomial fits neither supported trinomial shape")
-    if t.k == 4:
-        return "P4a"
-    raise ValueError("companion polynomials exist for k in {2, 3, 4} only")
-
-
 def build_G(f: DOPoly, t: TowerView, shape: str | None = None) -> MvPoly:
-    """The k-variable companion polynomial of a supported-shape f."""
+    """The k-variable companion polynomial of a supported-shape f.
+
+    shape is a family tag; by default it is the first family on this
+    tower degree with a companion whose shape holds f's exponent pairs.
+    """
     if f.tower != t:
         raise ValueError("polynomial belongs to a different tower")
+    exps = f.exponent_pairs()
     if shape is None:
-        shape = _detect_shape(f, t)
-    if shape in ("P4a", "P4b"):
-        shape_key = "P4a"
-    else:
-        shape_key = shape
-    layout = family_shape(shape_key, t)
-    if not f.exponent_pairs() <= set(layout):
+        shape = next((rec.tag for rec in REGISTRY.values()
+                      if rec.companion and rec.k == t.k
+                      and exps <= set(family_shape(rec.tag, t))), None)
+        if shape is None:
+            raise ValueError(f"no companion shape of a k={t.k} family fits the polynomial")
+    companion = family_record(shape, t).companion
+    if companion is None:
+        raise ValueError(f"family {shape!r} has no companion polynomial")
+    layout = family_shape(shape, t)
+    if not exps <= set(layout):
         raise ValueError(f"polynomial does not match the {shape} coefficient shape")
     spec = t.spec
     fr = lambda x, j: spec.frob(x, (j % t.k) * t.m)
     sq = lambda x: spec.mul(x, x)
     mul = spec.mul
 
-    if shape_key == "P1":
+    if companion == "P1":
         a, b = (f.coeff_at(u, v).bits for u, v in layout)
         terms = {
             (1, 1): 1,
@@ -323,7 +316,7 @@ def build_G(f: DOPoly, t: TowerView, shape: str | None = None) -> MvPoly:
         }
         return MvPoly(spec, 2, terms)
 
-    if shape_key == "P2":
+    if companion == "P2":
         a, b, c = (f.coeff_at(u, v).bits for u, v in layout)
         a2, b2, c2 = sq(a), sq(b), sq(c)
         terms = {
@@ -334,7 +327,7 @@ def build_G(f: DOPoly, t: TowerView, shape: str | None = None) -> MvPoly:
         }
         return MvPoly(spec, 3, terms)
 
-    if shape_key == "P3":
+    if companion == "P3":
         a, b, c = (f.coeff_at(u, v).bits for u, v in layout)
         terms = {
             (1, 1, 0): c ^ fr(a, 1),
@@ -426,7 +419,6 @@ def specialize_normal(G: MvPoly, t: TowerView) -> MvPoly:
         ratios = {spec.mul(c, spec.inv(spec.frob(c, t.m))) for c in h.terms.values()}
         if len(ratios) == 1:
             a1 = ratios.pop()
-            p1 = spec.order - 1
             l = int(spec.log[a1])
             if l % (t.q - 1) == 0:
                 t0 = int(spec.exp[l // (t.q - 1)])

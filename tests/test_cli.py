@@ -2,7 +2,9 @@
 
 import json
 
+from planar2 import cli
 from planar2.cli import main
+from planar2.planar import FAMILIES, REGISTRY
 
 
 def run(capsys, *argv):
@@ -42,7 +44,8 @@ def test_audit_deterministic_output(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
     rep = json.loads(f1.read_text())
     assert rep["failures"] == [] and rep["tested"] == 11
-    assert rep["seed"] == 0 and rep["modulus"] == "13" and rep["version"]
+    assert rep["modulus"] == "13" and rep["version"]
+    assert rep["budget"] == 1 << 22 and rep["threads"] == 1 and "seed" not in rep
 
 
 def test_audit_csv_format(tmp_path):
@@ -109,3 +112,49 @@ def test_knuth_family_with_explicit_k(capsys):
     code, out = run(capsys, "semifield", "--family", "Knuth", "--m", "1", "--k", "5")
     rep = json.loads(out)
     assert code == 0 and rep["is_field"] is False  # proper nuclei at degree 5
+
+
+def test_meta_lists_only_the_flags_the_subcommand_takes(capsys):
+    _, out = run(capsys, "semifield", "--family", "P1", "--coeffs", "2", "--m", "2")
+    rep = json.loads(out)
+    assert not {"budget", "threads", "seed"} & set(rep)
+    _, out = run(capsys, "check", "--terms", "(1,0,1)", "--m", "1", "--k", "2")
+    rep = json.loads(out)
+    assert "budget" in rep and not {"threads", "seed"} & set(rep)
+
+
+def test_flags_a_subcommand_does_not_use_are_rejected():
+    assert main(["check", "--terms", "(1,0,1)", "--m", "1", "--k", "2",
+                 "--format", "csv"]) == 1
+    assert main(["surface", "--family", "P1", "--coeffs", "2", "--m", "2",
+                 "--threads", "2"]) == 1
+    assert main(["audit", "--family", "P1", "--m", "2", "--seed", "1"]) == 1
+    assert main(["semifield", "--family", "P1", "--coeffs", "2", "--m", "2",
+                 "--budget", "10"]) == 1
+
+
+def test_choices_and_default_k_come_from_the_registry(monkeypatch):
+    sub = cli.build_parser()._subparsers._group_actions[0].choices
+    family = {name: next(a for a in sub[name]._actions if a.dest == "family")
+              for name in ("audit", "surface", "semifield")}
+    assert tuple(family["audit"].choices) == FAMILIES
+    assert tuple(family["semifield"].choices) == FAMILIES
+    assert list(family["surface"].choices) == [
+        tag for tag, rec in REGISTRY.items() if rec.companion is not None]
+    seen = []
+    monkeypatch.setattr(cli, "cmd_audit", lambda args: seen.append(args.k) or 0)
+    for tag, rec in REGISTRY.items():
+        code = main(["audit", "--family", tag, "--m", "1"])
+        assert code == (0 if rec.k is not None else 1)
+    assert seen == [rec.k for rec in REGISTRY.values() if rec.k is not None]
+
+
+def test_audit_p3_at_m1(capsys):
+    code, out = run(capsys, "audit", "--family", "P3", "--m", "1")
+    rep = json.loads(out)
+    assert code == 0 and rep["k"] == 3
+    assert rep["tested"] == 8 and len(rep["planar"]) == 8 and rep["failures"] == []
+
+
+def test_audit_p1_at_m1_rejects_the_collapsed_shape(capsys):
+    assert main(["audit", "--family", "P1", "--m", "1", "--mode", "converse"]) == 1

@@ -261,3 +261,11 @@ def test_pow_table_matches_scalar():
         tbl = f.pow_table(e)
         for x in range(32):
             assert tbl[x] == f.pow(x, e)
+
+
+def test_fe_hash_agrees_with_int_equality():
+    spec = p2.field(4)
+    x = spec.fe(3)
+    assert x == 3 and hash(x) == hash(3)
+    assert 3 in {x} and x in {3}
+    assert {spec.fe(b) for b in range(16)} == {spec.fe(b) for b in range(16)}

@@ -1,13 +1,16 @@
 """Planarity predicates, criteria, families, sets, searches."""
 
+import random
+
 import numpy as np
 import pytest
 
 import planar2 as p2
 from planar2.fields import BudgetError
-from planar2.planar import (DOPoly, FamilyParams, criterion_lists, family_audit,
-                            family_coeffs, family_param_space, family_shape,
-                            offdiagonal_search, planar_by_criterion)
+from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_lists,
+                            family_audit, family_coeffs, family_param_space,
+                            family_shape, family_tuple, offdiagonal_search,
+                            planar_by_criterion)
 
 
 def _planar_reference(f: DOPoly) -> bool:
@@ -252,6 +255,70 @@ def test_family_condition_errors():
         family_coeffs(FamilyParams("Knuth", (), p2.tower(1, 4)))
     with pytest.raises(ValueError):
         family_coeffs(FamilyParams("nope", (), p2.tower(2, 2)))
+
+
+def _admitted_towers(rec):
+    """The towers with m in 1..3 on which a record's family lives (k=3 for
+    the family without a natural degree)."""
+    k = rec.k if rec.k is not None else 3
+    return [p2.tower(m, k) for m in (1, 2, 3)
+            if rec.tower_ok(m, k)]
+
+
+def test_registry_records_are_consistent():
+    rng = random.Random(2)
+    for tag, rec in REGISTRY.items():
+        checked = 0
+        for t in _admitted_towers(rec):
+            n = t.spec.n
+            shape = None
+            if rec.shape is not None:
+                raw = rec.shape(t.m)
+                if len({frozenset((u % n, v % n)) for u, v in raw}) < len(raw):
+                    with pytest.raises(ValueError, match="coincide"):
+                        family_shape(tag, t)
+                    continue
+                shape = family_shape(tag, t)
+                assert all(0 <= u <= v < n for u, v in shape)
+                assert len(set(shape)) == len(shape)
+            if t.spec.order ** rec.arity <= 4096:
+                space = family_param_space(tag, t)
+            else:  # too many tuples to enumerate here: sample candidates
+                space = []
+                for _ in range(200):
+                    params = tuple(t.fe(rng.randrange(t.spec.order))
+                                   for _ in range(rec.arity))
+                    if rec.admits(t, *params):
+                        space.append(FamilyParams(tag, params, t))
+                    else:
+                        with pytest.raises(ValueError):
+                            family_coeffs(FamilyParams(tag, params, t))
+            checked += len(space)
+            for p in space:
+                f = family_coeffs(p)
+                assert f.tower == t
+                if shape is not None:
+                    tup = family_tuple(tag, f, t)
+                    assert DOPoly(t, [(c, u, v) for c, (u, v) in zip(tup, shape)]) == f
+        assert checked, tag
+
+
+def test_p3_at_m1_takes_exponents_mod_n():
+    t = p2.tower(1, 3)
+    assert family_shape("P3", t) == [(1, 2), (0, 2), (0, 1)]
+    space = family_param_space("P3", t)
+    assert len(space) == 8
+    assert all(p2.is_planar_bruteforce(family_coeffs(p)) for p in space)
+    rep = family_audit("P3", t, "sufficiency")
+    assert rep.tested == 8 and not rep.failures
+
+
+def test_p1_at_m1_shape_columns_coincide():
+    t = p2.tower(1, 2)
+    with pytest.raises(ValueError, match="coincide"):
+        family_shape("P1", t)
+    with pytest.raises(ValueError, match="coincide"):
+        family_audit("P1", t, "converse")
 
 
 def test_scherr_zieve_admissible_count_m2():
