@@ -5,12 +5,12 @@ the Dickson permutation test), planar (planarity predicates, coefficient
 criteria, the family registry, sweeps), surfaces (companion
 hypersurfaces, linear factors, point counts), semifields (products
 induced by planar functions and their nuclei). Each coefficient family is
-one record in planar.REGISTRY. Hot sweeps run through kernels, which uses
-numba when the optional extra is installed and numpy otherwise; set
-PLANAR2_NO_NUMBA=1 to force the numpy path.
+one record in planar.REGISTRY. Planarity verdicts run through kernels:
+a batched GF(2)-rank kernel for sweeps and the rank test, and a
+definition check on full value tables as the independent oracle.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .fields import (BudgetError, Fe, FieldSpec, TowerView, field, fe_from_hex,
                      smallest_irreducible, tower)

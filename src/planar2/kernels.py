@@ -1,46 +1,43 @@
-"""Hot loops: brute-force planarity checks and coefficient-space sweeps.
+"""Hot loops: the batched GF(2)-rank planarity sweep and its definition oracle.
 
 A function f on GF(2^n) is planar when x -> f(x+a) + f(x) + a*x is a
-bijection for every nonzero a. Given the value table of f and the field's
-log/antilog tables, the check is a tight integer loop, so it ships in two
-interchangeable backends:
+bijection for every nonzero a. Two independent implementations decide it:
 
-  * numba @njit kernels (the default whenever numba imports), and
-  * vectorized numpy, selected by setting PLANAR2_NO_NUMBA=1.
+  * planar_sweep, the production kernel, for Dembowski-Ostrom (DO)
+    polynomials. B(a, x) = f(a+x) + f(a) + f(x) + f(0) + a*x is symmetric
+    and GF(2)-bilinear, and the difference map at a is B(a, .) plus a
+    constant, so f is planar iff the n x n GF(2) matrix
+    M_a = [B(a, e_j)]_j is nonsingular for every a != 0. The kernel
+    evaluates each monomial only at the points of weight <= 2, builds every
+    M_a from the n rows B(e_i, .) by doubling, and tests the matrices by
+    batched elimination: about 2^n * n^2 operations per row.
+  * planar_check_table, the definition: sort the 2^n values of each
+    difference map of a full value table, 4^n work. It shares no code with
+    the sweep and serves as the independent oracle.
 
-Both backends take the same arrays and return the same answers;
-benchmarks/bench_kernels.py times them against each other.
+Both are vectorized numpy; there is no other backend.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not os.environ.get("PLANAR2_NO_NUMBA")
+_A_CHUNK = 256      # rows of the (a, x) value matrix the oracle processes at once
+_BLOCK_BITS = 14    # the sweep's rank test takes at most 2^14 matrices M_a at once
 
 
 def backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# numpy backend
+# Oracle: the definition on a full value table
 # ---------------------------------------------------------------------------
 
-_A_CHUNK = 256  # rows of the (a, x) value matrix processed at once
-
-
-def planar_check_numpy(fvals: np.ndarray, logt: np.ndarray, expt: np.ndarray) -> bool:
+def planar_check_table(spec, fvals: np.ndarray) -> bool:
+    """True iff the tabulated f is planar over spec's field."""
+    fvals = np.ascontiguousarray(fvals, dtype=np.int64)
+    logt, expt = spec.log, spec.exp
     n_ord = fvals.shape[0]
     xs = np.arange(n_ord, dtype=np.int64)
     logx = logt[xs[1:]]
@@ -55,145 +52,140 @@ def planar_check_numpy(fvals: np.ndarray, logt: np.ndarray, expt: np.ndarray) ->
     return True
 
 
-def planar_sweep_numpy(pows: np.ndarray, coeffs: np.ndarray,
-                       logt: np.ndarray, expt: np.ndarray) -> np.ndarray:
-    nrows, nterms = coeffs.shape
-    n_ord = pows.shape[1]
-    fvals = np.zeros((nrows, n_ord), dtype=np.int64)
-    for t in range(nterms):
-        c = coeffs[:, t][:, None]
-        p = pows[t][None, :]
-        nz = (c != 0) & (p != 0)
-        contrib = np.zeros((nrows, n_ord), dtype=np.int64)
-        cb, pb = np.broadcast_arrays(c, p)
-        contrib[nz] = expt[logt[cb[nz]] + logt[pb[nz]]]
-        fvals ^= contrib
-    xs = np.arange(n_ord, dtype=np.int64)
-    alive = np.arange(nrows)
-    out = np.zeros(nrows, dtype=bool)
-    for a in range(1, n_ord):
-        if alive.size == 0:
-            break
-        prod = np.zeros(n_ord, dtype=np.int64)
-        prod[1:] = expt[logt[a] + logt[xs[1:]]]
-        sub = fvals[alive]
-        vals = sub[:, xs ^ a] ^ sub ^ prod[None, :]
-        vals.sort(axis=1)
-        ok = (vals == xs[None, :]).all(axis=1)
-        alive = alive[ok]
-    out[alive] = True
-    return out
-
-
 # ---------------------------------------------------------------------------
-# numba backend
+# Production kernel: GF(2)-rank of the bilinear form
 # ---------------------------------------------------------------------------
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _planar_check_njit(fvals, logt, expt):  # pragma: no cover - jitted
-        n_ord = fvals.shape[0]
-        p1 = n_ord - 1
-        seen = np.zeros(n_ord, dtype=np.int64)
-        for a in range(1, n_ord):
-            la = logt[a]
-            for x in range(n_ord):
-                if x == 0:
-                    v = fvals[a] ^ fvals[0]
-                else:
-                    s = la + logt[x]
-                    if s >= p1:
-                        s -= p1
-                    v = fvals[x ^ a] ^ fvals[x] ^ expt[s]
-                if seen[v] == a:
-                    return False
-                seen[v] = a
-        return True
-
-    @njit(cache=True, nogil=True)
-    def _planar_sweep_njit(pows, coeffs, logt, expt):  # pragma: no cover - jitted
-        nrows, nterms = coeffs.shape
-        n_ord = pows.shape[1]
-        p1 = n_ord - 1
-        out = np.zeros(nrows, dtype=np.bool_)
-        fvals = np.zeros(n_ord, dtype=np.int64)
-        seen = np.zeros(n_ord, dtype=np.int64)
-        epoch = 0
-        for r in range(nrows):
-            for x in range(n_ord):
-                acc = 0
-                for t in range(nterms):
-                    c = coeffs[r, t]
-                    p = pows[t, x]
-                    if c != 0 and p != 0:
-                        s = logt[c] + logt[p]
-                        if s >= p1:
-                            s -= p1
-                        acc ^= expt[s]
-                fvals[x] = acc
-            planar = True
-            for a in range(1, n_ord):
-                epoch += 1
-                la = logt[a]
-                ok = True
-                for x in range(n_ord):
-                    if x == 0:
-                        v = fvals[a] ^ fvals[0]
-                    else:
-                        s = la + logt[x]
-                        if s >= p1:
-                            s -= p1
-                        v = fvals[x ^ a] ^ fvals[x] ^ expt[s]
-                    if seen[v] == epoch:
-                        ok = False
-                        break
-                    seen[v] = epoch
-                if not ok:
-                    planar = False
-                    break
-            out[r] = planar
-        return out
-
-    def planar_check_numba(fvals, logt, expt) -> bool:
-        return bool(_planar_check_njit(fvals, logt, expt))
-
-    def planar_sweep_numba(pows, coeffs, logt, expt) -> np.ndarray:
-        return _planar_sweep_njit(pows, coeffs, logt, expt)
-
-else:  # pragma: no cover - exercised only without numba installed
-    planar_check_numba = None
-    planar_sweep_numba = None
+def _monomial_forms(spec, exponents) -> np.ndarray:
+    """forms[t, i, j] = B_t(e_i, e_j) for the monomial x^exponents[t], where
+    B_t(a, x) = (a+x)^e + a^e + x^e + 0^e; the last slice holds e_i * e_j."""
+    n, p1 = spec.n, spec.order - 1
+    for e in exponents:
+        r = e % p1 if p1 > 1 else 1
+        if e and bin(r or p1).count("1") > 2:
+            raise ValueError(f"x^{e} is not a Dembowski-Ostrom monomial over GF(2^{n})")
+    basis = [1 << i for i in range(n)]
+    forms = np.zeros((len(exponents) + 1, n, n), dtype=np.int64)
+    for t, e in enumerate(exponents):
+        pw = [spec.pow(b, e) for b in basis]
+        zero = spec.pow(0, e)
+        for i in range(n):
+            for j in range(i + 1, n):
+                forms[t, i, j] = forms[t, j, i] = (
+                    spec.pow(basis[i] ^ basis[j], e) ^ pw[i] ^ pw[j] ^ zero)
+    for i in range(n):
+        for j in range(n):
+            forms[-1, i, j] = spec.mul(basis[i], basis[j])
+    return forms
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
+def _basis_rows(spec, forms: np.ndarray, coeffs: np.ndarray, dtype) -> np.ndarray:
+    """B[r, i, j] = B(e_i, e_j) for the polynomial of coefficient row r, for
+    the i that forms covers."""
+    mono, cross = forms[:-1], forms[-1]
+    acc = np.empty((coeffs.shape[0],) + cross.shape, dtype=dtype)
+    acc[:] = cross
+    logf = spec.log[mono]
+    for t in range(mono.shape[0]):
+        c = coeffs[:, t, None, None]
+        prod = spec.exp[spec.log[c] + logf[t]]
+        acc ^= np.where((c != 0) & (mono[t] != 0), prod, 0).astype(dtype)
+    return acc
 
-def planar_check_table(spec, fvals: np.ndarray) -> bool:
-    """True iff the tabulated f is planar over spec's field."""
-    fvals = np.ascontiguousarray(fvals, dtype=np.int64)
-    if USE_NUMBA:
-        return planar_check_numba(fvals, spec.log, spec.exp)
-    return planar_check_numpy(fvals, spec.log, spec.exp)
+
+def _full_rank(cols: np.ndarray) -> np.ndarray:
+    """cols[j, s] is column j of matrix s as an n-bit integer: True for each
+    matrix whose n columns are linearly independent over GF(2).
+
+    Branch-free XOR-basis insertion over the whole batch: each column is
+    reduced from its top bit down by the pivot stored at that bit, and
+    stored there itself when the slot is empty (which clears it). The
+    matrix is nonsingular iff every one of the n slots ends up filled.
+    Selections are products with 0/1 arrays; masked ufuncs (where=) are
+    several times slower.
+    """
+    n, nb = cols.shape
+    pivots = np.zeros((n, nb), dtype=cols.dtype)
+    v = np.empty(nb, dtype=cols.dtype)
+    top = np.empty(nb, dtype=cols.dtype)
+    ins = np.empty(nb, dtype=cols.dtype)
+    tmp = np.empty(nb, dtype=cols.dtype)
+    for j in range(n):
+        v[:] = cols[j]
+        for b in range(n - 1, -1, -1):
+            p = pivots[b]
+            np.right_shift(v, b, out=top)  # bits above b are clear: top is bit b of v
+            np.less(p, top, out=ins)       # 1 where bit b is set and the slot is empty
+            np.multiply(v, ins, out=tmp)
+            np.bitwise_or(p, tmp, out=p)
+            np.multiply(top, p, out=tmp)
+            np.bitwise_xor(v, tmp, out=v)
+    return (pivots != 0).all(axis=0)
+
+
+def _nonsingular(brows: np.ndarray, a0: int, bits: int) -> np.ndarray:
+    """True for each row r of brows (brows[r, i] = B(e_i, .) as n integers)
+    whose M_a is nonsingular for every nonzero a in [a0, a0 + 2^bits), a0 a
+    multiple of 2^bits."""
+    nrows, _, n = brows.shape
+    cols = np.empty((n, nrows, 1 << bits), dtype=brows.dtype)
+    high = np.zeros((nrows, n), dtype=brows.dtype)
+    for i in range(bits, a0.bit_length()):
+        if a0 >> i & 1:
+            high ^= brows[:, i]
+    cols[:, :, 0] = high.T
+    for i in range(bits):  # doubling: M_(r + 2^i) = M_r ^ B(e_i, .)
+        h = 1 << i
+        np.bitwise_xor(cols[:, :, :h], brows[:, i].T[:, :, None], out=cols[:, :, h:2 * h])
+    if a0 == 0:  # a = 0 is no difference
+        cols = cols[:, :, 1:]
+    ok = _full_rank(cols.reshape(n, -1))
+    return ok.reshape(nrows, -1).all(axis=1)
 
 
 def planar_sweep(spec, exponents: list[int], coeffs: np.ndarray) -> np.ndarray:
     """Planarity mask for many coefficient rows of a fixed monomial shape.
 
-    Row r encodes f(x) = sum_t coeffs[r, t] * x^exponents[t].
+    Row r encodes f(x) = sum_t coeffs[r, t] * x^exponents[t]; every exponent
+    must be a Dembowski-Ostrom one (binary weight <= 2 mod 2^n - 1, or 0).
+    Rows go in blocks of 2^14. Each block tests a < 2^k0 first, then
+    a in [2^k, 2^(k+1)) for k = k0 .. n-1, and only the rows that pass a
+    stage go on to the next: most non-planar rows fail at small a. k0 is 1
+    for a full block and larger for a smaller one, up to n for a single
+    row, so that the first stage fills one rank call. A rank call holds at
+    most 2^14 matrices: several rows while 2^k is small, one row and a
+    slice of the stage when 2^k is larger.
     """
-    pows = np.stack([spec.pow_table(e) for e in exponents])
     coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
-    if USE_NUMBA:
-        return planar_sweep_numba(pows, coeffs, spec.log, spec.exp)
-    return planar_sweep_numpy(pows, coeffs, spec.log, spec.exp)
-
-
-def warmup():
-    """Force jit compilation on a toy field so timed runs exclude it."""
-    from . import fields
-
-    spec = fields.field(2)
-    planar_check_table(spec, np.zeros(4, dtype=np.int64))
-    planar_sweep(spec, [3], np.arange(4, dtype=np.int64)[:, None])
+    n = spec.n
+    dtype = np.uint16 if n <= 16 else np.uint32
+    forms = _monomial_forms(spec, exponents)
+    cap = 1 << _BLOCK_BITS
+    out = np.zeros(coeffs.shape[0], dtype=bool)
+    for r0 in range(0, coeffs.shape[0], cap):
+        rows = np.arange(r0, min(r0 + cap, coeffs.shape[0]))
+        brows = np.zeros((rows.size, 0, n), dtype=dtype)
+        # the first stage, a < 2^k0, fills one rank call; then one stage per doubling
+        k0 = min(n, max(1, _BLOCK_BITS - (rows.size - 1).bit_length()))
+        bounds = [0] + [1 << k for k in range(k0, n + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            # B(e_i, .) for the new bits of a, for the rows still alive
+            extra = _basis_rows(spec, forms[:, brows.shape[1]:hi.bit_length() - 1],
+                                coeffs[rows], dtype)
+            brows = np.concatenate([brows, extra], axis=1)
+            bits = min((hi - lo).bit_length() - 1, _BLOCK_BITS)
+            per_call = max(1, cap >> bits)
+            kept = []
+            for s0 in range(0, rows.size, per_call):
+                sub = np.arange(s0, min(s0 + per_call, rows.size))
+                for a0 in range(lo, hi, 1 << bits):
+                    sub = sub[_nonsingular(brows[sub], a0, bits)]
+                    if not sub.size:
+                        break
+                kept.append(sub)
+            keep = np.concatenate(kept)
+            rows, brows = rows[keep], brows[keep]
+            if not rows.size:
+                break
+        out[rows] = True
+    return out

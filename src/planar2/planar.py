@@ -6,8 +6,10 @@ exponent a sum of two powers of 2) that map differs from the GF(2)-linear
 map x -> f(x+a) + f(x) + f(a) + a*x only by a constant, so planarity has
 two independent tests:
 
-  * is_planar_bruteforce - mark image values per a (hot kernel), and
-  * is_planar_linearized - full GF(2)-rank of the linear map per a.
+  * is_planar_bruteforce - the definition on the full value table (the
+    independent oracle, 4^n work), and
+  * is_planar_linearized - GF(2)-rank of the linear map per a, through the
+    batched rank kernel that also runs every sweep (2^n * n^2 work).
 
 For coefficient families with exponents 2^(jm+i) + 2^i there is a third,
 equivalent test: a single equation having no nonzero root, implemented by
@@ -163,36 +165,13 @@ def is_planar_bruteforce(f: DOPoly, budget: int = PLANAR_ENUM_LIMIT) -> bool:
     return kernels.planar_check_table(spec, f.value_table())
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = row
-                rank += 1
-                break
-            row ^= pivots[top]
-    return rank
-
-
 def is_planar_linearized(f: DOPoly) -> bool:
     """Rank test: the linear part of each difference map must be bijective."""
     spec = f.spec
     if spec.order > PLANAR_ENUM_LIMIT:
         raise BudgetError(f"field of size 2^{spec.n} exceeds the planarity budget")
-    fv = f.value_table()
-    n = spec.n
-    for a in range(1, spec.order):
-        fa = int(fv[a])
-        rows = []
-        for i in range(n):
-            b = 1 << i
-            rows.append(int(fv[b ^ a]) ^ fa ^ int(fv[b]) ^ spec.mul(a, b))
-        if _gf2_rank(rows) < n:
-            return False
-    return True
+    row = np.array([[cb for _, cb, _, _ in f.terms]], dtype=np.int64).reshape(1, -1)
+    return bool(kernels.planar_sweep(spec, [e for e, _, _, _ in f.terms], row)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +469,12 @@ def family_coeffs(p: FamilyParams) -> DOPoly:
         raise ValueError(f"{p.family} takes {rec.arity} parameters, got {len(p.params)}")
     if not rec.admits(t, *p.params):
         raise ValueError(rec.admits_msg)
+    return _family_poly(rec, p)
+
+
+def _family_poly(rec: Family, p: FamilyParams) -> DOPoly:
+    """The family polynomial of parameters already known to be admissible."""
+    t = p.tower
     n = t.spec.n
     return DOPoly(t, [(c, u % n, v % n) for c, u, v in rec.terms(t, *p.params)])
 
@@ -618,19 +603,25 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
     spec = t.spec
     report = AuditReport(fam, t.q, t.k, mode, 0, [], [])
 
+    rec = family_record(fam)
     if mode == "sufficiency":
         params = family_param_space(fam, t)
         if len(params) > budget:
             raise BudgetError(f"{len(params)} parameters exceed the audit budget {budget}")
-        polys = [family_coeffs(p) for p in params]
-        if family_record(fam).shape is not None:
+        polys = [_family_poly(rec, p) for p in params]
+        if rec.shape is not None:
             exponents = [((1 << u) + (1 << v)) for u, v in family_shape(fam, t)]
-            rows = np.array([family_tuple(fam, f, t) for f in polys], dtype=np.int64)
-            mask = _sweep_mask(spec, exponents, rows, threads) if len(rows) else np.zeros(0, bool)
-            tuples = [tuple(int(c) for c in r) for r in rows]
-        else:
-            mask = np.array([is_planar_bruteforce(f) for f in polys], dtype=bool)
+            tuples = [family_tuple(fam, f, t) for f in polys]
+            groups = {tuple(exponents): list(range(len(polys)))}
+        else:  # no fixed shape: sweep the polynomials of each exponent tuple together
             tuples = [tuple(cb for _, cb, _, _ in f.terms) for f in polys]
+            groups = {}
+            for i, f in enumerate(polys):
+                groups.setdefault(tuple(e for e, _, _, _ in f.terms), []).append(i)
+        mask = np.zeros(len(polys), dtype=bool)
+        for exps, idx in groups.items():
+            rows = np.array([tuples[i] for i in idx], dtype=np.int64).reshape(len(idx), len(exps))
+            mask[idx] = _sweep_mask(spec, list(exps), rows, threads)
         report.tested = len(polys)
         report.planar = [tup for tup, ok in zip(tuples, mask) if ok]
         report.failures = [tup for tup, ok in zip(tuples, mask) if not ok]
@@ -642,7 +633,7 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
     total = spec.order ** width
     if total > budget:
         raise BudgetError(f"coefficient space of size {total} exceeds the audit budget {budget}")
-    in_family = {family_tuple(fam, family_coeffs(p), t) for p in family_param_space(fam, t)}
+    in_family = {family_tuple(fam, _family_poly(rec, p), t) for p in family_param_space(fam, t)}
     planar: list[tuple[int, ...]] = []
     chunk = 1 << 18
     for start in range(0, total, chunk):

@@ -1,0 +1,162 @@
+"""Differential properties: the definition oracle, the rank kernel (sweep and
+is_planar_linearized) and the no-root criterion must agree on random
+Dembowski-Ostrom polynomials, on batches that straddle the kernel's blocks,
+through the threaded sweep and on whole sufficiency spaces."""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+import planar2 as p2
+from planar2 import kernels, planar
+from planar2.fields import vec_mul
+from planar2.planar import DOPoly, FamilyParams
+
+GRID = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)]
+PLANTED = {2: "P1", 3: "P3", 4: "P4b"}  # a planar family on each tower degree
+SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+@contextlib.contextmanager
+def block_bits(bits):
+    """Shrink the kernel's rank-call cap so small fields straddle its blocks."""
+    saved = kernels._BLOCK_BITS
+    kernels._BLOCK_BITS = bits
+    try:
+        yield
+    finally:
+        kernels._BLOCK_BITS = saved
+
+
+def oracle(f: DOPoly) -> bool:
+    return kernels.planar_check_table(f.spec, f.value_table())
+
+
+def row_oracle(spec, exps, row) -> bool:
+    fv = np.zeros(spec.order, dtype=np.int64)
+    for e, c in zip(exps, row):
+        fv ^= vec_mul(spec, int(c), spec.pow_table(e))
+    return kernels.planar_check_table(spec, fv)
+
+
+@st.composite
+def do_polys(draw):
+    """Random terms, gapped criterion-shape terms, or a planted family instance
+    plus an additive term; about half of the planted ones stay planar."""
+    m, k = draw(st.sampled_from(GRID))
+    t = p2.tower(m, k)
+    n, order = t.spec.n, t.spec.order
+    coeff = st.integers(0, order - 1)
+    kind = draw(st.sampled_from(("random", "gapped", "planted")))
+    if kind == "random":
+        terms = draw(st.lists(st.tuples(coeff, st.integers(0, n - 1), st.integers(0, n - 1)),
+                              min_size=0, max_size=4))
+    elif kind == "gapped":
+        gap = st.integers(1, k - 1).flatmap(
+            lambda j: st.tuples(coeff, st.integers(0, (k - j) * m - 1), st.just(j)))
+        terms = [(c, i, i + j * m) for c, i, j in draw(st.lists(gap, min_size=1, max_size=4))]
+    else:
+        fam = PLANTED[k]
+        while True:
+            try:
+                f = planar.family_coeffs(FamilyParams(fam, (t.fe(draw(coeff)),), t))
+                break
+            except ValueError:  # the few excluded parameters
+                continue
+        terms = [(cb, u, v) for _, cb, u, v in f.terms]
+        if draw(st.booleans()):
+            u = draw(st.integers(0, n - 1))
+            terms.append((draw(coeff), u, u))      # additive: planarity unchanged
+        else:
+            terms.append((draw(coeff), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+    return DOPoly(t, terms)
+
+
+@SETTINGS
+@given(do_polys())
+def test_oracle_rank_kernel_and_criterion_agree(f):
+    want = oracle(f)
+    exps = [e for e, _, _, _ in f.terms]
+    row = np.array([cb for _, cb, _, _ in f.terms], dtype=np.int64).reshape(1, -1)
+    assert kernels.planar_sweep(f.spec, exps, row)[0] == want
+    assert p2.is_planar_linearized(f) == want
+    crit = p2.planar_by_criterion(f)
+    assert crit is None or crit == want
+    event(f"planar={want} criterion={'n/a' if crit is None else 'applies'}")
+
+
+@st.composite
+def shape_batches(draw):
+    """A converse shape on a small tower and a batch of rows on it: family
+    tuples (planar) mixed with random tuples (mostly not)."""
+    fam, m = draw(st.sampled_from([("P1", 2), ("P1", 3), ("P3", 2), ("P2", 2), ("P4a", 2)]))
+    t = p2.tower(m, planar.REGISTRY[fam].k)
+    shape = planar.family_shape(fam, t)
+    space = planar.family_param_space(fam, t)
+    picks = draw(st.lists(st.integers(0, len(space) - 1), min_size=1, max_size=40))
+    planted = [planar.family_tuple(fam, planar.family_coeffs(space[i]), t) for i in picks]
+    randoms = draw(st.lists(st.tuples(*[st.integers(0, t.spec.order - 1)] * len(shape)),
+                            max_size=40))
+    rows = draw(st.permutations(planted + randoms))
+    return t, [(1 << u) + (1 << v) for u, v in shape], np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(shape_batches(), st.sampled_from([2, 3, 4, 5]))
+def test_batched_rows_straddling_blocks_match_the_oracle(batch, bits):
+    t, exps, rows = batch
+    spec = t.spec
+    want = [row_oracle(spec, exps, row) for row in rows]
+    with block_bits(bits):  # 2^bits matrices per rank call: rows and a both split
+        small = kernels.planar_sweep(spec, exps, rows)
+    assert small.tolist() == want
+    assert kernels.planar_sweep(spec, exps, rows).tolist() == want
+
+
+def _do_exponents(n):
+    return st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(
+        lambda uv: (1 << uv[0]) + (1 << uv[1]))
+
+
+@settings(max_examples=3, deadline=None, database=None, derandomize=True)
+@given(st.lists(_do_exponents(4), min_size=3, max_size=3))
+def test_threaded_sweep_mask_matches_the_oracle(exps):
+    spec = p2.field(4)
+    idx = np.arange(0, 16 ** 3, 2)  # 2048 rows: the smallest batch _sweep_mask splits
+    rows = np.stack([idx >> 8, (idx >> 4) & 15, idx & 15], axis=1).astype(np.int64)
+    want = [row_oracle(spec, exps, row) for row in rows]
+    with block_bits(3):
+        threaded = planar._sweep_mask(spec, exps, rows, threads=2)
+    assert threaded.tolist() == want
+    assert planar._sweep_mask(spec, exps, rows, threads=1).tolist() == want
+
+
+@pytest.mark.parametrize("fam,m,k", [
+    ("P1", 2, 2), ("P1", 3, 2), ("P1", 4, 2), ("P3", 2, 3), ("P3", 3, 3), ("P2", 2, 3),
+    ("P4a", 2, 4), ("P4b", 2, 4), ("SZ-generalized", 3, 2), ("Hu3", 3, 3)])
+def test_sufficiency_spaces_are_planar_in_every_test(fam, m, k):
+    t = p2.tower(m, k)
+    rep = planar.family_audit(fam, t, "sufficiency", threads=2)
+    assert rep.failures == [] and len(rep.planar) == rep.tested > 0
+    space = planar.family_param_space(fam, t)
+    for i in np.random.default_rng(m * k).choice(len(space), min(4, len(space)), replace=False):
+        f = planar.family_coeffs(space[i])
+        assert oracle(f) and p2.is_planar_linearized(f)
+        assert p2.planar_by_criterion(f) in (None, True)
+    if planar.REGISTRY[fam].shape is not None:
+        exps = [(1 << u) + (1 << v) for u, v in planar.family_shape(fam, t)]
+        with block_bits(4):
+            assert kernels.planar_sweep(t.spec, exps, np.array(rep.planar[:8])).all()
+
+
+def test_gf2_16_single_row_blocks_over_a():
+    t = p2.tower(8, 2)  # 2^16 differences: four rank calls at the default cap
+    assert t.spec.order > 1 << kernels._BLOCK_BITS
+    f = planar.family_coeffs(FamilyParams("P1", (t.fe(3),), t))
+    assert p2.is_planar_linearized(f)
+    assert p2.planar_by_criterion(f) is True
+    for c in (1, 2, 0x1234):  # a second criterion-shape term, c*x^(2^(m+1)+2)
+        g = DOPoly(t, [(cb, u, v) for _, cb, u, v in f.terms] + [(c, 1, 9)])
+        assert p2.is_planar_linearized(g) == p2.planar_by_criterion(g)
