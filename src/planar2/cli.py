@@ -8,7 +8,8 @@ subcommand accepts only the flags it uses. Exit codes separate tool
 failures from mathematical findings: 0 = ran to completion (extras in a
 converse audit are findings, not errors), 1 = bad arguments (unknown
 flags included), 2 = internal disagreement between planarity criteria,
-3 = budget exceeded.
+3 = budget exceeded, 4 = internal invariant failed (a RuntimeError or
+AssertionError, reported on stderr instead of a traceback).
 """
 
 from __future__ import annotations
@@ -236,6 +237,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (RuntimeError, AssertionError) as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

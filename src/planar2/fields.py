@@ -581,7 +581,8 @@ class TowerView:
                 if acc == 0:
                     root = cand
                     break
-            assert root is not None, "base modulus must split in its own subfield"
+            if root is None:
+                raise RuntimeError("base modulus must split in its own subfield")
             fwd = np.zeros(base.order, dtype=np.int64)
             powers = [self.spec.pow(root, i) for i in range(self.m)]
             for b in range(base.order):

@@ -12,9 +12,9 @@ kept because they differ in shape even though each is an isotope:
   * isotope at e:   (x*e) o (y*e) = x*y, identity e*e;
   * left division:  x o y = Le^{-1}(x*y) with Le(x) = x*e, identity e.
 
-Nuclei are computed by brute-force associativity tests over the
-multiplication table; for a commutative unital structure of these orders,
-"left nucleus = everything" is the same as being a finite field.
+Nuclei are read off the associators on basis pairs (the product is
+biadditive, so they are GF(2)-trilinear); for a commutative unital structure
+of these orders, "left nucleus = everything" is the same as being a field.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .fields import BudgetError, Fe, FieldSpec, TowerView, field, tower, vec_fro
 from .linearized import LinearizedPoly, inverse_map
 from .planar import DOPoly, is_planar_bruteforce
 
-TABLE_N_MAX = 12   # materialized 2^n x 2^n products
-NUCLEI_N_MAX = 10  # cubic associativity sweeps
+TABLE_N_MAX = 12  # materialized 2^n x 2^n products
 
 
 def _mul_table_from_fvals(spec: FieldSpec, fvals: np.ndarray) -> np.ndarray:
@@ -45,7 +44,7 @@ class Presemifield:
     divisors; a materialized table for n <= 12, closed form beyond."""
 
     def __init__(self, spec: FieldSpec, label: str, table: np.ndarray | None = None,
-                 mul_fn=None, identity: int | None = None, verify: bool = True):
+                 mul_fn=None, identity: int | None = None):
         if table is None and mul_fn is None:
             raise ValueError("need a table or a closed-form product")
         self.spec = spec
@@ -53,7 +52,7 @@ class Presemifield:
         self._table = table
         self._mul_fn = mul_fn
         self.identity = identity
-        if verify and table is not None:
+        if table is not None:
             self._verify()
 
     # -- product access ------------------------------------------------------
@@ -77,6 +76,7 @@ class Presemifield:
                     t[x, y] = v
                     t[y, x] = v
             self._table = t
+            self._verify()
         return self._table
 
     # -- structure checks -----------------------------------------------------
@@ -145,7 +145,7 @@ def presemifield_from_planar(f: DOPoly, check_planar: bool = True) -> Presemifie
     def mul_fn(x, y, _fv=fvals, _spec=spec):
         return _spec.mul(x, y) ^ int(_fv[x ^ y]) ^ int(_fv[x]) ^ int(_fv[y])
 
-    return Presemifield(spec, "planar", mul_fn=mul_fn, verify=False)
+    return Presemifield(spec, "planar", mul_fn=mul_fn)
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,26 +306,25 @@ class NucleiReport:
 
 
 def nuclei(S: Presemifield) -> NucleiReport:
-    """Left/middle/right nuclei of a unital semifield by exhaustive
-    associativity checks (order capped at 2^10)."""
+    """Left/middle/right nuclei of a unital semifield. Every table a
+    Presemifield holds has passed `_verify`, so the product is biadditive and
+    each associator, e.g. (a*x)*y + a*(x*y), is GF(2)-trilinear: it vanishes
+    for all x, y iff it does on the basis pairs (e_i, e_j). One 2^n x n x n
+    gather per nucleus tests every a at once."""
     if S.identity is None:
         raise ValueError("nuclei are defined for unital semifields; isotope first")
-    spec = S.spec
-    if spec.n > NUCLEI_N_MAX:
-        raise BudgetError(f"nuclei sweep needs n <= {NUCLEI_N_MAX}")
     t = S.table()
-    n_ord = spec.order
-    left, middle, right = [], [], []
-    for al in range(n_ord):
-        # (al*x)*y == al*(x*y)
-        if np.array_equal(t[t[al]], t[al][t]):
-            left.append(al)
-        # (x*al)*y == x*(al*y)
-        if np.array_equal(t[t[:, al]], t[:, t[al]]):
-            middle.append(al)
-        # (x*y)*al == x*(y*al)
-        if np.array_equal(t[:, al][t], t[:, t[:, al]]):
-            right.append(al)
+    n_ord = S.spec.order
+    a = np.arange(n_ord)[:, None, None]
+    x = (1 << np.arange(S.spec.n))[None, :, None]
+    y = x.reshape(1, 1, -1)
+
+    def members(lhs, rhs):
+        return np.flatnonzero((lhs == rhs).all(axis=(1, 2))).tolist()
+
+    left = members(t[t[a, x], y], t[a, t[x, y]])      # (a*x)*y == a*(x*y)
+    middle = members(t[t[x, a], y], t[x, t[a, y]])    # (x*a)*y == x*(a*y)
+    right = members(t[t[x, y], a], t[x, t[y, a]])     # (x*y)*a == x*(y*a)
     is_assoc = len(left) == n_ord
     return NucleiReport(left, middle, right, is_assoc, is_assoc, n_ord)
 

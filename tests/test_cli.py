@@ -2,7 +2,9 @@
 
 import json
 
-from planar2 import cli
+import pytest
+
+from planar2 import cli, semifields, surfaces
 from planar2.cli import main
 from planar2.planar import FAMILIES, REGISTRY
 
@@ -77,6 +79,42 @@ def test_semifield_p3_nuclei(capsys):
     assert code == 0
     assert rep["left_size"] == 2 and rep["middle_size"] == 4
     assert rep["is_field"] is False
+
+
+def test_semifield_at_n10_is_a_field(capsys):
+    code, out = run(capsys, "semifield", "--family", "P1", "--m", "5", "--coeffs", "3")
+    rep = json.loads(out)
+    assert code == 0 and rep["order"] == 1024
+    assert rep["is_field"] is True and rep["left_size"] == 1024
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (semifields, "to_semifield", ["semifield", "--family", "P1", "--coeffs", "2", "--m", "2"]),
+    (surfaces, "specialize_normal", ["surface", "--family", "P1", "--coeffs", "2", "--m", "2"]),
+    (surfaces, "langweil_check", ["surface", "--family", "P1", "--coeffs", "2", "--m", "2"]),
+])
+@pytest.mark.parametrize("error", [RuntimeError, AssertionError])
+def test_internal_invariant_failure_exits_4(monkeypatch, capsys, module, name, argv, error):
+    def broken(*args, **kwargs):
+        raise error("planted invariant failure")
+
+    monkeypatch.setattr(module, name, broken)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal invariant failed: planted invariant failure" in captured.err
+
+
+def test_audit_threads_do_not_change_the_report(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"t{threads}.json"
+        assert main(["audit", "--family", "P1", "--m", "3", "--mode", "converse",
+                     "--threads", threads, "--out", str(path)]) == 0
+        lines = path.read_bytes().splitlines(keepends=True)
+        outs.append(b"".join(line for line in lines if not line.lstrip().startswith(b'"threads"')))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["tested"] == 4096
 
 
 def test_semifield_table_dump(tmp_path, capsys):

@@ -269,3 +269,11 @@ def test_fe_hash_agrees_with_int_equality():
     assert x == 3 and hash(x) == hash(3)
     assert 3 in {x} and x in {3}
     assert {spec.fe(b) for b in range(16)} == {spec.fe(b) for b in range(16)}
+
+
+def test_embedding_failure_is_a_runtime_error(monkeypatch):
+    # a RuntimeError rather than an assert, so python -O keeps the check
+    t = p2.TowerView(2, 2)
+    monkeypatch.setattr(t, "subfield_members", lambda: set())
+    with pytest.raises(RuntimeError, match="must split"):
+        t.embed_base(t.base_field().fe(1))

@@ -2,29 +2,59 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import planar2 as p2
 from planar2 import semifields as sf
 from planar2.fields import BudgetError
 from planar2.planar import DOPoly, FamilyParams, family_coeffs, family_param_space
 
+SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+# (family, m, k) with n = mk <= 8; the oracle below is 8^n work
+FAMILY_TOWERS = [("P1", 2, 2), ("P1", 3, 2), ("P3", 1, 3), ("P3", 2, 3),
+                 ("P4a", 1, 4), ("P4a", 2, 4), ("P4b", 1, 4), ("P4b", 2, 4)]
+# (n, chain degree) for the chained-trace product, n <= 7
+KANTOR_CHAINS = [(3, 1), (5, 1), (7, 1), (6, 2)]
 
-def _nuclei_brute_left(tbl):
-    n = tbl.shape[0]
-    out = []
-    for al in range(n):
-        ok = True
-        for x in range(n):
-            tax = tbl[al, x]
-            for y in range(n):
-                if tbl[tax, y] != tbl[al, tbl[x, y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(al)
-    return out
+
+def _nuclei_exhaustive(tbl):
+    """Test oracle: left/middle/right nuclei from every triple (a, x, y),
+    one a at a time; no use of biadditivity."""
+    left, middle, right = [], [], []
+    for a in range(tbl.shape[0]):
+        row, col = tbl[a], tbl[:, a]
+        if np.array_equal(tbl[row], row[tbl]):      # (a*x)*y == a*(x*y)
+            left.append(a)
+        if np.array_equal(tbl[col], tbl[:, row]):   # (x*a)*y == x*(a*y)
+            middle.append(a)
+        if np.array_equal(col[tbl], tbl[:, col]):   # (x*y)*a == x*(y*a)
+            right.append(a)
+    return left, middle, right
+
+
+@st.composite
+def presemifields(draw):
+    """A tabled presemifield: a random family instance, Knuth or Kantor."""
+    kind = draw(st.sampled_from(["family", "knuth", "kantor"]))
+    if kind == "family":
+        fam, m, k = draw(st.sampled_from(FAMILY_TOWERS))
+        space = family_param_space(fam, p2.tower(m, k))
+        params = space[draw(st.integers(0, len(space) - 1))]
+        return sf.presemifield_from_planar(family_coeffs(params), check_planar=False)
+    if kind == "knuth":
+        return sf.knuth_presemifield(draw(st.sampled_from([3, 5, 7])))
+    n, deg = draw(st.sampled_from(KANTOR_CHAINS))
+    zeta = draw(st.integers(1, (1 << n) - 1))
+    return sf.kantor_presemifield(sf.TraceChain(p2.field(n), (deg,), (zeta,)))
+
+
+@st.composite
+def semifields(draw):
+    """(presemifield, e, construction, unital isotope) with a random e."""
+    pre = draw(presemifields())
+    e = pre.spec.fe(draw(st.integers(1, pre.spec.order - 1)))
+    cons = draw(st.sampled_from(["isotope", "left-division"]))
+    return pre, e, cons, sf.to_semifield(pre, e, construction=cons)
 
 
 def test_zero_planar_function_gives_the_field_product():
@@ -142,7 +172,47 @@ def test_nuclei_match_bruteforce():
     f = family_coeffs(family_param_space("P1", t)[3])
     s = sf.to_semifield(sf.presemifield_from_planar(f))
     rep = sf.nuclei(s)
-    assert rep.left == _nuclei_brute_left(s.table())
+    assert (rep.left, rep.middle, rep.right) == _nuclei_exhaustive(s.table())
+
+
+@SETTINGS
+@given(semifields())
+def test_nuclei_agree_with_the_exhaustive_oracle(case):
+    pre, e, cons, s = case
+    event(f"{pre.label} n={s.spec.n} {cons}")
+    rep = sf.nuclei(s)
+    assert (rep.left, rep.middle, rep.right) == _nuclei_exhaustive(s.table())
+    assert rep.is_field == rep.is_associative == (len(rep.left) == s.spec.order)
+
+
+@SETTINGS
+@given(semifields())
+def test_presemifield_axioms_and_isotope_identity(case):
+    pre, e, cons, s = case
+    xs = np.arange(pre.spec.order)
+    for tbl in (pre.table(), s.table()):
+        assert np.array_equal(tbl, tbl.T)
+        for x in xs:  # additive in the first slot, hence biadditive
+            assert np.array_equal(tbl[x ^ xs], tbl[x] ^ tbl)
+        zero = (xs[:, None] == 0) | (xs[None, :] == 0)
+        assert np.array_equal(tbl == 0, zero)
+    ident = int(pre.table()[e.bits, e.bits]) if cons == "isotope" else e.bits
+    assert s.identity == ident and s.is_unital()
+    assert np.array_equal(s.table()[ident], xs) and np.array_equal(s.table()[:, ident], xs)
+
+
+def test_lazy_table_from_a_product_is_verified():
+    spec = p2.field(3)
+    built = sf.Presemifield(spec, "field", mul_fn=spec.mul, identity=1)
+    assert np.array_equal(built.table(), sf.field_presemifield(spec).table())
+    with pytest.raises(ValueError, match="biadditive"):
+        sf.Presemifield(spec, "bad", mul_fn=lambda x, y: x | y).table()
+
+
+def test_nuclei_beyond_the_table_limit_exceed_the_budget():
+    big = sf.field_presemifield(p2.field(sf.TABLE_N_MAX + 1))
+    with pytest.raises(BudgetError):
+        sf.nuclei(big)
 
 
 def test_nuclei_require_identity():
