@@ -395,22 +395,6 @@ def vec_frob(spec: FieldSpec, a, j: int) -> np.ndarray:
     return out
 
 
-def vec_sqr(spec: FieldSpec, a) -> np.ndarray:
-    return vec_frob(spec, a, 1)
-
-
-def vec_pow(spec: FieldSpec, a, e: int) -> np.ndarray:
-    """Elementwise a^e for a fixed non-negative integer exponent."""
-    a = np.asarray(a, dtype=np.int64)
-    p1 = spec.order - 1
-    out = np.zeros(a.shape, dtype=np.int64)
-    nz = a != 0
-    out[nz] = spec.exp[(spec.log[a[nz]] * (e % p1)) % p1]
-    if e == 0:
-        out[~nz] = 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Small exact linear algebra over a FieldSpec (rows of int bits)
 # ---------------------------------------------------------------------------

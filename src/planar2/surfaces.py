@@ -21,11 +21,12 @@ certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .fields import BudgetError, Fe, FieldSpec, TowerView, vec_frob, vec_mul, vec_pow
+from .fields import BudgetError, Fe, FieldSpec, TowerView, vec_frob, vec_mul
 from .planar import REGISTRY, DOPoly, family_record, family_shape
 
 COUNT_LIMIT = 1 << 24  # affine/projective enumeration budget (points)
@@ -161,32 +162,33 @@ class MvPoly:
         return out
 
     def evaluate(self, point) -> int:
-        spec = self.spec
-        pt = [p.bits if isinstance(p, Fe) else int(p) for p in point]
-        if len(pt) != self.nvars:
-            raise ValueError("point arity does not match the variable count")
-        acc = 0
-        for exps, cb in self.terms.items():
-            v = cb
-            for x, e in zip(pt, exps):
-                if e:
-                    v = spec.mul(v, spec.pow(x, e))
-                    if v == 0:
-                        break
-            acc ^= v
-        return acc
+        return int(self.evaluate_vec([p.bits if isinstance(p, Fe) else int(p) for p in point]))
 
-    def evaluate_vec(self, columns: list[np.ndarray]) -> np.ndarray:
-        """Evaluate on many points at once; columns[i] holds variable i."""
+    def evaluate_vec(self, columns) -> np.ndarray:
+        """Evaluate on many points at once. columns[i] holds variable i as
+        a scalar or an array; the columns broadcast against each other.
+
+        Each monomial is one gather in the log domain,
+        exp[(log c + sum e_i log x_i) mod (2^n - 1)], zeroed wherever a
+        variable with e_i > 0 is zero.
+        """
         spec = self.spec
-        shape = columns[0].shape
-        acc = np.zeros(shape, dtype=np.int64)
+        if spec.exp is None:
+            raise BudgetError(f"no tables for GF(2^{spec.n}); pointwise arithmetic only")
+        if len(columns) != self.nvars:
+            raise ValueError("point arity does not match the variable count")
+        cols = [np.asarray(c, dtype=np.int64) for c in columns]
+        logs = [spec.log[c] for c in cols]
+        nonzero = [c != 0 for c in cols]
+        p1 = spec.order - 1
+        acc = np.zeros(np.broadcast_shapes(*(c.shape for c in cols)), dtype=np.int64)
         for exps, cb in self.terms.items():
-            v = np.full(shape, cb, dtype=np.int64)
-            for col, e in zip(columns, exps):
+            lg, live = spec.log[cb], True
+            for i, e in enumerate(exps):
                 if e:
-                    v = vec_mul(spec, v, vec_pow(spec, col, e))
-            acc ^= v
+                    lg = lg + (e % p1) * logs[i]
+                    live = live & nonzero[i]
+            acc ^= spec.exp[lg % p1] * live
         return acc
 
     # -- homogenization ---------------------------------------------------------
@@ -470,13 +472,7 @@ def count_points_projective(P: MvPoly, budget: int = COUNT_LIMIT) -> int:
         raise BudgetError(f"projective enumeration of {total} points exceeds the budget")
     count = 0
     for p in range(v):
-        free = v - 1 - p
-        cols = _coordinate_columns(spec, free) if free else []
-        shape = cols[0].shape if cols else ()
-        point = [np.zeros(shape, dtype=np.int64) for _ in range(p)]
-        point.append(np.ones(shape, dtype=np.int64))
-        point.extend(cols)
-        vals = P.evaluate_vec(point) if cols else np.array(P.evaluate([0] * p + [1]))
+        vals = P.evaluate_vec([0] * p + [1] + _coordinate_columns(spec, v - 1 - p))
         count += int(np.count_nonzero(vals == 0))
     return count
 
@@ -511,22 +507,19 @@ def divmod_linear(P: MvPoly, form: LinearForm) -> tuple[MvPoly, MvPoly]:
     return quot, rem
 
 
-def _candidate_matrix(spec: FieldSpec, nvars: int, pivot: int,
-                      max_support: int) -> np.ndarray:
-    """Normalized candidate coefficient rows for one pivot, sorted."""
-    import itertools as it
-
-    rows = []
-    others = list(range(pivot + 1, nvars))
-    for size in range(0, max_support):
-        for positions in it.combinations(others, size):
-            for values in it.product(range(1, spec.order), repeat=size):
-                coeffs = [0] * nvars
-                coeffs[pivot] = 1
-                for pos, val in zip(positions, values):
-                    coeffs[pos] = val
-                rows.append(coeffs)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
+def _candidate_matrix(spec: FieldSpec, nvars: int, pivot: int, support: int) -> np.ndarray:
+    """Normalized candidate coefficient rows for one pivot, sorted: pivot
+    coefficient 1, nonzero coefficients on up to support - 1 later variables."""
+    units = spec.order - 1
+    blocks = []
+    for size in range(support):
+        vals = np.indices((units,) * size).reshape(size, units ** size).T + 1
+        for positions in itertools.combinations(range(pivot + 1, nvars), size):
+            block = np.zeros((len(vals), nvars), dtype=np.int64)
+            block[:, pivot] = 1
+            block[:, list(positions)] = vals
+            blocks.append(block)
+    return np.concatenate(blocks)
 
 
 _PROBE_SEEDS = (1, 2, 3, 5, 7, 11, 13, 19)
@@ -543,28 +536,25 @@ def _probe_points(spec: FieldSpec, width: int) -> list[tuple[int, ...]]:
     return pts
 
 
-def linear_factor_search(G: MvPoly, max_support: int | None = None,
+def linear_factor_search(G: MvPoly,
                          budget: int = 1 << 19) -> tuple[list[tuple[LinearForm, int]], MvPoly]:
     """Split off homogeneous linear factors with coefficients in G's field.
 
     For up to 3 variables every normalized form is tried. With 4 variables
-    the default candidate set is limited to forms supported on at most two
-    variables, which covers every linear factor the supported quartic
-    companion polynomials can acquire from planar coefficients (their
-    split types force two zero coefficients); pass max_support=4 to widen
-    the sweep within the budget. Candidates are first screened by exact
-    evaluation at deterministic points of their hyperplane (a true factor
-    vanishes there identically, so no factor is ever screened out), then
-    divided out exactly: the product of the returned factors times the
-    remainder equals G.
+    the candidates are the forms supported on at most two variables, which
+    covers every linear factor the supported quartic companion polynomials
+    can acquire from planar coefficients (their split types force two zero
+    coefficients). Candidates are first screened by exact evaluation at
+    deterministic points of their hyperplane (a true factor vanishes there
+    identically, so no factor is ever screened out), then divided out
+    exactly: the product of the returned factors times the remainder
+    equals G.
     """
     spec = G.spec
-    if max_support is None:
-        max_support = G.nvars if G.nvars <= 3 else 2
-    max_support = min(max_support, G.nvars)
+    support = G.nvars if G.nvars <= 3 else 2
     total = sum(
         sum(math.comb(G.nvars - 1 - piv, s) * (spec.order - 1) ** s
-            for s in range(0, max_support))
+            for s in range(0, support))
         for piv in range(G.nvars))
     if total > budget:
         raise BudgetError(f"{total} candidate forms exceed the factor-search budget {budget}")
@@ -575,9 +565,7 @@ def linear_factor_search(G: MvPoly, max_support: int | None = None,
     for pivot in range(G.nvars):
         if work.degree() < 1:
             break
-        cand = _candidate_matrix(spec, G.nvars, pivot, max_support)
-        if cand.size == 0:
-            continue
+        cand = _candidate_matrix(spec, G.nvars, pivot, support)
         alive = np.ones(cand.shape[0], dtype=bool)
         free = [i for i in range(G.nvars) if i != pivot]
         for pt in _probe_points(spec, len(free)):
@@ -588,13 +576,9 @@ def linear_factor_search(G: MvPoly, max_support: int | None = None,
             for pos, val in zip(free, pt):
                 if val:
                     piv_col ^= vec_mul(spec, cand[idx, pos], val)
-            columns = []
-            for i in range(G.nvars):
-                if i == pivot:
-                    columns.append(piv_col)
-                else:
-                    columns.append(np.full(idx.size, pt[free.index(i)], dtype=np.int64))
-            vals = G.evaluate_vec(columns)
+            point = list(pt)
+            point.insert(pivot, piv_col)
+            vals = G.evaluate_vec(point)
             alive[idx[vals != 0]] = False
         for row in cand[alive]:
             if work.degree() < 1:

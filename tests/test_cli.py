@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from planar2 import cli, semifields, surfaces
@@ -123,6 +124,16 @@ def test_semifield_table_dump(tmp_path, capsys):
                   "--dump-table", str(dump))
     assert code == 0
     assert dump.stat().st_size == 16 * 16 * 2
+
+
+def test_semifield_table_dump_at_n11(tmp_path, capsys):
+    dump = tmp_path / "t.bin"
+    code, _ = run(capsys, "semifield", "--family", "Knuth", "--m", "1", "--k", "11",
+                  "--dump-table", str(dump))
+    assert code == 0
+    data = np.fromfile(dump, dtype="<u2").reshape(2048, 2048)
+    want = semifields.to_semifield(semifields.knuth_presemifield(11)).table()
+    assert np.array_equal(data, want)
 
 
 def test_problem27_report(capsys):

@@ -1,7 +1,7 @@
 """Differential properties: the definition oracle, the rank kernel (sweep and
-is_planar_linearized) and the no-root criterion must agree on random
-Dembowski-Ostrom polynomials, on batches that straddle the kernel's blocks,
-through the threaded sweep and on whole sufficiency spaces."""
+is_planar_linearized), the no-root criterion and the companion orbit must
+agree on random Dembowski-Ostrom polynomials, on batches that straddle the
+kernel's blocks, through the threaded sweep and on whole sufficiency spaces."""
 
 import contextlib
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import planar2 as p2
-from planar2 import kernels, planar
+from planar2 import kernels, planar, surfaces
 from planar2.fields import vec_mul
 from planar2.planar import DOPoly, FamilyParams
 
@@ -84,7 +84,14 @@ def test_oracle_rank_kernel_and_criterion_agree(f):
     assert p2.is_planar_linearized(f) == want
     crit = p2.planar_by_criterion(f)
     assert crit is None or crit == want
-    event(f"planar={want} criterion={'n/a' if crit is None else 'applies'}")
+    try:
+        g = surfaces.build_G(f, f.tower)
+    except ValueError:  # no companion shape holds f's exponent pairs
+        g = None
+    if g is not None:
+        assert surfaces.orbit_has_zero(g, f.tower) == (not want)
+    event(f"planar={want} criterion={'n/a' if crit is None else 'applies'} "
+          f"orbit={'n/a' if g is None else 'applies'}")
 
 
 @st.composite

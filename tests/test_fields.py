@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import planar2 as p2
-from planar2.fields import is_irreducible, vec_frob, vec_mul, vec_pow
+from planar2.fields import is_irreducible, vec_frob, vec_mul
 
 
 def _divides(d: int, p: int) -> bool:
@@ -248,11 +248,9 @@ def test_vec_helpers_match_scalar_ops():
     ys = rng.integers(0, 64, 64).astype(np.int64)
     vm = vec_mul(f, xs, ys)
     vf = vec_frob(f, xs, 2)
-    vp = vec_pow(f, xs, 9)
     for i in range(64):
         assert vm[i] == f.mul(int(xs[i]), int(ys[i]))
         assert vf[i] == f.frob(int(xs[i]), 2)
-        assert vp[i] == f.pow(int(xs[i]), 9)
 
 
 def test_pow_table_matches_scalar():

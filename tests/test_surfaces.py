@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import planar2 as p2
 from planar2 import surfaces
@@ -40,6 +42,57 @@ def test_mvpoly_substitute_and_evaluate():
     for a in range(4):
         for b in range(4):
             assert p.evaluate([a, b]) == f.mul(a, a) ^ f.mul(a, b)
+
+
+def _scalar_reference(P, point):
+    """Term-by-term evaluation with the field's scalar mul and pow."""
+    spec = P.spec
+    acc = 0
+    for exps, c in P.terms.items():
+        for x, e in zip(point, exps):
+            c = spec.mul(c, spec.pow(x, e))
+        acc ^= c
+    return acc
+
+
+@st.composite
+def polys_and_columns(draw):
+    """A polynomial in 1-4 variables with zero, small and >= 2^n - 1
+    exponents, and one column per variable: a scalar, a row, a column or a
+    full grid, so the columns broadcast; coordinates are often zero."""
+    spec = p2.field(draw(st.integers(1, 6)))
+    order = spec.order
+    nvars = draw(st.integers(1, 4))
+    exp = st.one_of(st.integers(0, 3), st.integers(order - 2, 2 * order + 1))
+    terms = draw(st.dictionaries(st.tuples(*[exp] * nvars), st.integers(0, order - 1),
+                                 max_size=6))
+    coord = st.one_of(st.just(0), st.integers(0, order - 1))
+    rows, width = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    shapes = draw(st.lists(st.sampled_from([(), (width,), (rows, 1), (rows, width)]),
+                           min_size=nvars, max_size=nvars))
+    cols = [draw(coord) if s == () else draw(arrays(np.int64, s, elements=coord))
+            for s in shapes]
+    return MvPoly(spec, nvars, terms), cols
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(polys_and_columns())
+def test_evaluate_vec_matches_the_scalar_reference(case):
+    P, cols = case
+    shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+    vals = P.evaluate_vec(cols)
+    assert vals.shape == shape
+    grid = [np.broadcast_to(c, shape) for c in cols]
+    for idx in np.ndindex(shape):
+        point = [int(g[idx]) for g in grid]
+        assert vals[idx] == _scalar_reference(P, point) == P.evaluate(point)
+
+
+def test_evaluation_needs_the_log_tables_and_one_value_per_variable():
+    with pytest.raises(BudgetError):
+        MvPoly(p2.field(21), 1, {(1,): 1}).evaluate([1])
+    with pytest.raises(ValueError):
+        MvPoly(p2.field(4), 2, {(1, 1): 1}).evaluate([1])
 
 
 def test_mvpoly_json():
@@ -233,7 +286,7 @@ def test_factor_search_budget():
     f = p2.field(8)
     g = MvPoly(f, 4, {(1, 1, 1, 1): 1})
     with pytest.raises(BudgetError):
-        linear_factor_search(g, max_support=4, budget=100)
+        linear_factor_search(g, budget=100)
 
 
 # -- specialization --------------------------------------------------------------
