@@ -11,19 +11,26 @@ bijection for every nonzero a. Two independent implementations decide it:
     evaluates each monomial only at the points of weight <= 2, builds every
     M_a from the n rows B(e_i, .) by doubling, and tests the matrices by
     batched elimination: about 2^n * n^2 operations per row.
-  * planar_check_table, the definition: sort the 2^n values of each
-    difference map of a full value table, 4^n work. It shares no code with
-    the sweep and serves as the independent oracle.
+  * planar_check_table, the definition on a full value table, for any f.
+    D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2, so D_a
+    is a bijection iff min(v, v + a^2) takes distinct values on a
+    transversal of the pairs {x, x+a}: 2^(n-1) values per a, tested by a
+    scatter into a `seen` row instead of a sort, about 4^n/2 work. It
+    assumes no DO form, shares no code with the sweep and serves as the
+    independent oracle.
 
 Both are vectorized numpy; there is no other backend.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-_A_CHUNK = 256      # rows of the (a, x) value matrix the oracle processes at once
-_BLOCK_BITS = 14    # the sweep's rank test takes at most 2^14 matrices M_a at once
+_CHECK_ELEMS = 1 << 18  # the oracle gathers at most this many values D_a(x) at once
+_FIRST_ELEMS = 1 << 15  # ... and at most this many in its first, cached gather
+_BLOCK_BITS = 14        # the sweep's rank test takes at most 2^14 matrices M_a at once
 
 
 def backend() -> str:
@@ -34,21 +41,98 @@ def backend() -> str:
 # Oracle: the definition on a full value table
 # ---------------------------------------------------------------------------
 
+def _transversal(xs: np.ndarray, k: int) -> np.ndarray:
+    """The inputs with bit k clear: one of each pair {x, x+a} for every a
+    with bit k set."""
+    return xs.reshape(-1, 2, 1 << k)[:, 0].ravel()
+
+
+def _pairs_distinct(v: np.ndarray, sq: np.ndarray, order: int) -> bool:
+    """v[r] holds D_a on a transversal of the pairs {x, x+a} and sq[r] = a^2,
+    for the a of row r: True iff, in every row, the pair representatives
+    min(v, v ^ a^2) are distinct. One scatter into a `seen` row per a."""
+    np.minimum(v, v ^ sq, out=v)
+    seen = np.zeros((v.shape[0], order), dtype=bool)
+    offsets = np.arange(0, seen.size, order, dtype=np.intp)[:, None]
+    seen.reshape(-1)[v + offsets] = True
+    return np.count_nonzero(seen) == v.size
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_tables(spec, fold: int):
+    """The part of the oracle over spec's field that does not depend on f:
+    log/exp tables in which y*0 = 0, and the blocks for a = 1 and for
+    2 <= a < 2^fold. A block holds, for each of its a, the indices x + a
+    and x for x on the transversal of a's top bit, a*x, and a^2. It holds
+    at most _FIRST_ELEMS values, so the cache stays small. Everything is
+    read-only."""
+    n, p1 = spec.n, spec.order - 1
+    dtype = np.uint16 if n <= 16 else np.uint32
+    logt = spec.log.astype(np.int32)
+    logt[0] = 2 * p1  # log 0 points into a run of zeros: y*0 = 0*y = 0*0 = 0
+    expt = np.zeros(4 * p1 + 1, dtype=dtype)
+    expt[:2 * p1] = spec.exp
+    xs = np.arange(spec.order, dtype=np.int32)
+    transversals = np.stack([_transversal(xs, k) for k in range(fold)])
+    blocks = []
+    for lo, hi in ((1, 2), (2, 1 << fold)):
+        if lo < hi:
+            aa = np.arange(lo, hi, dtype=np.int32)[:, None]
+            tx = transversals[[a.bit_length() - 1 for a in range(lo, hi)]]
+            la = logt[aa]
+            blocks.append((tx ^ aa, tx, expt.take(logt.take(tx) + la), expt[2 * la]))
+    for arr in (logt, expt, xs, *(a for block in blocks for a in block)):
+        arr.setflags(write=False)
+    return logt, expt, xs, blocks
+
+
 def planar_check_table(spec, fvals: np.ndarray) -> bool:
-    """True iff the tabulated f is planar over spec's field."""
-    fvals = np.ascontiguousarray(fvals, dtype=np.int64)
-    logt, expt = spec.log, spec.exp
-    n_ord = fvals.shape[0]
-    xs = np.arange(n_ord, dtype=np.int64)
-    logx = logt[xs[1:]]
-    for a0 in range(1, n_ord, _A_CHUNK):
-        aa = np.arange(a0, min(a0 + _A_CHUNK, n_ord), dtype=np.int64)[:, None]
-        prod = np.zeros((aa.shape[0], n_ord), dtype=np.int64)
-        prod[:, 1:] = expt[logt[aa] + logx[None, :]]
-        vals = fvals[xs[None, :] ^ aa] ^ fvals[None, :] ^ prod
-        vals.sort(axis=1)
-        if not np.array_equal(vals, np.broadcast_to(xs, vals.shape)):
+    """True iff the tabulated f is planar over spec's field.
+
+    For any f, D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2,
+    so D_a maps each pair {x, x+a} to a pair {v, v + a^2}, and D_a is a
+    bijection iff the representatives min(v, v ^ a^2) are distinct on a
+    transversal of those pairs, such as the inputs with bit k clear for
+    the top bit k of a: 2^(n-1) values per a instead of 2^n, and a scatter
+    instead of a sort.
+
+    The a go in ascending stages, and the check stops at the first one
+    that fails: a = 1, so that most non-planar tables cost one gather;
+    then every a < 2^s in one gather, each a with the transversal of its
+    own top bit, s as large as a gather of at most _FIRST_ELEMS values
+    allows (s = n up to GF(2^8)); then one stage per top bit k >= s, in
+    chunks of rows a = a0 + b, b < c, that share one transversal. Both terms of D_a are additive in b there:
+    f(x + a) = g(x + b) for g(x) = f(x + a0), and a*x = a0*x + b*x, so a
+    chunk costs one gather from g and XORs with the stage's table of b*x.
+    """
+    n, order = spec.n, spec.order
+    fvals = np.asarray(fvals)
+    if fvals.shape != (order,) or fvals.min() < 0 or fvals.max() >= order:
+        raise ValueError(f"expected a table of {order} elements of GF(2^{n})")
+    fold = max(1, min(n, (_FIRST_ELEMS >> (n - 1)).bit_length() - 1))
+    logt, expt, xs, blocks = _oracle_tables(spec, fold)
+    fv = fvals.astype(expt.dtype)
+    rows = max(1, _CHECK_ELEMS >> (n - 1))
+    for txa, tx, ax, sq in blocks:
+        v = fv.take(txa)
+        v ^= fv.take(tx)
+        v ^= ax
+        if not _pairs_distinct(v, sq, order):
             return False
+    for k in range(fold, n):  # a in [2^k, 2^(k+1)) as a0 + b, b < c
+        tx = _transversal(xs, k)[None, :]
+        ltx = logt.take(tx)
+        ftx = fv.take(tx)
+        b = np.arange(min(rows, 1 << k), dtype=np.int32)[:, None]
+        idx = tx ^ b
+        bx = expt.take(ltx + logt[b])
+        bsq = expt[2 * logt[b]]
+        for a0 in range(1 << k, 2 << k, b.shape[0]):
+            v = fv.take(xs ^ a0).take(idx)  # f(x + a0 + b)
+            v ^= bx
+            v ^= ftx ^ expt.take(ltx + logt[a0])
+            if not _pairs_distinct(v, bsq ^ expt[2 * logt[a0]], order):
+                return False
     return True
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from planar2 import cli, semifields, surfaces
+from planar2 import cli, kernels, semifields, surfaces
 from planar2.cli import main
 from planar2.planar import FAMILIES, REGISTRY
 
@@ -38,6 +38,35 @@ def test_check_cube_not_planar(capsys):
 
 def test_check_parse_error_exit1(capsys):
     assert main(["check", "--terms", "garbage", "--m", "2", "--k", "2"]) == 1
+
+
+def test_check_beyond_the_oracle_bound_takes_the_rank_verdict(capsys, monkeypatch):
+    # planted P1 over GF(2^16): the 4^n oracle must not run there
+    def no_oracle(*args):
+        raise AssertionError("the definition oracle ran beyond CHECK_ORACLE_N_MAX")
+
+    monkeypatch.setattr(kernels, "planar_check_table", no_oracle)
+    assert cli.CHECK_ORACLE_N_MAX < 16
+    code, out = run(capsys, "check", "--terms", "(d59d,0,8)", "--m", "8", "--k", "2")
+    rep = json.loads(out)
+    assert code == 0 and rep["n"] == 16
+    assert rep["criteria"] == {"bruteforce": None, "linearized_rank": True,
+                               "coefficient_criterion": True}
+    assert rep["planar"] is True and rep["agree"] is True
+    code, out = run(capsys, "check", "--terms", "(1,0,1)", "--m", "8", "--k", "2")
+    rep = json.loads(out)
+    assert code == 0 and rep["planar"] is False and rep["criteria"]["bruteforce"] is None
+    assert main(["check", "--terms", "(1,0,1)", "--m", "8", "--k", "2",
+                 "--budget", str(1 << 15)]) == 3
+
+
+def test_check_runs_the_oracle_up_to_the_bound(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CHECK_ORACLE_N_MAX", 6)
+    for m, k, brute in ((2, 3, True), (7, 1, None)):  # f = 0 over GF(2^6), GF(2^7)
+        code, out = run(capsys, "check", "--terms", "", "--m", str(m), "--k", str(k))
+        rep = json.loads(out)
+        assert code == 0 and rep["criteria"]["bruteforce"] is brute
+        assert rep["planar"] is True and rep["agree"] is True
 
 
 def test_audit_deterministic_output(tmp_path, capsys):

@@ -1,22 +1,32 @@
-"""The rank kernel must agree with the definition oracle on identical inputs."""
+"""The definition oracle must agree with a set-based reference on arbitrary
+tables, and the rank kernel with the oracle on identical inputs."""
+
+import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import planar2 as p2
-from planar2 import kernels
+from planar2 import kernels, planar
+from planar2.planar import FamilyParams
 
 
-def _planar_reference(spec, fvals) -> bool:
-    # independent set-based oracle, no shared code with the kernels
+def _first_failure(spec, fvals):
+    # independent set-based oracle, no shared code with the kernels: the
+    # smallest a whose difference map is not a bijection, or None
     for a in range(1, spec.order):
         seen = set()
         for x in range(spec.order):
             v = int(fvals[x ^ a]) ^ int(fvals[x]) ^ spec.mul(a, x)
             if v in seen:
-                return False
+                return a
             seen.add(v)
-    return True
+    return None
+
+
+def _planar_reference(spec, fvals) -> bool:
+    return _first_failure(spec, fvals) is None
 
 
 def _table(spec, exps, row) -> np.ndarray:
@@ -32,6 +42,102 @@ def test_check_agrees_with_reference_oracle():
     for _ in range(50):
         fv = rng.integers(0, 16, 16).astype(np.int64)
         assert kernels.planar_check_table(spec, fv) == _planar_reference(spec, fv)
+
+
+def test_check_rejects_tables_that_are_not_field_valued():
+    spec = p2.field(3)
+    for bad in (np.zeros(7, dtype=np.int64), np.full(8, 8), np.full(8, -1)):
+        with pytest.raises(ValueError, match="elements of GF"):
+            kernels.planar_check_table(spec, bad)
+
+
+@contextlib.contextmanager
+def check_elems(bits):
+    """Shrink the oracle's gathers so that small fields run every stage."""
+    saved = kernels._CHECK_ELEMS, kernels._FIRST_ELEMS
+    kernels._CHECK_ELEMS = kernels._FIRST_ELEMS = 1 << bits
+    try:
+        yield
+    finally:
+        kernels._CHECK_ELEMS, kernels._FIRST_ELEMS = saved
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("bits", [0, 4, 18])
+def test_check_tests_every_difference_once(monkeypatch, n, bits):
+    # squaring permutes the nonzero elements, so the a^2 of the rows the
+    # oracle tests cover them once each iff every a != 0 is tested once
+    spec = p2.field(n)
+    squares = []
+    real = kernels._pairs_distinct
+
+    def spy(v, sq, order):
+        squares.extend(np.broadcast_to(sq, (v.shape[0], 1)).ravel().tolist())
+        return real(v, sq, order)
+
+    monkeypatch.setattr(kernels, "_pairs_distinct", spy)
+    with check_elems(bits):
+        assert kernels.planar_check_table(spec, np.zeros(spec.order, dtype=np.int64))
+    assert sorted(squares) == list(range(1, spec.order))
+
+
+# planar DO families by field degree n: (family, m, k)
+_PLANTED = {3: [("P3", 1, 3)], 4: [("P1", 2, 2)], 6: [("P1", 3, 2), ("P3", 2, 3)],
+            8: [("P1", 4, 2), ("P4a", 2, 4), ("P4b", 2, 4)]}
+
+
+@st.composite
+def tables(draw):
+    """A value table over GF(2^n), n = 1..8: random; planted planar (f = 0 or
+    a family instance, plus an additive function and a constant, which keep
+    it planar); or planted and then perturbed by a delta != 0 on the quarter
+    of inputs whose top two bits are set, which leaves D_a unchanged for
+    every a < 2^(n-2)."""
+    n = draw(st.integers(1, 8))
+    spec = p2.field(n)
+    order = spec.order
+    kind = draw(st.sampled_from(("random", "planted", "perturbed")))
+    if kind == "random":
+        return n, kind, np.array(draw(st.lists(st.integers(0, order - 1),
+                                                min_size=order, max_size=order)))
+    fv = np.zeros(order, dtype=np.int64)
+    families = _PLANTED.get(n, [])
+    if families and draw(st.booleans()):
+        fam, m, k = draw(st.sampled_from(families))
+        t = p2.tower(m, k)
+        while True:
+            try:
+                params = (t.fe(draw(st.integers(1, order - 1))),)
+                fv = planar.family_coeffs(FamilyParams(fam, params, t)).value_table()
+                break
+            except ValueError:  # the few excluded parameters
+                continue
+    for i in range(n):  # additive terms c * x^(2^i)
+        c = draw(st.integers(0, order - 1))
+        fv ^= np.array([spec.mul(c, spec.pow(x, 1 << i)) for x in range(order)])
+    fv ^= draw(st.integers(0, order - 1))
+    if kind == "perturbed" and n > 1:
+        fv[3 * order // 4:] ^= draw(st.integers(1, order - 1))
+    return n, kind, fv
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(tables(), st.one_of(st.none(), st.integers(0, 8)))
+def test_check_agrees_with_reference_on_arbitrary_tables(case, bits):
+    n, kind, fv = case
+    spec = p2.field(n)
+    fail = _first_failure(spec, fv)
+    if bits is None:
+        got = kernels.planar_check_table(spec, fv)
+    else:
+        with check_elems(bits):  # few rows per gather: every stage and chunk runs
+            got = kernels.planar_check_table(spec, fv)
+    assert got == (fail is None)
+    if kind == "planted":
+        assert got
+    if kind == "perturbed" and n > 1:
+        assert fail is None or fail >= 1 << (n - 2)
+    event(f"{kind} planar={got}")
 
 
 def test_rank_kernel_agrees_with_oracle_on_random_do_polys():

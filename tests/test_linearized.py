@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import planar2 as p2
 from planar2.linearized import (LinearizedPoly, dickson_det, inverse_by_interpolation,
@@ -102,6 +103,33 @@ def test_inverse_by_interpolation_agrees():
                 continue
             found += 1
             assert inverse_by_interpolation(L) == inverse_map(L)
+
+
+@st.composite
+def linearized_polys(draw):
+    """Random coefficients over GF(q^k), k in {2, 3, 4}, q = 2^m."""
+    m, k = draw(st.sampled_from([(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3),
+                                 (3, 3), (1, 4), (2, 4)]))
+    t = p2.tower(m, k)
+    return LinearizedPoly(t, draw(st.lists(st.integers(0, t.spec.order - 1),
+                                           min_size=k, max_size=k)))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(linearized_polys(), st.data())
+def test_inverse_map_matches_interpolation(L, data):
+    t = L.tower
+    if not is_permutation(L):
+        for inverse in (inverse_map, inverse_by_interpolation):
+            with pytest.raises(ValueError):
+                inverse(L)
+        event(f"k={t.k} not a permutation")
+        return
+    M = inverse_map(L)
+    assert inverse_by_interpolation(L) == M
+    x = t.fe(data.draw(st.integers(0, t.spec.order - 1)))
+    assert M(L(x)) == x and L(M(x)) == x
+    event(f"k={t.k} permutation")
 
 
 def test_inverse_of_non_permutation_raises():
