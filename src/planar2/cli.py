@@ -125,7 +125,7 @@ def cmd_surface(args) -> int:
 def cmd_semifield(args) -> int:
     t = tower(args.m, args.k)
     f = _family_poly(args, t)
-    pre = semifields.presemifield_from_planar(f)
+    pre = semifields.presemifield_from_planar(f, check_planar=t.spec.n <= CHECK_ORACLE_N_MAX)
     e = t.fe(int(args.e, 16))
     semi = semifields.to_semifield(pre, e, construction=args.construction)
     rep = semifields.nuclei(semi)

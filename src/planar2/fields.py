@@ -178,13 +178,23 @@ class FieldSpec:
                 g += 1
         self.generator = g
         exp = np.zeros(2 * p1, dtype=np.int64)
-        log = np.zeros(self.order, dtype=np.int64)
-        v = 1
-        for i in range(p1):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_raw(v, g)
+        exp[0] = 1
+        k = 1
+        while k < p1:  # exp[k:2k] = exp[:k] * g^k, by shift-and-xor over the array
+            src = exp[:min(k, p1 - k)]
+            acc = np.zeros_like(src)
+            c = self._pow_raw(g, k)
+            while c:
+                if c & 1:
+                    acc ^= src
+                c >>= 1
+                src = src << 1
+                src ^= (src >> self.n) * self.modulus
+            exp[k:k + acc.size] = acc
+            k *= 2
         exp[p1:] = exp[:p1]
+        log = np.zeros(self.order, dtype=np.int64)
+        log[exp[:p1]] = np.arange(p1)
         self.exp = exp
         self.log = log
 

@@ -11,6 +11,8 @@ bijection for every nonzero a. Two independent implementations decide it:
     evaluates each monomial only at the points of weight <= 2, builds every
     M_a from the n rows B(e_i, .) by doubling, and tests the matrices by
     batched elimination: about 2^n * n^2 operations per row.
+    nonsingular_form runs the same test on one form given by its basis
+    values, such as a presemifield's structure constants.
   * planar_check_table, the definition on a full value table, for any f.
     D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2, so D_a
     is a bijection iff min(v, v + a^2) takes distinct values on a
@@ -101,9 +103,10 @@ def planar_check_table(spec, fvals: np.ndarray) -> bool:
     then every a < 2^s in one gather, each a with the transversal of its
     own top bit, s as large as a gather of at most _FIRST_ELEMS values
     allows (s = n up to GF(2^8)); then one stage per top bit k >= s, in
-    chunks of rows a = a0 + b, b < c, that share one transversal. Both terms of D_a are additive in b there:
-    f(x + a) = g(x + b) for g(x) = f(x + a0), and a*x = a0*x + b*x, so a
-    chunk costs one gather from g and XORs with the stage's table of b*x.
+    chunks of rows a = a0 + b, b < c, that share one transversal. Both
+    terms of D_a are additive in b there: f(x + a) = g(x + b) for
+    g(x) = f(x + a0), and a*x = a0*x + b*x, so a chunk costs one gather
+    from g and XORs with the stage's table of b*x.
     """
     n, order = spec.n, spec.order
     fvals = np.asarray(fvals)
@@ -225,6 +228,16 @@ def _nonsingular(brows: np.ndarray, a0: int, bits: int) -> np.ndarray:
         cols = cols[:, :, 1:]
     ok = _full_rank(cols.reshape(n, -1))
     return ok.reshape(nrows, -1).all(axis=1)
+
+
+def nonsingular_form(brows: np.ndarray) -> bool:
+    """True iff M_a = [B(a, e_j)]_j is nonsingular for every a != 0, for the
+    one bilinear form with basis values brows[i, j] = B(e_i, e_j): the rank
+    test of planar_sweep for a single row, 2^_BLOCK_BITS matrices per call.
+    On a presemifield's structure constants it says "no zero divisors"."""
+    n = brows.shape[0]
+    bits = min(n, _BLOCK_BITS)
+    return all(_nonsingular(brows[None], a0, bits)[0] for a0 in range(0, 1 << n, 1 << bits))
 
 
 def planar_sweep(spec, exponents: list[int], coeffs: np.ndarray) -> np.ndarray:

@@ -118,6 +118,17 @@ def test_semifield_at_n10_is_a_field(capsys):
     assert rep["is_field"] is True and rep["left_size"] == 1024
 
 
+def test_semifield_beyond_the_table_limit(tmp_path, capsys):
+    argv = ["semifield", "--family", "P1", "--m", "7", "--coeffs", "3"]
+    code, out = run(capsys, *argv)
+    rep = json.loads(out)
+    assert code == 0 and rep["order"] == 1 << 14 and rep["is_field"] is True
+    report, dump = tmp_path / "r.json", tmp_path / "t.bin"
+    assert main(argv + ["--dump-table", str(dump), "--out", str(report)]) == 3
+    assert not report.exists() and not dump.exists()
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("module, name, argv", [
     (semifields, "to_semifield", ["semifield", "--family", "P1", "--coeffs", "2", "--m", "2"]),
     (surfaces, "specialize_normal", ["surface", "--family", "P1", "--coeffs", "2", "--m", "2"]),

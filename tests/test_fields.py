@@ -111,6 +111,23 @@ def test_untabulated_field_agrees_with_tables():
             assert raw.frob(a, 4) == f.frob(a, 4)
 
 
+def test_log_tables_match_the_scalar_generator_chain():
+    # reference: the one-product-per-element loop the tables were built by
+    for n in range(1, 17):
+        f = p2.field(n)
+        p1 = f.order - 1
+        exp = np.zeros(2 * p1, dtype=np.int64)
+        log = np.zeros(f.order, dtype=np.int64)
+        v = 1
+        for i in range(p1):
+            exp[i] = v
+            log[v] = i
+            v = f._mul_raw(v, f.generator)
+        exp[p1:] = exp[:p1]
+        assert np.array_equal(f.exp, exp) and np.array_equal(f.log, log), n
+        assert f.exp.dtype == exp.dtype and f.log.dtype == log.dtype
+
+
 def test_fe_operators():
     f = p2.field(4)
     x = f.fe(0b0110)
