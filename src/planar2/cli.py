@@ -8,10 +8,11 @@ subcommand accepts only the flags it uses. Exit codes separate tool
 failures from mathematical findings: 0 = ran to completion (extras in a
 converse audit are findings, not errors), 1 = bad arguments (unknown
 flags included), 2 = internal disagreement between planarity criteria,
-3 = budget exceeded, 4 = internal invariant failed (a RuntimeError or
-AssertionError, reported on stderr instead of a traceback). check runs the
-definition oracle up to GF(2^CHECK_ORACLE_N_MAX) and reports its verdict as
-"bruteforce": null beyond, where "planar" is the rank verdict.
+3 = budget exceeded (a field beyond GF(2^fields.N_MAX) included),
+4 = internal invariant failed (a RuntimeError or AssertionError, reported
+on stderr instead of a traceback). check runs the definition oracle up to
+GF(2^CHECK_ORACLE_N_MAX) and reports its verdict as "bruteforce": null
+beyond, where "planar" is the rank verdict.
 """
 
 from __future__ import annotations

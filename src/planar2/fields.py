@@ -6,10 +6,11 @@ syntax. Reduction is modulo a fixed degree-n irreducible polynomial over
 GF(2); for each n we take the smallest irreducible by integer encoding,
 so every run (and every serialized fixture) agrees on the representation.
 
-Multiplication goes through log/antilog tables taken with respect to the
-smallest generator of the multiplicative group. Fields with n > 20 skip
-the tables and multiply by shift-and-xor; they support pointwise
-arithmetic only, no enumeration.
+Every field carries log/antilog tables taken with respect to the
+smallest generator of the multiplicative group, and all arithmetic, scalar
+or vectorized, reads them. The tables fix the one field ceiling:
+FieldSpec refuses n > N_MAX = 20 with BudgetError, so every layer above
+may tabulate and enumerate the field it is given.
 
 A TowerView reads GF(2^{mk}) as the degree-k extension of GF(q), q = 2^m.
 The q-Frobenius x -> x^q is m squarings, the relative trace and norm land
@@ -24,8 +25,7 @@ import functools
 
 import numpy as np
 
-TABLE_LIMIT = 20  # log/exp tables kept up to 2^20 elements
-ENUM_LIMIT = 24   # exhaustive element enumeration refused beyond 2^24
+N_MAX = 20  # the largest supported extension degree: tables of 2^20 elements
 
 
 class BudgetError(RuntimeError):
@@ -123,18 +123,16 @@ class FieldSpec:
     """
 
     def __init__(self, n: int):
-        if not 1 <= n <= 64:
-            raise ValueError(f"extension degree n={n} out of supported range 1..64")
+        if n < 1:
+            raise ValueError(f"extension degree n={n} must be at least 1")
+        if n > N_MAX:
+            raise BudgetError(f"GF(2^{n}) exceeds the field ceiling GF(2^{N_MAX})")
         self.n = n
         self.modulus = smallest_irreducible(n)
         self.order = 1 << n
+        self.dtype = np.uint16 if n <= 16 else np.uint32  # narrowest that holds an element
         self._pow_tables: dict[int, np.ndarray] = {}
-        if n <= TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self.generator = None
-            self.exp = None
-            self.log = None
+        self._build_tables()
 
     # -- table construction --------------------------------------------
 
@@ -203,9 +201,7 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.exp is not None:
-            return int(self.exp[self.log[a] + self.log[b]])
-        return self._mul_raw(a, b)
+        return int(self.exp[self.log[a] + self.log[b]])
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
@@ -213,33 +209,24 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of 0 in GF(2^n)")
-        if self.exp is not None:
-            p1 = self.order - 1
-            return int(self.exp[(p1 - self.log[a]) % p1])
-        return self._pow_raw(a, self.order - 2)
+        p1 = self.order - 1
+        return int(self.exp[(p1 - self.log[a]) % p1])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        if self.exp is not None:
-            p1 = self.order - 1
-            return int(self.exp[(self.log[a] * (e % p1)) % p1])
-        return self._pow_raw(a, e)
+        p1 = self.order - 1
+        return int(self.exp[(self.log[a] * (e % p1)) % p1])
 
     def frob(self, a: int, j: int) -> int:
         """a^(2^j); j is reduced modulo n."""
         j %= self.n
         if a == 0 or j == 0:
             return a
-        if self.exp is not None:
-            p1 = self.order - 1
-            return int(self.exp[(self.log[a] << j) % p1])
-        r = a
-        for _ in range(j):
-            r = self._mul_raw(r, r)
-        return r
+        p1 = self.order - 1
+        return int(self.exp[(self.log[a] << j) % p1])
 
     # -- element/iteration helpers ---------------------------------------
 
@@ -255,14 +242,10 @@ class FieldSpec:
         return Fe(1, self)
 
     def elements(self):
-        if self.n > ENUM_LIMIT:
-            raise BudgetError(f"enumeration of GF(2^{self.n}) exceeds the 2^{ENUM_LIMIT} budget")
         return (Fe(b, self) for b in range(self.order))
 
     def pow_table(self, e: int) -> np.ndarray:
         """x^e for every x, as an int64 array indexed by element bits."""
-        if self.exp is None:
-            raise BudgetError(f"no tables for GF(2^{self.n}); pointwise arithmetic only")
         t = self._pow_tables.get(e)
         if t is None:
             p1 = self.order - 1
@@ -514,21 +497,14 @@ class TowerView:
 
     def subfield_members(self) -> set[Fe]:
         """All x with x^q = x; exactly q of them."""
-        self._enumerable()
         return {Fe(b, self.spec) for b in range(self.spec.order)
                 if self.spec.frob(b, self.m) == b}
 
     def mu_set(self) -> set[Fe]:
         """Norm-1 elements {d : d^((q^k-1)/(q-1)) = 1}; size that quotient."""
-        self._enumerable()
         e = (self.spec.order - 1) // (self.q - 1)
         return {Fe(b, self.spec) for b in range(1, self.spec.order)
                 if self.spec.pow(b, e) == 1}
-
-    def _enumerable(self):
-        if self.spec.n > ENUM_LIMIT:
-            raise BudgetError(
-                f"enumeration of GF(2^{self.spec.n}) exceeds the 2^{ENUM_LIMIT} budget")
 
     def elements(self):
         return self.spec.elements()
@@ -545,7 +521,6 @@ class TowerView:
     def _find_normal(self) -> Fe:
         if self.k == 1:
             return Fe(1, self.spec)
-        self._enumerable()
         for bits in range(2, self.spec.order):
             orbit = [self.spec.frob(bits, j * self.m) for j in range(self.k)]
             rows = [[self.spec.frob(orbit[j], i * self.m) for j in range(self.k)]

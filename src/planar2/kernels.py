@@ -68,11 +68,10 @@ def _oracle_tables(spec, fold: int):
     and x for x on the transversal of a's top bit, a*x, and a^2. It holds
     at most _FIRST_ELEMS values, so the cache stays small. Everything is
     read-only."""
-    n, p1 = spec.n, spec.order - 1
-    dtype = np.uint16 if n <= 16 else np.uint32
+    p1 = spec.order - 1
     logt = spec.log.astype(np.int32)
     logt[0] = 2 * p1  # log 0 points into a run of zeros: y*0 = 0*y = 0*0 = 0
-    expt = np.zeros(4 * p1 + 1, dtype=dtype)
+    expt = np.zeros(4 * p1 + 1, dtype=spec.dtype)
     expt[:2 * p1] = spec.exp
     xs = np.arange(spec.order, dtype=np.int32)
     transversals = np.stack([_transversal(xs, k) for k in range(fold)])
@@ -166,17 +165,17 @@ def _monomial_forms(spec, exponents) -> np.ndarray:
     return forms
 
 
-def _basis_rows(spec, forms: np.ndarray, coeffs: np.ndarray, dtype) -> np.ndarray:
+def _basis_rows(spec, forms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """B[r, i, j] = B(e_i, e_j) for the polynomial of coefficient row r, for
     the i that forms covers."""
     mono, cross = forms[:-1], forms[-1]
-    acc = np.empty((coeffs.shape[0],) + cross.shape, dtype=dtype)
+    acc = np.empty((coeffs.shape[0],) + cross.shape, dtype=spec.dtype)
     acc[:] = cross
     logf = spec.log[mono]
     for t in range(mono.shape[0]):
         c = coeffs[:, t, None, None]
         prod = spec.exp[spec.log[c] + logf[t]]
-        acc ^= np.where((c != 0) & (mono[t] != 0), prod, 0).astype(dtype)
+        acc ^= np.where((c != 0) & (mono[t] != 0), prod, 0).astype(spec.dtype)
     return acc
 
 
@@ -255,20 +254,19 @@ def planar_sweep(spec, exponents: list[int], coeffs: np.ndarray) -> np.ndarray:
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
     n = spec.n
-    dtype = np.uint16 if n <= 16 else np.uint32
     forms = _monomial_forms(spec, exponents)
     cap = 1 << _BLOCK_BITS
     out = np.zeros(coeffs.shape[0], dtype=bool)
     for r0 in range(0, coeffs.shape[0], cap):
         rows = np.arange(r0, min(r0 + cap, coeffs.shape[0]))
-        brows = np.zeros((rows.size, 0, n), dtype=dtype)
+        brows = np.zeros((rows.size, 0, n), dtype=spec.dtype)
         # the first stage, a < 2^k0, fills one rank call; then one stage per doubling
         k0 = min(n, max(1, _BLOCK_BITS - (rows.size - 1).bit_length()))
         bounds = [0] + [1 << k for k in range(k0, n + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             # B(e_i, .) for the new bits of a, for the rows still alive
             extra = _basis_rows(spec, forms[:, brows.shape[1]:hi.bit_length() - 1],
-                                coeffs[rows], dtype)
+                                coeffs[rows])
             brows = np.concatenate([brows, extra], axis=1)
             bits = min((hi - lo).bit_length() - 1, _BLOCK_BITS)
             per_call = max(1, cap >> bits)

@@ -33,9 +33,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import kernels
-from .fields import BudgetError, Fe, TowerView, vec_frob, vec_mul
-
-PLANAR_ENUM_LIMIT = 1 << 20  # brute-force planarity refuses larger fields
+from .fields import N_MAX, BudgetError, Fe, TowerView, vec_frob, vec_mul
 
 FAMILIES = ("P1", "P2", "P3", "P4a", "P4b",
             "SZ-monomial", "SZ-generalized", "ScherrZieve",
@@ -45,6 +43,14 @@ FAMILIES = ("P1", "P2", "P3", "P4a", "P4b",
 # ---------------------------------------------------------------------------
 # Dembowski-Ostrom polynomials
 # ---------------------------------------------------------------------------
+
+def _do_exponent(u: int, v: int, p1: int) -> int:
+    """2^u + 2^v as an exponent on a field with p1 = 2^n - 1 units: reduced
+    modulo p1, a zero residue kept as p1 (never x^0), and 1 over GF(2)."""
+    if p1 == 1:
+        return 1
+    return ((1 << u) + (1 << v)) % p1 or p1
+
 
 class DOPoly:
     """sum c * x^(2^u + 2^v) with 0 <= u, v < n (u = v gives c * x^(2^(u+1))).
@@ -72,9 +78,7 @@ class DOPoly:
             u, v = min(u, v), max(u, v)
             prepared.append((cb, u, v))
         for cb, u, v in sorted(prepared, key=lambda t: (t[1], t[2])):
-            e = ((1 << u) + (1 << v)) % p1 if p1 > 1 else 1
-            if e == 0:
-                e = p1
+            e = _do_exponent(u, v, p1)
             if e in merged:
                 old, ou, ov = merged[e]
                 merged[e] = (old ^ cb, ou, ov)
@@ -92,11 +96,7 @@ class DOPoly:
         return not self.terms
 
     def coeff_at(self, u: int, v: int) -> Fe:
-        u, v = min(u, v), max(u, v)
-        p1 = self.spec.order - 1
-        e = ((1 << u) + (1 << v)) % p1 if p1 > 1 else 1
-        if e == 0:
-            e = p1
+        e = _do_exponent(u, v, self.spec.order - 1)
         for te, cb, _, _ in self.terms:
             if te == e:
                 return Fe(cb, self.spec)
@@ -157,7 +157,7 @@ class DOPoly:
 # Planarity predicates
 # ---------------------------------------------------------------------------
 
-def is_planar_bruteforce(f: DOPoly, budget: int = PLANAR_ENUM_LIMIT) -> bool:
+def is_planar_bruteforce(f: DOPoly, budget: int = 1 << N_MAX) -> bool:
     """Definition test: every difference map hits every value exactly once.
 
     Runs kernels.planar_check_table on f's value table: per a, the pair
@@ -173,8 +173,6 @@ def is_planar_bruteforce(f: DOPoly, budget: int = PLANAR_ENUM_LIMIT) -> bool:
 def is_planar_linearized(f: DOPoly) -> bool:
     """Rank test: the linear part of each difference map must be bijective."""
     spec = f.spec
-    if spec.order > PLANAR_ENUM_LIMIT:
-        raise BudgetError(f"field of size 2^{spec.n} exceeds the planarity budget")
     row = np.array([[cb for _, cb, _, _ in f.terms]], dtype=np.int64).reshape(1, -1)
     return bool(kernels.planar_sweep(spec, [e for e, _, _, _ in f.terms], row)[0])
 

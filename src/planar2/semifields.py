@@ -62,7 +62,7 @@ class Presemifield:
         self.spec = spec
         self.label = label
         self.identity = identity
-        self.consts = consts.astype(np.uint16 if n <= 16 else np.uint32)
+        self.consts = consts.astype(spec.dtype)
         if not kernels.nonsingular_form(self.consts):
             raise ValueError(f"{label}: product has zero divisors")
         self.cols = _span(self.consts)  # (a + e_i) * e_j = a * e_j + e_i * e_j
@@ -133,7 +133,7 @@ def presemifield_from_planar(f: DOPoly, check_planar: bool = True) -> Presemifie
         raise ValueError("f is not planar; the product would have zero divisors")
     forms = kernels._monomial_forms(spec, [e for e, _, _, _ in f.terms])
     row = np.array([[cb for _, cb, _, _ in f.terms]], dtype=np.int64).reshape(1, -1)
-    return Presemifield(spec, "planar", kernels._basis_rows(spec, forms, row, np.int64)[0])
+    return Presemifield(spec, "planar", kernels._basis_rows(spec, forms, row)[0])
 
 
 @dataclass(frozen=True)

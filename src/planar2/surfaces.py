@@ -173,8 +173,6 @@ class MvPoly:
         variable with e_i > 0 is zero.
         """
         spec = self.spec
-        if spec.exp is None:
-            raise BudgetError(f"no tables for GF(2^{spec.n}); pointwise arithmetic only")
         if len(columns) != self.nvars:
             raise ValueError("point arity does not match the variable count")
         cols = [np.asarray(c, dtype=np.int64) for c in columns]

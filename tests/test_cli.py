@@ -129,6 +129,21 @@ def test_semifield_beyond_the_table_limit(tmp_path, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--terms", "(1,0,1)", "--m", "7", "--k", "3"],
+    ["audit", "--family", "Hu2", "--m", "7"],
+    ["surface", "--family", "P1", "--coeffs", "3", "--m", "11"],
+    ["semifield", "--family", "P1", "--coeffs", "3", "--m", "11"],
+    ["problem27", "--m", "11"],
+])
+def test_fields_beyond_the_ceiling_exit3(tmp_path, capsys, argv):
+    # GF(2^21) and GF(2^22): the field itself is refused, before any report
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("module, name, argv", [
     (semifields, "to_semifield", ["semifield", "--family", "P1", "--coeffs", "2", "--m", "2"]),
     (surfaces, "specialize_normal", ["surface", "--family", "P1", "--coeffs", "2", "--m", "2"]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import planar2 as p2
-from planar2.fields import is_irreducible, vec_frob, vec_mul
+from planar2.fields import N_MAX, is_irreducible, vec_frob, vec_mul
 
 
 def _divides(d: int, p: int) -> bool:
@@ -97,18 +97,29 @@ def test_squaring_is_a_bijection():
         assert len({f.sqr(a) for a in range(f.order)}) == f.order
 
 
-def test_untabulated_field_agrees_with_tables():
-    f = p2.field(10)
-    raw = p2.FieldSpec(10)
-    raw.exp = None  # force the shift-and-xor path
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        a, b = (int(v) for v in rng.integers(0, 1024, 2))
-        assert raw.mul(a, b) == f.mul(a, b)
-        if a:
-            assert raw.inv(a) == f.inv(a)
-            assert raw.pow(a, 77) == f.pow(a, 77)
-            assert raw.frob(a, 4) == f.frob(a, 4)
+def test_table_arithmetic_agrees_with_shift_and_xor():
+    # the scalar reference: _mul_raw and _pow_raw never read the tables
+    for n in (10, 17, 20):
+        f = p2.field(n)
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            a, b = (int(v) for v in rng.integers(0, f.order, 2))
+            assert f.mul(a, b) == f._mul_raw(a, b)
+            if a:
+                assert f.inv(a) == f._pow_raw(a, f.order - 2)
+                assert f.pow(a, 77) == f._pow_raw(a, 77)
+                assert f.frob(a, 4) == f._pow_raw(a, 1 << 4)
+
+
+def test_one_field_ceiling():
+    assert N_MAX == 20 and p2.field(20).order == 1 << 20
+    with pytest.raises(p2.BudgetError):
+        p2.field(21)
+    with pytest.raises(p2.BudgetError):
+        p2.tower(11, 2)
+    with pytest.raises(ValueError):
+        p2.FieldSpec(0)
+    assert p2.field(16).dtype == np.uint16 and p2.field(17).dtype == np.uint32
 
 
 def test_log_tables_match_the_scalar_generator_chain():
