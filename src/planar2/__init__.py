@@ -10,7 +10,7 @@ a batched GF(2)-rank kernel for sweeps and the rank test, and a
 definition check on full value tables as the independent oracle.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .fields import (BudgetError, Fe, FieldSpec, TowerView, field, fe_from_hex,
                      smallest_irreducible, tower)

@@ -8,9 +8,12 @@ so every run (and every serialized fixture) agrees on the representation.
 
 Every field carries log/antilog tables taken with respect to the
 smallest generator of the multiplicative group, and all arithmetic, scalar
-or vectorized, reads them. The tables fix the one field ceiling:
-FieldSpec refuses n > N_MAX = 20 with BudgetError, so every layer above
-may tabulate and enumerate the field it is given.
+or vectorized, reads them. They are zero-safe: log 0 = 2(2^n - 1) points
+into the zeros that pad exp to 4(2^n - 1) + 1 entries, so
+exp[log a + log b] = a*b for all a, b; code that multiplies or shifts a
+log (powers, inverses, Frobenius) still treats zero apart. The tables fix
+the one field ceiling: FieldSpec refuses n > N_MAX = 20 with BudgetError,
+so every layer above may tabulate the field and list its tuples (lex_rows).
 
 A TowerView reads GF(2^{mk}) as the degree-k extension of GF(q), q = 2^m.
 The q-Frobenius x -> x^q is m squarings, the relative trace and norm land
@@ -175,11 +178,11 @@ class FieldSpec:
             while not self._is_generator(g):
                 g += 1
         self.generator = g
-        exp = np.zeros(2 * p1, dtype=np.int64)
-        exp[0] = 1
+        chain = np.zeros(p1, dtype=np.int64)
+        chain[0] = 1
         k = 1
-        while k < p1:  # exp[k:2k] = exp[:k] * g^k, by shift-and-xor over the array
-            src = exp[:min(k, p1 - k)]
+        while k < p1:  # chain[k:2k] = chain[:k] * g^k, by shift-and-xor over the array
+            src = chain[:min(k, p1 - k)]
             acc = np.zeros_like(src)
             c = self._pow_raw(g, k)
             while c:
@@ -188,19 +191,18 @@ class FieldSpec:
                 c >>= 1
                 src = src << 1
                 src ^= (src >> self.n) * self.modulus
-            exp[k:k + acc.size] = acc
+            chain[k:k + acc.size] = acc
             k *= 2
-        exp[p1:] = exp[:p1]
-        log = np.zeros(self.order, dtype=np.int64)
-        log[exp[:p1]] = np.arange(p1)
-        self.exp = exp
-        self.log = log
+        self.exp = np.zeros(4 * p1 + 1, dtype=self.dtype)  # a run of zeros past 2 periods
+        self.exp[:p1] = self.exp[p1:2 * p1] = chain
+        self.log = np.full(self.order, 2 * p1, dtype=np.int64)  # log 0 lands in the zeros
+        self.log[chain] = np.arange(p1)
+        for table in (self.exp, self.log):
+            table.setflags(write=False)
 
     # -- int-level arithmetic --------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return int(self.exp[self.log[a] + self.log[b]])
 
     def sqr(self, a: int) -> int:
@@ -364,15 +366,15 @@ def fe_from_hex(s: str, spec: FieldSpec) -> Fe:
 # Vectorized helpers (int64 arrays of element bits)
 # ---------------------------------------------------------------------------
 
+def lex_rows(base: int, width: int) -> np.ndarray:
+    """All base^width tuples over range(base) in lexicographic order, as the
+    rows of an int64 array; width 0 gives one empty row."""
+    return np.indices((base,) * width, dtype=np.int64).reshape(width, base ** width).T
+
+
 def vec_mul(spec: FieldSpec, a, b) -> np.ndarray:
     """Elementwise field product of two bit-pattern arrays (broadcasting)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    a, b = np.broadcast_arrays(a, b)
-    out = np.zeros(a.shape, dtype=np.int64)
-    nz = (a != 0) & (b != 0)
-    out[nz] = spec.exp[spec.log[a[nz]] + spec.log[b[nz]]]
-    return out
+    return spec.exp[spec.log[a] + spec.log[b]].astype(np.int64)
 
 
 def vec_frob(spec: FieldSpec, a, j: int) -> np.ndarray:
@@ -392,44 +394,38 @@ def vec_frob(spec: FieldSpec, a, j: int) -> np.ndarray:
 # Small exact linear algebra over a FieldSpec (rows of int bits)
 # ---------------------------------------------------------------------------
 
-def mat_det(spec: FieldSpec, rows: list[list[int]]) -> int:
-    """Determinant by Gaussian elimination (exact; char 2 ignores signs)."""
-    k = len(rows)
-    a = [list(r) for r in rows]
+def _gauss_jordan(spec: FieldSpec, a: list[list[int]]) -> int:
+    """Reduce the rows a, k of them, in place to [I | *] on their first k
+    columns. Returns the product of the pivots, the determinant of that
+    k x k block (char 2 ignores signs), or 0 if it is singular."""
+    k = len(a)
     det = 1
     for col in range(k):
         piv = next((r for r in range(col, k) if a[r][col]), None)
         if piv is None:
             return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+        a[col], a[piv] = a[piv], a[col]
         det = spec.mul(det, a[col][col])
         ipiv = spec.inv(a[col][col])
         a[col] = [spec.mul(v, ipiv) for v in a[col]]
-        for r in range(col + 1, k):
+        for r in range(k):
             f = a[r][col]
-            if f:
-                a[r] = [a[r][c] ^ spec.mul(f, a[col][c]) for c in range(k)]
+            if r != col and f:
+                a[r] = [v ^ spec.mul(f, w) for v, w in zip(a[r], a[col])]
     return det
+
+
+def mat_det(spec: FieldSpec, rows: list[list[int]]) -> int:
+    """Determinant: the product of the Gauss-Jordan pivots."""
+    return _gauss_jordan(spec, [list(r) for r in rows])
 
 
 def mat_solve(spec: FieldSpec, rows: list[list[int]], rhs: list[int]) -> list[int]:
     """Solve A x = rhs over the field; raises ValueError on singular A."""
-    k = len(rows)
     a = [list(r) + [v] for r, v in zip(rows, rhs)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular linear system over GF(2^n)")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        ipiv = spec.inv(a[col][col])
-        a[col] = [spec.mul(v, ipiv) for v in a[col]]
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [a[r][c] ^ spec.mul(f, a[col][c]) for c in range(k + 1)]
-    return [a[r][k] for r in range(k)]
+    if not _gauss_jordan(spec, a):
+        raise ValueError("singular linear system over GF(2^n)")
+    return [r[-1] for r in a]
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +548,9 @@ class TowerView:
                     break
             if root is None:
                 raise RuntimeError("base modulus must split in its own subfield")
-            fwd = np.zeros(base.order, dtype=np.int64)
-            powers = [self.spec.pow(root, i) for i in range(self.m)]
-            for b in range(base.order):
-                acc = 0
-                for i in range(self.m):
-                    if (b >> i) & 1:
-                        acc ^= powers[i]
-                fwd[b] = acc
+            fwd = np.zeros(1, dtype=np.int64)
+            for i in range(self.m):  # fwd[b] = sum of root^i over the bits i of b
+                fwd = np.concatenate([fwd, fwd ^ self.spec.pow(root, i)])
             back = {int(v): i for i, v in enumerate(fwd)}
             self._embed = (fwd, back)
         return self._embed

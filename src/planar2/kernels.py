@@ -63,16 +63,13 @@ def _pairs_distinct(v: np.ndarray, sq: np.ndarray, order: int) -> bool:
 @functools.lru_cache(maxsize=None)
 def _oracle_tables(spec, fold: int):
     """The part of the oracle over spec's field that does not depend on f:
-    log/exp tables in which y*0 = 0, and the blocks for a = 1 and for
-    2 <= a < 2^fold. A block holds, for each of its a, the indices x + a
-    and x for x on the transversal of a's top bit, a*x, and a^2. It holds
-    at most _FIRST_ELEMS values, so the cache stays small. Everything is
-    read-only."""
-    p1 = spec.order - 1
-    logt = spec.log.astype(np.int32)
-    logt[0] = 2 * p1  # log 0 points into a run of zeros: y*0 = 0*y = 0*0 = 0
-    expt = np.zeros(4 * p1 + 1, dtype=spec.dtype)
-    expt[:2 * p1] = spec.exp
+    an int32 copy of the field's zero-safe log table (narrower gathers;
+    exp[log y + log 0] = 0 holds as in spec), and the blocks for a = 1 and
+    for 2 <= a < 2^fold. A block holds, for each of its a, the indices
+    x + a and x for x on the transversal of a's top bit, a*x, and a^2. It
+    holds at most _FIRST_ELEMS values, so the cache stays small.
+    Everything is read-only."""
+    logt, expt = spec.log.astype(np.int32), spec.exp
     xs = np.arange(spec.order, dtype=np.int32)
     transversals = np.stack([_transversal(xs, k) for k in range(fold)])
     blocks = []
@@ -82,9 +79,9 @@ def _oracle_tables(spec, fold: int):
             tx = transversals[[a.bit_length() - 1 for a in range(lo, hi)]]
             la = logt[aa]
             blocks.append((tx ^ aa, tx, expt.take(logt.take(tx) + la), expt[2 * la]))
-    for arr in (logt, expt, xs, *(a for block in blocks for a in block)):
+    for arr in (logt, xs, *(a for block in blocks for a in block)):
         arr.setflags(write=False)
-    return logt, expt, xs, blocks
+    return logt, xs, blocks
 
 
 def planar_check_table(spec, fvals: np.ndarray) -> bool:
@@ -112,8 +109,8 @@ def planar_check_table(spec, fvals: np.ndarray) -> bool:
     if fvals.shape != (order,) or fvals.min() < 0 or fvals.max() >= order:
         raise ValueError(f"expected a table of {order} elements of GF(2^{n})")
     fold = max(1, min(n, (_FIRST_ELEMS >> (n - 1)).bit_length() - 1))
-    logt, expt, xs, blocks = _oracle_tables(spec, fold)
-    fv = fvals.astype(expt.dtype)
+    logt, xs, blocks = _oracle_tables(spec, fold)
+    expt, fv = spec.exp, fvals.astype(spec.dtype)
     rows = max(1, _CHECK_ELEMS >> (n - 1))
     for txa, tx, ax, sq in blocks:
         v = fv.take(txa)
@@ -173,9 +170,7 @@ def _basis_rows(spec, forms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     acc[:] = cross
     logf = spec.log[mono]
     for t in range(mono.shape[0]):
-        c = coeffs[:, t, None, None]
-        prod = spec.exp[spec.log[c] + logf[t]]
-        acc ^= np.where((c != 0) & (mono[t] != 0), prod, 0).astype(spec.dtype)
+        acc ^= spec.exp[spec.log[coeffs[:, t, None, None]] + logf[t]]
     return acc
 
 

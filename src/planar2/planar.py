@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import kernels
-from .fields import N_MAX, BudgetError, Fe, TowerView, vec_frob, vec_mul
+from .fields import N_MAX, BudgetError, Fe, TowerView, lex_rows, vec_frob, vec_mul
 
 FAMILIES = ("P1", "P2", "P3", "P4a", "P4b",
             "SZ-monomial", "SZ-generalized", "ScherrZieve",
@@ -638,14 +638,9 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
         raise BudgetError(f"coefficient space of size {total} exceeds the audit budget {budget}")
     in_family = {family_tuple(fam, _family_poly(rec, p), t) for p in family_param_space(fam, t)}
     planar: list[tuple[int, ...]] = []
-    chunk = 1 << 18
+    space, chunk = lex_rows(spec.order, width), 1 << 18
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        rows = np.empty((idx.size, width), dtype=np.int64)
-        rem = idx
-        for col in range(width - 1, -1, -1):
-            rows[:, col] = rem % spec.order
-            rem = rem // spec.order
+        rows = space[start:start + chunk]
         mask = _sweep_mask(spec, exponents, rows, threads)
         planar.extend(tuple(int(c) for c in r) for r in rows[mask])
     report.tested = total
@@ -681,8 +676,7 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
                 planar_vectors.append(tuple([0] * m))  # zero function is planar
                 continue
             exponents = [(1 << (m + i)) + (1 << i) for i in positions]
-            rows = np.array(list(itertools.product(range(1, spec.order), repeat=s)),
-                            dtype=np.int64)
+            rows = lex_rows(spec.order - 1, s) + 1
             mask = _sweep_mask(spec, exponents, rows, threads)
             for r in rows[mask]:
                 vec = [0] * m

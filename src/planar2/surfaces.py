@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .fields import BudgetError, Fe, FieldSpec, TowerView, vec_frob, vec_mul
+from .fields import BudgetError, Fe, FieldSpec, TowerView, lex_rows, vec_frob, vec_mul
 from .planar import REGISTRY, DOPoly, family_record, family_shape
 
 COUNT_LIMIT = 1 << 24  # affine/projective enumeration budget (points)
@@ -437,24 +437,12 @@ def specialize_normal(G: MvPoly, t: TowerView) -> MvPoly:
 # Point counting
 # ---------------------------------------------------------------------------
 
-def _coordinate_columns(spec: FieldSpec, width: int) -> list[np.ndarray]:
-    total = spec.order ** width
-    idx = np.arange(total, dtype=np.int64)
-    cols = []
-    for col in range(width - 1, -1, -1):
-        cols.append(idx % spec.order)
-        idx = idx // spec.order
-    cols.reverse()
-    return cols
-
-
 def count_points_affine(P: MvPoly, budget: int = COUNT_LIMIT) -> int:
     """Exact number of affine zeros over the coefficient field."""
     total = P.spec.order ** P.nvars
     if total > budget:
         raise BudgetError(f"affine enumeration of {total} points exceeds the budget")
-    cols = _coordinate_columns(P.spec, P.nvars)
-    vals = P.evaluate_vec(cols)
+    vals = P.evaluate_vec(lex_rows(P.spec.order, P.nvars).T)
     return int(np.count_nonzero(vals == 0))
 
 
@@ -470,7 +458,7 @@ def count_points_projective(P: MvPoly, budget: int = COUNT_LIMIT) -> int:
         raise BudgetError(f"projective enumeration of {total} points exceeds the budget")
     count = 0
     for p in range(v):
-        vals = P.evaluate_vec([0] * p + [1] + _coordinate_columns(spec, v - 1 - p))
+        vals = P.evaluate_vec([0] * p + [1] + list(lex_rows(spec.order, v - 1 - p).T))
         count += int(np.count_nonzero(vals == 0))
     return count
 
@@ -511,7 +499,7 @@ def _candidate_matrix(spec: FieldSpec, nvars: int, pivot: int, support: int) -> 
     units = spec.order - 1
     blocks = []
     for size in range(support):
-        vals = np.indices((units,) * size).reshape(size, units ** size).T + 1
+        vals = lex_rows(units, size) + 1
         for positions in itertools.combinations(range(pivot + 1, nvars), size):
             block = np.zeros((len(vals), nvars), dtype=np.int64)
             block[:, pivot] = 1

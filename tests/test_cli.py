@@ -118,6 +118,16 @@ def test_semifield_at_n10_is_a_field(capsys):
     assert rep["is_field"] is True and rep["left_size"] == 1024
 
 
+def test_semifield_runs_no_definition_oracle(capsys, monkeypatch):
+    # the presemifield's exact rank test already rejects zero divisors
+    def no_oracle(*args):
+        raise AssertionError("semifield ran the definition oracle")
+
+    monkeypatch.setattr(kernels, "planar_check_table", no_oracle)
+    code, out = run(capsys, "semifield", "--family", "P1", "--m", "3", "--coeffs", "3")
+    assert code == 0 and json.loads(out)["is_field"] is True
+
+
 def test_semifield_beyond_the_table_limit(tmp_path, capsys):
     argv = ["semifield", "--family", "P1", "--m", "7", "--coeffs", "3"]
     code, out = run(capsys, *argv)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import planar2 as p2
-from planar2.fields import N_MAX, is_irreducible, vec_frob, vec_mul
+from planar2.fields import (N_MAX, is_irreducible, lex_rows, mat_det, mat_solve, vec_frob,
+                            vec_mul)
 
 
 def _divides(d: int, p: int) -> bool:
@@ -99,12 +100,16 @@ def test_squaring_is_a_bijection():
 
 def test_table_arithmetic_agrees_with_shift_and_xor():
     # the scalar reference: _mul_raw and _pow_raw never read the tables
-    for n in (10, 17, 20):
+    for n in (1, 10, 17, 20):
         f = p2.field(n)
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            a, b = (int(v) for v in rng.integers(0, f.order, 2))
-            assert f.mul(a, b) == f._mul_raw(a, b)
+        pairs = rng.integers(0, f.order, (200, 2))
+        pairs[:3] = [(0, 0), (0, f.order - 1), (1, 0)]  # zero operands on either side
+        want = [f._mul_raw(int(a), int(b)) for a, b in pairs]
+        got = vec_mul(f, pairs[:, 0], pairs[:, 1])
+        assert got.dtype == np.int64 and got.tolist() == want
+        for (a, b), ab in zip(pairs.tolist(), want):
+            assert f.mul(a, b) == ab
             if a:
                 assert f.inv(a) == f._pow_raw(a, f.order - 2)
                 assert f.pow(a, 77) == f._pow_raw(a, 77)
@@ -123,7 +128,8 @@ def test_one_field_ceiling():
 
 
 def test_log_tables_match_the_scalar_generator_chain():
-    # reference: the one-product-per-element loop the tables were built by
+    # reference: the one-product-per-element loop; log 0 = 2(2^n - 1) points
+    # into the zeros that pad exp from two periods to 4(2^n - 1) + 1 entries
     for n in range(1, 17):
         f = p2.field(n)
         p1 = f.order - 1
@@ -135,8 +141,51 @@ def test_log_tables_match_the_scalar_generator_chain():
             log[v] = i
             v = f._mul_raw(v, f.generator)
         exp[p1:] = exp[:p1]
-        assert np.array_equal(f.exp, exp) and np.array_equal(f.log, log), n
-        assert f.exp.dtype == exp.dtype and f.log.dtype == log.dtype
+        log[0] = 2 * p1
+        assert f.exp.size == 4 * p1 + 1 and not f.exp[2 * p1:].any(), n
+        assert np.array_equal(f.exp[:2 * p1], exp) and np.array_equal(f.log, log), n
+        assert f.exp.dtype == f.dtype and f.log.dtype == log.dtype
+        assert not f.exp.flags.writeable and not f.log.flags.writeable
+
+
+def test_lex_rows_lists_tuples_like_itertools_product():
+    import itertools
+    for base, width in ((3, 0), (1, 0), (1, 3), (5, 1), (4, 3), (2, 5), (0, 2)):
+        rows = lex_rows(base, width)
+        assert rows.dtype == np.int64 and rows.shape == (base ** width, width)
+        assert [tuple(r) for r in rows.tolist()] == list(
+            itertools.product(range(base), repeat=width))
+
+
+def test_determinant_and_solve_share_one_elimination():
+    # reference: cofactor expansion along the first row (char 2: no signs)
+    f = p2.field(4)
+
+    def det(rows):
+        if not rows:
+            return 1
+        acc = 0
+        for j, c in enumerate(rows[0]):
+            acc ^= f.mul(c, det([r[:j] + r[j + 1:] for r in rows[1:]]))
+        return acc
+
+    rng = np.random.default_rng(3)
+    for i in range(200):
+        k = int(rng.integers(1, 5))
+        rows = rng.integers(0, 4 if i % 2 else 16, (k, k)).tolist()  # odd i: often singular
+        rhs = rng.integers(0, 16, k).tolist()
+        d = mat_det(f, rows)
+        assert d == det(rows)
+        if d == 0:
+            with pytest.raises(ValueError):
+                mat_solve(f, rows, rhs)
+            continue
+        x = mat_solve(f, rows, rhs)
+        for r, v in zip(rows, rhs):
+            acc = 0
+            for c, xi in zip(r, x):
+                acc ^= f.mul(c, xi)
+            assert acc == v
 
 
 def test_fe_operators():

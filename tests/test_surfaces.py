@@ -88,9 +88,7 @@ def test_evaluate_vec_matches_the_scalar_reference(case):
         assert vals[idx] == _scalar_reference(P, point) == P.evaluate(point)
 
 
-def test_evaluation_needs_the_log_tables_and_one_value_per_variable():
-    with pytest.raises(BudgetError):
-        MvPoly(p2.field(21), 1, {(1,): 1}).evaluate([1])
+def test_evaluation_needs_one_value_per_variable():
     with pytest.raises(ValueError):
         MvPoly(p2.field(4), 2, {(1, 1): 1}).evaluate([1])
 
