@@ -5,20 +5,21 @@ the Dickson permutation test), planar (planarity predicates, coefficient
 criteria, the family registry, sweeps), surfaces (companion
 hypersurfaces, linear factors, point counts), semifields (products
 induced by planar functions and their nuclei). Each coefficient family is
-one record in planar.REGISTRY. Planarity verdicts run through kernels:
-a batched GF(2)-rank kernel for sweeps and the rank test, and a
-definition check on full value tables as the independent oracle.
+one array-valued record in planar.REGISTRY. Planarity verdicts run
+through kernels: a batched GF(2)-rank kernel for sweeps and the rank
+test, and a definition check on full value tables as the independent
+oracle.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .fields import (BudgetError, Fe, FieldSpec, TowerView, field, fe_from_hex,
                      smallest_irreducible, tower)
 from .linearized import (LinearizedPoly, dickson_det, inverse_map, is_permutation,
                          kernel)
 from .planar import (FAMILIES, AuditReport, DOPoly, FamilyParams, family_audit,
-                     family_coeffs, family_param_space, fraction_image_set,
-                     fraction_map_two_to_one, is_planar_bruteforce,
+                     family_coeffs, family_param_rows, family_param_space,
+                     fraction_image_set, fraction_map_two_to_one, is_planar_bruteforce,
                      is_planar_linearized, norm_trace_zero_set, offdiagonal_search,
                      planar_by_criterion, planar_criterion_k2, planar_criterion_k3,
                      planar_criterion_k4)

@@ -10,8 +10,9 @@ Every field carries log/antilog tables taken with respect to the
 smallest generator of the multiplicative group, and all arithmetic, scalar
 or vectorized, reads them. They are zero-safe: log 0 = 2(2^n - 1) points
 into the zeros that pad exp to 4(2^n - 1) + 1 entries, so
-exp[log a + log b] = a*b for all a, b; code that multiplies or shifts a
-log (powers, inverses, Frobenius) still treats zero apart. The tables fix
+exp[log a + log b] = a*b for all a, b, and vec_div gives a/0 = 0 the same
+way; code that multiplies or shifts a log (powers, scalar inverses,
+Frobenius) still treats zero apart. The tables fix
 the one field ceiling: FieldSpec refuses n > N_MAX = 20 with BudgetError,
 so every layer above may tabulate the field and list its tuples (lex_rows).
 
@@ -372,9 +373,42 @@ def lex_rows(base: int, width: int) -> np.ndarray:
     return np.indices((base,) * width, dtype=np.int64).reshape(width, base ** width).T
 
 
+def lex_chunks(base: int, width: int, rows: int = 1 << 18):
+    """lex_rows(base, width) in consecutive blocks, without holding it whole.
+
+    Take the largest j <= width with base^j <= rows. Each block is a run of
+    at most rows // base^j leading tuples of lex_rows(base, width - j), each
+    one followed by every j-tuple over range(base). Broadcasts write a block
+    into one new C-contiguous array, so no rows are held twice and no
+    element is divided."""
+    j = 0
+    while j < width and base ** (j + 1) <= rows:
+        j += 1
+    heads = lex_rows(base, width - j)
+    step = max(1, rows // base ** j)
+    digits = np.arange(base, dtype=np.int64)
+    for h in range(0, heads.shape[0], step):
+        head = heads[h:h + step]
+        block = np.empty((head.shape[0],) + (base,) * j + (width,), dtype=np.int64)
+        block[..., :width - j] = head.reshape((head.shape[0],) + (1,) * j + (width - j,))
+        for c in range(j):  # tail digit c varies along axis 1 + c
+            axes = (1,) * (c + 1) + (base,) + (1,) * (j - c - 1)
+            block[..., width - j + c] = digits.reshape(axes)
+        yield block.reshape(head.shape[0] * base ** j, width)
+
+
 def vec_mul(spec: FieldSpec, a, b) -> np.ndarray:
     """Elementwise field product of two bit-pattern arrays (broadcasting)."""
     return spec.exp[spec.log[a] + spec.log[b]].astype(np.int64)
+
+
+def vec_div(spec: FieldSpec, a, b) -> np.ndarray:
+    """Elementwise quotient a / b (broadcasting), zero-safe: a / 0 = 0, the
+    product of a and b^(2^n - 2). The log of 1/b is p1 - log b for b != 0,
+    and log 0 = 2 p1 maps to 2 p1 again (mod 3 p1), so a sum with log a
+    stays inside the table and lands in its zeros whenever a or b is 0."""
+    p1 = spec.order - 1
+    return spec.exp[spec.log[a] + (p1 - spec.log[b]) % (3 * p1)].astype(np.int64)
 
 
 def vec_frob(spec: FieldSpec, a, j: int) -> np.ndarray:
@@ -488,6 +522,27 @@ class TowerView:
 
     def in_base(self, x: Fe) -> bool:
         return self.spec.frob(x.bits, self.m) == x.bits
+
+    # -- the same on int64 columns of element bits ---------------------------
+
+    def vec_frobq(self, a, j: int = 1) -> np.ndarray:
+        """a^(q^j), elementwise."""
+        return vec_frob(self.spec, a, (j % self.k) * self.m)
+
+    def vec_rel_norm(self, a) -> np.ndarray:
+        """a^(1 + q + ... + q^(k-1)), elementwise."""
+        acc = np.asarray(a, dtype=np.int64)
+        for j in range(1, self.k):
+            acc = vec_mul(self.spec, acc, self.vec_frobq(a, j))
+        return acc
+
+    def vec_abs_trace_base(self, a) -> np.ndarray:
+        """a + a^2 + ... + a^(2^(m-1)), elementwise: the absolute trace of
+        GF(q) for elements of the q-subfield (unchecked; see in_base)."""
+        acc = np.asarray(a, dtype=np.int64)
+        for j in range(1, self.m):
+            acc = acc ^ vec_frob(self.spec, a, j)
+        return acc
 
     # -- subsets -----------------------------------------------------------
 

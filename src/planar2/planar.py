@@ -15,16 +15,21 @@ For coefficient families with exponents 2^(jm+i) + 2^i there is a third,
 equivalent test: a single equation having no nonzero root, implemented by
 planar_criterion_k2/k3/k4 for towers of degree 2, 3 and 4.
 
-Family constructors cover the four parameterized families over GF(q^2),
+The family registry covers the four parameterized families over GF(q^2),
 GF(q^3), GF(q^4) plus the known monomial/binomial families and the
-quadratic companion of the binary-semifield product. Exhaustive audits
-sweep parameter or coefficient spaces; converse sweeps report extras
-instead of asserting their absence, since the necessity direction of the
-family characterizations is asymptotic in m.
+quadratic companion of the binary-semifield product. Its records are
+array-valued: admissibility and terms read int64 columns of parameter
+bits, so an audit lists, filters and builds a whole parameter space as
+arrays (family_param_rows), and family_coeffs and family_param_space are
+one-row and list views of the same code. Exhaustive audits sweep
+parameter or coefficient spaces; converse sweeps report extras instead of
+asserting their absence, since the necessity direction of the family
+characterizations is asymptotic in m.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +38,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import kernels
-from .fields import N_MAX, BudgetError, Fe, TowerView, lex_rows, vec_frob, vec_mul
+from .fields import (N_MAX, BudgetError, Fe, TowerView, lex_chunks, lex_rows, vec_div,
+                     vec_frob, vec_mul)
 
 FAMILIES = ("P1", "P2", "P3", "P4a", "P4b",
             "SZ-monomial", "SZ-generalized", "ScherrZieve",
@@ -344,17 +350,22 @@ class Family:
     k is the natural tower degree (None: the caller picks the degree and m
     must be 1); tower_ok states any further condition on (m, k). A
     parameter is a tuple of arity field elements, drawn from the whole
-    field or, with subfield set, from GF(q); admits decides it. terms(t,
-    *params) lists the (coeff, u, v) terms of the family polynomial. shape
-    gives the exponent pairs of the coefficient space a converse audit
-    sweeps, and companion names the build_G case for that shape. Exponent
-    indices are taken mod n, so small m needs no special case.
+    field or, with subfield set, from GF(q). Both pieces that read it are
+    array-valued: each parameter position is an int64 column of element
+    bits, one row per parameter. admits(t, *cols) returns a bool mask (or
+    True for every row), and terms(t, *cols) lists the (coefficient
+    column, u, v) terms of the family polynomials, a constant coefficient
+    standing for every row. Quotients are zero-safe (fields.vec_div), and
+    rows that admits rejects may give any coefficients. shape gives the
+    exponent pairs of the coefficient space a converse audit sweeps, and
+    companion names the build_G case for that shape. Exponent indices are
+    taken mod n, so small m needs no special case.
     """
     tag: str
     k: int | None
     terms: Callable
     arity: int = 1
-    admits: Callable = lambda t, *params: True
+    admits: Callable = lambda t, *cols: True
     admits_msg: str = ""
     tower_ok: Callable[[int, int], bool] = lambda m, k: True
     tower_msg: str = ""
@@ -363,42 +374,54 @@ class Family:
     companion: str | None = None
 
 
-def _p2_delta(t, u, v) -> int:
-    """Delta(u, v) = u v^q + u^q v^(q^2) + u^(q^2) v + N(u) + N(v), as bits."""
-    mul = t.spec.mul
-    u0, u1, u2 = (t.frobq(u, j).bits for j in range(3))
-    v0, v1, v2 = (t.frobq(v, j).bits for j in range(3))
-    return (mul(u0, v1) ^ mul(u1, v2) ^ mul(u2, v0)
-            ^ mul(mul(u0, u1), u2) ^ mul(mul(v0, v1), v2))
+def _p2_delta(t, u, v) -> np.ndarray:
+    """Delta(u, v) = u v^q + u^q v^(q^2) + u^(q^2) v + N(u) + N(v), per row."""
+    mul = functools.partial(vec_mul, t.spec)
+    u1, u2 = t.vec_frobq(u), t.vec_frobq(u, 2)
+    v1, v2 = t.vec_frobq(v), t.vec_frobq(v, 2)
+    return (mul(u, v1) ^ mul(u1, v2) ^ mul(u2, v)
+            ^ mul(mul(u, u1), u2) ^ mul(mul(v, v1), v2))
 
 
 def _p2_terms(t, u, v):
-    m = t.m
-    uq, uq2 = t.frobq(u), t.frobq(u, 2)
-    vq, vq2 = t.frobq(v), t.frobq(v, 2)
-    den = t.fe(1 ^ _p2_delta(t, u, v))
-    a = (vq + uq * uq2 + uq2 * v * vq) / den
-    b = (uq2 * vq) / den
-    c = (vq * vq2 + uq2 + u * uq2 * vq) / den
-    return [(a, 0, m), (b, m, 2 * m), (c, 0, 2 * m)]
+    m, spec = t.m, t.spec
+    mul = functools.partial(vec_mul, spec)
+    uq, uq2 = t.vec_frobq(u), t.vec_frobq(u, 2)
+    vq, vq2 = t.vec_frobq(v), t.vec_frobq(v, 2)
+    den = 1 ^ _p2_delta(t, u, v)
+    a = vq ^ mul(uq, uq2) ^ mul(mul(uq2, v), vq)
+    b = mul(uq2, vq)
+    c = mul(vq, vq2) ^ uq2 ^ mul(mul(u, uq2), vq)
+    return [(vec_div(spec, a, den), 0, m), (vec_div(spec, b, den), m, 2 * m),
+            (vec_div(spec, c, den), 0, 2 * m)]
+
+
+def _p1_terms(t, s):
+    return [(vec_div(t.spec, t.vec_frobq(s), 1 ^ t.vec_rel_norm(s)), 0, t.m)]
+
+
+def _p4a_norm(t, s1):
+    """s1^(1 + q^2), per row."""
+    return vec_mul(t.spec, s1, t.vec_frobq(s1, 2))
 
 
 def _p4a_terms(t, s1):
-    s1q2 = t.frobq(s1, 2)
-    return [(s1q2 / (1 + s1 * s1q2), 0, 2 * t.m)]
+    return [(vec_div(t.spec, t.vec_frobq(s1, 2), 1 ^ _p4a_norm(t, s1)), 0, 2 * t.m)]
 
 
 def _p4b_terms(t, s2):
-    m = t.m
-    den = 1 + t.rel_norm(s2)
-    s2q, s2q2, s2q3 = t.frobq(s2), t.frobq(s2, 2), t.frobq(s2, 3)
-    return [((s2q * s2q2 * s2q3) / den, 0, m), ((s2q2 * s2q3) / den, 0, 2 * m),
-            (s2q3 / den, 0, 3 * m)]
+    m, spec = t.m, t.spec
+    mul = functools.partial(vec_mul, spec)
+    den = 1 ^ t.vec_rel_norm(s2)
+    s2q, s2q2, s2q3 = t.vec_frobq(s2), t.vec_frobq(s2, 2), t.vec_frobq(s2, 3)
+    return [(vec_div(spec, mul(mul(s2q, s2q2), s2q3), den), 0, m),
+            (vec_div(spec, mul(s2q2, s2q3), den), 0, 2 * m),
+            (vec_div(spec, s2q3, den), 0, 3 * m)]
 
 
 def _scherr_zieve_admits(t, c):
     e = (1 << 2 * t.m) + (1 << t.m) + 1
-    return c ** e == 1 and c ** (e // 3) != 1
+    return (t.spec.pow_table(e)[c] == 1) & (t.spec.pow_table(e // 3)[c] != 1)
 
 
 def _k4_shape(m):
@@ -406,30 +429,31 @@ def _k4_shape(m):
 
 
 REGISTRY = {f.tag: f for f in (
-    Family("P1", 2, lambda t, s: [(t.frobq(s) / (1 + t.rel_norm(s)), 0, t.m)],
-           admits=lambda t, s: t.rel_norm(s) != 1,
+    Family("P1", 2, _p1_terms,
+           admits=lambda t, s: t.vec_rel_norm(s) != 1,
            admits_msg="P1 needs s with s^(1+q) != 1",
            shape=lambda m: [(0, m), (1, m + 1)], companion="P1"),
     Family("P2", 3, _p2_terms, arity=2,
            admits=lambda t, u, v: _p2_delta(t, u, v) != 1,
            admits_msg="P2 needs (u,v) with Delta != 1",
            shape=lambda m: [(0, m), (m, 2 * m), (0, 2 * m)], companion="P2"),
-    Family("P3", 3, lambda t, a: [(a, 1, t.m + 1), (t.frobq(a), 1, 2 * t.m + 1)],
+    Family("P3", 3, lambda t, a: [(a, 1, t.m + 1), (t.vec_frobq(a), 1, 2 * t.m + 1)],
            shape=lambda m: [(1, m + 1), (m + 1, 2 * m + 1), (1, 2 * m + 1)],
            companion="P3"),
     Family("P4a", 4, _p4a_terms,
-           admits=lambda t, s1: s1 * t.frobq(s1, 2) != 1,
+           admits=lambda t, s1: _p4a_norm(t, s1) != 1,
            admits_msg="P4a needs s1 with s1^(1+q^2) != 1",
            shape=_k4_shape, companion="P4a"),
     Family("P4b", 4, _p4b_terms,
-           admits=lambda t, s2: t.rel_norm(s2) != 1,
+           admits=lambda t, s2: t.vec_rel_norm(s2) != 1,
            admits_msg="P4b needs s2 with s2^(1+q+q^2+q^3) != 1",
            shape=_k4_shape, companion="P4a"),
     Family("SZ-monomial", 2, lambda t, c: [(c, 0, t.m)], subfield=True,
-           admits=lambda t, c: bool(c) and t.in_base(c) and t.abs_trace_base(c) == 0,
+           admits=lambda t, c: (c != 0) & (t.vec_frobq(c) == c)
+           & (t.vec_abs_trace_base(c) == 0),
            admits_msg="monomial family needs trace-zero c in GF(q)*"),
     Family("SZ-generalized", 2, lambda t, c: [(c, 0, t.m)],
-           admits=lambda t, c: bool(c) and t.abs_trace_base(t.rel_norm(c)) == 0,
+           admits=lambda t, c: (c != 0) & (t.vec_abs_trace_base(t.vec_rel_norm(c)) == 0),
            admits_msg="generalized monomial family needs c != 0 with trace-zero c^(1+q)"),
     Family("ScherrZieve", 3, lambda t, c: [(c, t.m, 2 * t.m)],
            admits=_scherr_zieve_admits,
@@ -464,36 +488,57 @@ def family_record(fam: str, t: TowerView | None = None) -> Family:
     return rec
 
 
+def _admitted(rec: Family, t: TowerView, rows: np.ndarray) -> np.ndarray:
+    """rec.admits on parameter rows, as one bool per row."""
+    return np.broadcast_to(rec.admits(t, *rows.T), rows.shape[:1])
+
+
+def _term_columns(rec: Family, t: TowerView, rows: np.ndarray) -> list:
+    """(coefficient column, u, v) for each term of rec's polynomials on the
+    parameter rows, one coefficient per row, exponent indices mod n."""
+    n = t.spec.n
+    return [(np.broadcast_to(np.asarray(c, dtype=np.int64), rows.shape[:1]), u % n, v % n)
+            for c, u, v in rec.terms(t, *rows.T)]
+
+
+def family_param_rows(fam: str, t: TowerView, budget: int | None = None) -> np.ndarray:
+    """All admissible parameters as the rows of an int64 array (arity
+    columns of element bits), in lexicographic order: tuples over the
+    field, or over the q-subfield for a subfield family, listed in blocks
+    by fields.lex_chunks. With a budget, raise BudgetError as soon as
+    more than budget rows are admissible, before listing the rest."""
+    rec = family_record(fam, t)
+    xs = np.arange(t.spec.order, dtype=np.int64)
+    pool = xs[t.vec_frobq(xs) == xs] if rec.subfield else xs
+    kept, count = [], 0
+    for block in lex_chunks(pool.size, rec.arity):
+        block = pool[block]
+        kept.append(block[_admitted(rec, t, block)])
+        count += kept[-1].shape[0]
+        if budget is not None and count > budget:
+            raise BudgetError(f"admissible parameters exceed the audit budget {budget}")
+    return np.concatenate(kept)
+
+
 def family_coeffs(p: FamilyParams) -> DOPoly:
-    """Concrete polynomial for admissible family parameters."""
+    """Concrete polynomial for admissible family parameters: one row of
+    the record's admits and terms."""
     t = p.tower
     rec = family_record(p.family, t)
     if len(p.params) != rec.arity:
         raise ValueError(f"{p.family} takes {rec.arity} parameters, got {len(p.params)}")
-    if not rec.admits(t, *p.params):
+    row = np.array(_coeff_bits(p.params, t, rec.arity, p.family),
+                   dtype=np.int64).reshape(1, rec.arity)
+    if not _admitted(rec, t, row)[0]:
         raise ValueError(rec.admits_msg)
-    return _family_poly(rec, p)
-
-
-def _family_poly(rec: Family, p: FamilyParams) -> DOPoly:
-    """The family polynomial of parameters already known to be admissible."""
-    t = p.tower
-    n = t.spec.n
-    return DOPoly(t, [(c, u % n, v % n) for c, u, v in rec.terms(t, *p.params)])
+    return DOPoly(t, [(int(c[0]), u, v) for c, u, v in _term_columns(rec, t, row)])
 
 
 def family_param_space(fam: str, t: TowerView) -> list[FamilyParams]:
-    """All admissible parameters, sorted by integer encoding."""
-    rec = family_record(fam, t)
-    if not rec.arity:
-        pool = []
-    elif rec.subfield:
-        pool = sorted(t.subfield_members(), key=lambda e: e.bits)
-    else:
-        pool = list(t.spec.elements())
-    return [FamilyParams(fam, params, t)
-            for params in itertools.product(pool, repeat=rec.arity)
-            if rec.admits(t, *params)]
+    """All admissible parameters, sorted by integer encoding: the rows of
+    family_param_rows as tuples of field elements."""
+    return [FamilyParams(fam, tuple(t.fe(b) for b in row), t)
+            for row in family_param_rows(fam, t).tolist()]
 
 
 def family_shape(fam: str, t: TowerView) -> list[tuple[int, int]]:
@@ -508,8 +553,22 @@ def family_shape(fam: str, t: TowerView) -> list[tuple[int, int]]:
     return pairs
 
 
+def _shape_rows(fam: str, t: TowerView, terms, nrows: int) -> np.ndarray:
+    """Coefficient rows on fam's shape: each term column (u, v taken mod n)
+    added into the shape column of its exponent pair."""
+    shape = family_shape(fam, t)
+    out = np.zeros((nrows, len(shape)), dtype=np.int64)
+    for c, u, v in terms:
+        pair = (min(u, v), max(u, v))
+        if pair not in shape:
+            raise ValueError(f"term x^(2^{u}+2^{v}) lies outside the {fam} shape")
+        out[:, shape.index(pair)] ^= c
+    return out
+
+
 def family_tuple(fam: str, f: DOPoly, t: TowerView) -> tuple[int, ...]:
-    return tuple(f.coeff_at(u, v).bits for u, v in family_shape(fam, t))
+    """f's coefficients on the family's shape, one per exponent pair."""
+    return tuple(_shape_rows(fam, t, [(cb, u, v) for _, cb, u, v in f.terms], 1)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +655,29 @@ def _sweep_mask(spec, exponents, rows: np.ndarray, threads: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _exponent_rows(t: TowerView, terms, nrows: int):
+    """Merge term columns by reduced exponent, as DOPoly normalization does:
+    the sorted distinct exponents and one coefficient column for each."""
+    p1 = t.spec.order - 1
+    exps = sorted({_do_exponent(u, v, p1) for _, u, v in terms})
+    out = np.zeros((nrows, len(exps)), dtype=np.int64)
+    for c, u, v in terms:
+        out[:, exps.index(_do_exponent(u, v, p1))] ^= c
+    return exps, out
+
+
 def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
                  threads: int = 1) -> AuditReport:
     """Sufficiency: every admissible parameter must give a planar function.
     Converse: sweep the whole coefficient space of the family's shape and
-    report planar tuples outside the family image (never assert absence)."""
+    report planar tuples outside the family image (never assert absence).
+
+    Both read the family through arrays: the admissible parameter rows of
+    family_param_rows and the term columns of the record. A family with a
+    shape has one coefficient row per parameter on that shape. Without one,
+    terms merge by reduced exponent and each row is swept with its nonzero
+    coefficients, grouped by the exponents they sit on, as a DOPoly would
+    hold them."""
     if mode not in ("sufficiency", "converse"):
         raise ValueError("mode must be 'sufficiency' or 'converse'")
     spec = t.spec
@@ -608,26 +685,26 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
 
     rec = family_record(fam)
     if mode == "sufficiency":
-        params = family_param_space(fam, t)
-        if len(params) > budget:
-            raise BudgetError(f"{len(params)} parameters exceed the audit budget {budget}")
-        polys = [_family_poly(rec, p) for p in params]
+        params = family_param_rows(fam, t, budget)
+        terms = _term_columns(rec, t, params)
         if rec.shape is not None:
-            exponents = [((1 << u) + (1 << v)) for u, v in family_shape(fam, t)]
-            tuples = [family_tuple(fam, f, t) for f in polys]
-            groups = {tuple(exponents): list(range(len(polys)))}
-        else:  # no fixed shape: sweep the polynomials of each exponent tuple together
-            tuples = [tuple(cb for _, cb, _, _ in f.terms) for f in polys]
-            groups = {}
-            for i, f in enumerate(polys):
-                groups.setdefault(tuple(e for e, _, _, _ in f.terms), []).append(i)
-        mask = np.zeros(len(polys), dtype=bool)
-        for exps, idx in groups.items():
-            rows = np.array([tuples[i] for i in idx], dtype=np.int64).reshape(len(idx), len(exps))
-            mask[idx] = _sweep_mask(spec, list(exps), rows, threads)
-        report.tested = len(polys)
-        report.planar = [tup for tup, ok in zip(tuples, mask) if ok]
-        report.failures = [tup for tup, ok in zip(tuples, mask) if not ok]
+            coeffs = _shape_rows(fam, t, terms, len(params))
+            mask = _sweep_mask(spec, [(1 << u) + (1 << v) for u, v in family_shape(fam, t)],
+                               coeffs, threads)
+            tuples = [tuple(r) for r in coeffs.tolist()]
+        else:  # no fixed shape: sweep the rows of each nonzero pattern together
+            exps, coeffs = _exponent_rows(t, terms, len(params))
+            nonzero = coeffs != 0
+            patterns, group = np.unique(nonzero, axis=0, return_inverse=True)
+            mask = np.zeros(len(params), dtype=bool)
+            for g, pattern in enumerate(patterns):
+                idx = np.flatnonzero(group.reshape(-1) == g)
+                mask[idx] = _sweep_mask(spec, [e for e, on in zip(exps, pattern) if on],
+                                        coeffs[idx][:, pattern], threads)
+            tuples = [tuple(c for c in r if c) for r in coeffs.tolist()]
+        report.tested = len(params)
+        report.planar = [tup for tup, ok in zip(tuples, mask.tolist()) if ok]
+        report.failures = [tup for tup, ok in zip(tuples, mask.tolist()) if not ok]
         return report
 
     shape = family_shape(fam, t)
@@ -636,13 +713,13 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
     total = spec.order ** width
     if total > budget:
         raise BudgetError(f"coefficient space of size {total} exceeds the audit budget {budget}")
-    in_family = {family_tuple(fam, _family_poly(rec, p), t) for p in family_param_space(fam, t)}
+    params = family_param_rows(fam, t)
+    image = _shape_rows(fam, t, _term_columns(rec, t, params), len(params))
+    in_family = {tuple(r) for r in image.tolist()}
     planar: list[tuple[int, ...]] = []
-    space, chunk = lex_rows(spec.order, width), 1 << 18
-    for start in range(0, total, chunk):
-        rows = space[start:start + chunk]
+    for rows in lex_chunks(spec.order, width):
         mask = _sweep_mask(spec, exponents, rows, threads)
-        planar.extend(tuple(int(c) for c in r) for r in rows[mask])
+        planar.extend(tuple(r) for r in rows[mask].tolist())
     report.tested = total
     report.planar = sorted(planar)
     report.extras = sorted(tup for tup in planar if tup not in in_family)

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
 
-from planar2 import cli, kernels, semifields, surfaces
+from planar2 import cli, kernels, planar, semifields, surfaces
 from planar2.cli import main
 from planar2.planar import FAMILIES, REGISTRY
 
@@ -91,6 +93,49 @@ def test_audit_csv_format(tmp_path):
 def test_audit_budget_exit3(capsys):
     assert main(["audit", "--family", "P2", "--m", "2", "--mode", "converse",
                  "--budget", "10"]) == 3
+
+
+def test_sufficiency_budget_stops_the_parameter_listing(tmp_path, capsys, monkeypatch):
+    # P2 at m=4 has 4096^2 parameter pairs, nearly all admissible: the
+    # listing stops at the first block past the 2^22 budget
+    blocks = []
+    listing = planar.lex_chunks
+
+    def counted(*args):
+        for block in listing(*args):
+            blocks.append(len(block))
+            yield block
+
+    monkeypatch.setattr(planar, "lex_chunks", counted)
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    assert main(["audit", "--family", "P2", "--m", "4", "--mode", "sufficiency",
+                 "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 10
+    assert "admissible parameters exceed the audit budget 4194304" in capsys.readouterr().err
+    assert not out.exists()
+    assert sum(blocks) < 4096 ** 2 // 2 and sum(blocks) > 1 << 22
+
+
+# sha256 of audit report bytes without the "version" line, recorded at 0.9.0
+# (one DOPoly per parameter): they pin row order and tuple format, including
+# the shapeless grouping of SZ-generalized.
+GOLDEN_AUDITS = {
+    ("P2", "2", "sufficiency"): "44e784a72410b2f7150af025ea02a769d109802d03df18cb5e7d11839600417c",
+    ("P3", "3", "sufficiency"): "537195f1bae5d5248588d88697ab500feeda6da2f88df789a6ec4d3e07434122",
+    ("SZ-generalized", "4", "sufficiency"):
+        "fb6d400b1c524ecae326124fca6733a33eb23d480a33a582ce06e6bef689e67c",
+    ("P3", "2", "converse"): "596cb23122223ab5bff159ca635f19af7f438431496ae6de6ff5eb348845c008",
+}
+
+
+@pytest.mark.parametrize("family, m, mode", list(GOLDEN_AUDITS))
+def test_audit_report_bytes_match_the_recorded_digest(tmp_path, family, m, mode):
+    out = tmp_path / "r.json"
+    assert main(["audit", "--family", family, "--m", m, "--mode", mode, "--out", str(out)]) == 0
+    kept = b"".join(line for line in out.read_bytes().splitlines(keepends=True)
+                    if not line.startswith(b'  "version": '))
+    assert hashlib.sha256(kept).hexdigest() == GOLDEN_AUDITS[family, m, mode]
 
 
 def test_surface_p1_factor_recovery(capsys):

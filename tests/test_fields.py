@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import planar2 as p2
-from planar2.fields import (N_MAX, is_irreducible, lex_rows, mat_det, mat_solve, vec_frob,
-                            vec_mul)
+from planar2.fields import (N_MAX, is_irreducible, lex_chunks, lex_rows, mat_det, mat_solve,
+                            vec_div, vec_frob, vec_mul)
 
 
 def _divides(d: int, p: int) -> bool:
@@ -155,6 +155,15 @@ def test_lex_rows_lists_tuples_like_itertools_product():
         assert rows.dtype == np.int64 and rows.shape == (base ** width, width)
         assert [tuple(r) for r in rows.tolist()] == list(
             itertools.product(range(base), repeat=width))
+
+
+def test_lex_chunks_list_lex_rows_in_bounded_blocks():
+    for base, width, rows in ((3, 0, 4), (1, 3, 4), (5, 1, 4), (4, 3, 16), (4, 3, 20),
+                              (2, 5, 7), (6, 2, 5), (7, 2, 1), (3, 4, 1 << 18)):
+        blocks = list(lex_chunks(base, width, rows))
+        assert np.array_equal(np.concatenate(blocks), lex_rows(base, width))
+        j = max(i for i in range(width + 1) if base ** i <= rows or i == 0)
+        assert all(b.dtype == np.int64 and len(b) <= max(rows, base ** j) for b in blocks)
 
 
 def test_determinant_and_solve_share_one_elimination():
@@ -328,6 +337,27 @@ def test_vec_helpers_match_scalar_ops():
     for i in range(64):
         assert vm[i] == f.mul(int(xs[i]), int(ys[i]))
         assert vf[i] == f.frob(int(xs[i]), 2)
+
+
+def test_vec_div_is_zero_safe():
+    for n in (1, 2, 5, 6):
+        f = p2.field(n)
+        a, b = (v.ravel() for v in np.indices((f.order, f.order), dtype=np.int64))
+        want = [f.mul(x, f.inv(y)) if y else 0 for x, y in zip(a.tolist(), b.tolist())]
+        assert vec_div(f, a, b).tolist() == want, n
+        assert vec_div(f, 1, b).dtype == np.int64
+
+
+def test_tower_column_ops_match_scalar_ops():
+    for m, k in ((1, 2), (2, 3), (3, 2), (2, 4)):
+        t = p2.tower(m, k)
+        xs = np.arange(t.spec.order, dtype=np.int64)
+        base = sorted(x.bits for x in t.subfield_members())
+        for j in range(k + 1):
+            assert t.vec_frobq(xs, j).tolist() == [t.frobq(x, j).bits for x in t.elements()]
+        assert t.vec_rel_norm(xs).tolist() == [t.rel_norm(x).bits for x in t.elements()]
+        assert t.vec_abs_trace_base(np.array(base)).tolist() == [
+            t.abs_trace_base(t.fe(b)).bits for b in base]
 
 
 def test_pow_table_matches_scalar():

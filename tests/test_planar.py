@@ -1,16 +1,15 @@
 """Planarity predicates, criteria, families, sets, searches."""
 
-import random
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import planar2 as p2
-from planar2.fields import BudgetError
+from planar2.fields import BudgetError, lex_rows
 from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_lists,
-                            family_audit, family_coeffs, family_param_space,
-                            family_shape, family_tuple, offdiagonal_search,
-                            planar_by_criterion)
+                            family_audit, family_coeffs, family_param_rows,
+                            family_param_space, family_shape, family_tuple,
+                            offdiagonal_search, planar_by_criterion)
 
 
 def _planar_reference(f: DOPoly) -> bool:
@@ -265,8 +264,14 @@ def _admitted_towers(rec):
             if rec.tower_ok(m, k)]
 
 
+def _row_terms(rec, t, rows):
+    """The array terms of rec on parameter rows, as one term list per row."""
+    cols = [(np.broadcast_to(c, rows.shape[:1]), u, v) for c, u, v in rec.terms(t, *rows.T)]
+    return [[(int(c[i]), u, v) for c, u, v in cols] for i in range(rows.shape[0])]
+
+
 def test_registry_records_are_consistent():
-    rng = random.Random(2)
+    rng = np.random.default_rng(2)
     for tag, rec in REGISTRY.items():
         checked = 0
         for t in _admitted_towers(rec):
@@ -281,26 +286,128 @@ def test_registry_records_are_consistent():
                 shape = family_shape(tag, t)
                 assert all(0 <= u <= v < n for u, v in shape)
                 assert len(set(shape)) == len(shape)
-            if t.spec.order ** rec.arity <= 4096:
-                space = family_param_space(tag, t)
-            else:  # too many tuples to enumerate here: sample candidates
-                space = []
-                for _ in range(200):
-                    params = tuple(t.fe(rng.randrange(t.spec.order))
-                                   for _ in range(rec.arity))
-                    if rec.admits(t, *params):
-                        space.append(FamilyParams(tag, params, t))
-                    else:
-                        with pytest.raises(ValueError):
-                            family_coeffs(FamilyParams(tag, params, t))
+            # every parameter tuple over the field (262,144 pairs for P2 at
+            # m=3) through the array admits
+            every = lex_rows(t.spec.order, rec.arity)
+            ok = np.broadcast_to(rec.admits(t, *every.T), every.shape[:1])
+            space = family_param_rows(tag, t)
+            assert np.array_equal(every[ok], space)
             checked += len(space)
-            for p in space:
-                f = family_coeffs(p)
+            picks = range(len(space))
+            if len(space) > 4096:  # polynomials for a sample of the rows
+                picks = sorted(rng.choice(len(space), 200, replace=False))
+            for i, terms in zip(picks, _row_terms(rec, t, space[list(picks)])):
+                params = tuple(t.fe(b) for b in space[i].tolist())
+                f = family_coeffs(FamilyParams(tag, params, t))
                 assert f.tower == t
+                assert f == DOPoly(t, [(c, u % n, v % n) for c, u, v in terms])
                 if shape is not None:
                     tup = family_tuple(tag, f, t)
                     assert DOPoly(t, [(c, u, v) for c, (u, v) in zip(tup, shape)]) == f
+            rejected = every[~ok]
+            for row in rejected[rng.choice(len(rejected), min(20, len(rejected)),
+                                           replace=False)]:
+                with pytest.raises(ValueError):
+                    family_coeffs(FamilyParams(tag, tuple(t.fe(int(b)) for b in row), t))
         assert checked, tag
+
+
+# -- the scalar reference of the array-valued registry -------------------------
+#
+# admits and terms of each record with parameters, written on Fe scalars as
+# the paper states them: the array forms in planar.REGISTRY must agree.
+
+def _ref_p2_delta(t, u, v):
+    u0, u1, u2 = (t.frobq(u, j) for j in range(3))
+    v0, v1, v2 = (t.frobq(v, j) for j in range(3))
+    return u0 * v1 + u1 * v2 + u2 * v0 + u0 * u1 * u2 + v0 * v1 * v2
+
+
+def _ref_p2_terms(t, u, v):
+    m = t.m
+    uq, uq2 = t.frobq(u), t.frobq(u, 2)
+    vq, vq2 = t.frobq(v), t.frobq(v, 2)
+    den = 1 + _ref_p2_delta(t, u, v)
+    a = (vq + uq * uq2 + uq2 * v * vq) / den
+    b = (uq2 * vq) / den
+    c = (vq * vq2 + uq2 + u * uq2 * vq) / den
+    return [(a, 0, m), (b, m, 2 * m), (c, 0, 2 * m)]
+
+
+def _ref_p4b_terms(t, s2):
+    m = t.m
+    den = 1 + t.rel_norm(s2)
+    s2q, s2q2, s2q3 = t.frobq(s2), t.frobq(s2, 2), t.frobq(s2, 3)
+    return [((s2q * s2q2 * s2q3) / den, 0, m), ((s2q2 * s2q3) / den, 0, 2 * m),
+            (s2q3 / den, 0, 3 * m)]
+
+
+def _ref_scherr_zieve_admits(t, c):
+    e = (1 << 2 * t.m) + (1 << t.m) + 1
+    return c ** e == 1 and c ** (e // 3) != 1
+
+
+SCALAR_REFERENCE = {  # tag: (admits, terms)
+    "P1": (lambda t, s: t.rel_norm(s) != 1,
+           lambda t, s: [(t.frobq(s) / (1 + t.rel_norm(s)), 0, t.m)]),
+    "P2": (lambda t, u, v: _ref_p2_delta(t, u, v) != 1, _ref_p2_terms),
+    "P3": (lambda t, a: True,
+           lambda t, a: [(a, 1, t.m + 1), (t.frobq(a), 1, 2 * t.m + 1)]),
+    "P4a": (lambda t, s1: s1 * t.frobq(s1, 2) != 1,
+            lambda t, s1: [(t.frobq(s1, 2) / (1 + s1 * t.frobq(s1, 2)), 0, 2 * t.m)]),
+    "P4b": (lambda t, s2: t.rel_norm(s2) != 1, _ref_p4b_terms),
+    "SZ-monomial": (lambda t, c: bool(c) and t.in_base(c) and t.abs_trace_base(c) == 0,
+                    lambda t, c: [(c, 0, t.m)]),
+    "SZ-generalized": (lambda t, c: bool(c) and t.abs_trace_base(t.rel_norm(c)) == 0,
+                       lambda t, c: [(c, 0, t.m)]),
+    "ScherrZieve": (_ref_scherr_zieve_admits, lambda t, c: [(c, t.m, 2 * t.m)]),
+}
+
+
+def _excluded_and_special(t):
+    """0, 1, the q-subfield, and the elements the records exclude or sit
+    next to: norm 1 (P1, P4b, and P2 through Delta(0, v) = N(v)),
+    s1^(1+q^2) = 1 (P4a) and c^(q^2+q+1) = 1 (ScherrZieve)."""
+    spec, q = t.spec, t.q
+    out = {0, 1} | {x.bits for x in t.mu_set()} | {x.bits for x in t.subfield_members()}
+    for e in (q * q + 1, q * q + q + 1):
+        out |= {x for x in range(1, spec.order) if spec.pow(x, e) == 1}
+    return sorted(out)
+
+
+_ARRAY_CASES = [(tag, t.m) for tag, rec in REGISTRY.items() if rec.arity
+                for t in _admitted_towers(rec)]
+
+
+def test_every_record_with_parameters_has_a_scalar_reference():
+    assert sorted(SCALAR_REFERENCE) == sorted({tag for tag, _ in _ARRAY_CASES})
+
+
+@pytest.mark.parametrize("tag, m", _ARRAY_CASES)
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_array_registry_matches_the_scalar_reference(tag, m, data):
+    rec = REGISTRY[tag]
+    t = p2.tower(m, rec.k)
+    elem = st.one_of(st.sampled_from(_excluded_and_special(t)),
+                     st.integers(0, t.spec.order - 1))
+    params = data.draw(st.lists(st.tuples(*[elem] * rec.arity), min_size=1, max_size=30))
+    rows = np.array(params, dtype=np.int64).reshape(len(params), rec.arity)
+    ok = np.broadcast_to(rec.admits(t, *rows.T), rows.shape[:1])
+    ref_admits, ref_terms = SCALAR_REFERENCE[tag]
+    for row, admitted, terms in zip(params, ok, _row_terms(rec, t, rows)):
+        fe = [t.fe(b) for b in row]
+        assert bool(admitted) == bool(ref_admits(t, *fe)), row
+        if admitted:
+            assert terms == [(int(c), u, v) for c, u, v in ref_terms(t, *fe)], row
+
+
+def test_sufficiency_budget_counts_admissible_rows():
+    t = p2.tower(2, 3)
+    assert len(family_param_rows("P2", t)) == 2836
+    assert family_audit("P2", t, "sufficiency", budget=2836).tested == 2836
+    with pytest.raises(BudgetError, match="admissible parameters exceed the audit budget 2835"):
+        family_audit("P2", t, "sufficiency", budget=2835)
 
 
 def test_p3_at_m1_takes_exponents_mod_n():
