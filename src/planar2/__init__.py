@@ -5,13 +5,14 @@ the Dickson permutation test), planar (planarity predicates, coefficient
 criteria, the family registry, sweeps), surfaces (companion
 hypersurfaces, linear factors, point counts), semifields (products
 induced by planar functions and their nuclei). Each coefficient family is
-one array-valued record in planar.REGISTRY. Planarity verdicts run
+one array-valued record in planar.REGISTRY, companion orbit generators
+included. Planarity verdicts run
 through kernels: a batched GF(2)-rank kernel for sweeps and the rank
 test, and a definition check on full value tables as the independent
 oracle.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .fields import (BudgetError, Fe, FieldSpec, TowerView, field, fe_from_hex,
                      smallest_irreducible, tower)

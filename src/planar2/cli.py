@@ -10,14 +10,16 @@ converse audit are findings, not errors), 1 = bad arguments (unknown
 flags included), 2 = internal disagreement between planarity criteria,
 3 = budget exceeded (a field beyond GF(2^fields.N_MAX) included),
 4 = internal invariant failed (a RuntimeError or AssertionError, reported
-on stderr instead of a traceback). check runs the definition oracle up to
-GF(2^CHECK_ORACLE_N_MAX) and reports its verdict as "bruteforce": null
-beyond, where "planar" is the rank verdict.
+on stderr instead of a traceback); a negative count (--budget, --support)
+or fewer than one thread is bad arguments. check and surface run the
+definition oracle up to GF(2^CHECK_ORACLE_N_MAX) and take the rank verdict
+beyond, where check reports "bruteforce": null.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,9 +27,10 @@ from . import __version__, kernels, planar, semifields, surfaces
 from .fields import BudgetError, tower
 from .planar import DOPoly, FamilyParams
 
-# check runs the 4^n definition oracle only up to this degree (about 1 s
-# for a planar input over GF(2^14)); beyond it the rank verdict decides.
+# check and surface run the 4^n definition oracle only up to this degree
+# (about 1 s for a planar input over GF(2^14)); beyond it the rank verdict decides.
 CHECK_ORACLE_N_MAX = 14
+_LEAST = {"budget": 0, "support": 0, "threads": 1}  # the smallest value each count takes
 
 
 def _meta(t, args) -> dict:
@@ -58,19 +61,28 @@ def _family_poly(args, t) -> DOPoly:
     return planar.family_coeffs(FamilyParams(args.family, tuple(coeffs), t))
 
 
+def _planarity(f: DOPoly, budget: int, rank: bool = False):
+    """(planar, oracle verdict, rank verdict) for check and surface: the
+    oracle decides up to GF(2^CHECK_ORACLE_N_MAX) and is None beyond, where
+    the rank test decides; rank=True runs the rank test in any case."""
+    spec = f.spec
+    if spec.order > budget:
+        raise BudgetError(f"field of size 2^{spec.n} exceeds the planarity budget {budget}")
+    brute = planar.is_planar_bruteforce(f) if spec.n <= CHECK_ORACLE_N_MAX else None
+    linear = planar.is_planar_linearized(f) if rank or brute is None else None
+    return (linear if brute is None else brute), brute, linear
+
+
 def cmd_check(args) -> int:
     t = tower(args.m, args.k)
     f = DOPoly.parse(args.terms, t)
-    if t.spec.order > args.budget:
-        raise BudgetError(f"field of size 2^{t.spec.n} exceeds the planarity budget {args.budget}")
-    brute = planar.is_planar_bruteforce(f) if t.spec.n <= CHECK_ORACLE_N_MAX else None
-    linear = planar.is_planar_linearized(f)
+    verdict, brute, linear = _planarity(f, args.budget, rank=True)
     crit = planar.planar_by_criterion(f)
     verdicts = [v for v in (brute, linear, crit) if v is not None]
     agree = len(set(verdicts)) == 1
     report = {
         "poly": f.to_json(),
-        "planar": linear if brute is None else brute,
+        "planar": verdict,
         "criteria": {
             "bruteforce": brute,
             "linearized_rank": linear,
@@ -109,7 +121,7 @@ def cmd_surface(args) -> int:
         "poly": f.to_json(),
         "companion": g.to_json(),
         "orbit_has_zero": surfaces.orbit_has_zero(g, t),
-        "planar": planar.is_planar_bruteforce(f, budget=args.budget),
+        "planar": _planarity(f, args.budget)[0],
         "factors": [{"coeffs": [f"{c:x}" for c in form.coeffs], "multiplicity": mult}
                     for form, mult in factors],
         "remainder": remainder.to_json(),
@@ -187,19 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", required=True,
                    help='terms "(coeff_hex,u,v);(coeff_hex,u,v);..."')
     common(p, k_default=2)
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("audit", help="sweep a family (sufficiency or converse)")
     p.add_argument("--mode", choices=("sufficiency", "converse"), default="sufficiency")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p, families=planar.FAMILIES, threads=True)
-    p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("surface", help="companion polynomial analysis of a family instance")
     p.add_argument("--coeffs", required=True,
                    help="comma-separated hex family parameters (s | u,v | a | s1 | s2)")
     common(p, families=[tag for tag, rec in planar.REGISTRY.items() if rec.companion])
-    p.set_defaults(fn=cmd_surface)
 
     p = sub.add_parser("semifield", help="nuclei of the semifield of a family instance")
     p.add_argument("--coeffs", default="",
@@ -210,27 +219,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-table", default=None,
                    help="write the raw multiplication table (uint16, row-major)")
     common(p, families=planar.FAMILIES, budget=False)
-    p.set_defaults(fn=cmd_semifield)
 
     p = sub.add_parser("problem27", help="sparse planar vectors off the conjectured shape (k=2)")
     p.add_argument("--support", type=int, default=2)
     common(p, threads=True)
-    p.set_defaults(fn=cmd_problem27)
 
     p = sub.add_parser("fields", help="print the canonical modulus table")
     p.add_argument("--max-n", type=int, default=16)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_fields)
 
     return ap
 
 
+_parser = functools.cache(build_parser)  # built on the first main call, not at import
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    low = next((key for key, least in _LEAST.items() if getattr(args, key, least) < least), None)
+    if low is not None:
+        print(f"error: --{low} must be at least {_LEAST[low]}", file=sys.stderr)
+        return 1
     if getattr(args, "family", None) is not None and args.k is None:
         args.k = planar.REGISTRY[args.family].k
         if args.k is None:
@@ -238,7 +250,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

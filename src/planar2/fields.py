@@ -412,16 +412,13 @@ def vec_div(spec: FieldSpec, a, b) -> np.ndarray:
 
 
 def vec_frob(spec: FieldSpec, a, j: int) -> np.ndarray:
-    """Elementwise a^(2^j)."""
+    """Elementwise a^(2^j), as int64; zero stays zero by a product with
+    (a != 0), as in surfaces.MvPoly.evaluate_vec."""
     j %= spec.n
     a = np.asarray(a, dtype=np.int64)
     if j == 0:
         return a.copy()
-    p1 = spec.order - 1
-    out = np.zeros(a.shape, dtype=np.int64)
-    nz = a != 0
-    out[nz] = spec.exp[(spec.log[a[nz]] << j) % p1]
-    return out
+    return np.multiply(spec.exp[(spec.log[a] << j) % (spec.order - 1)], a != 0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,6 @@ from . import kernels
 from .fields import (N_MAX, BudgetError, Fe, TowerView, lex_chunks, lex_rows, vec_div,
                      vec_frob, vec_mul)
 
-FAMILIES = ("P1", "P2", "P3", "P4a", "P4b",
-            "SZ-monomial", "SZ-generalized", "ScherrZieve",
-            "Hu2", "Hu3", "Knuth")
-
-
 # ---------------------------------------------------------------------------
 # Dembowski-Ostrom polynomials
 # ---------------------------------------------------------------------------
@@ -100,13 +95,6 @@ class DOPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff_at(self, u: int, v: int) -> Fe:
-        e = _do_exponent(u, v, self.spec.order - 1)
-        for te, cb, _, _ in self.terms:
-            if te == e:
-                return Fe(cb, self.spec)
-        return self.spec.zero
 
     def exponent_pairs(self) -> set[tuple[int, int]]:
         return {(u, v) for _, _, u, v in self.terms}
@@ -357,8 +345,11 @@ class Family:
     column, u, v) terms of the family polynomials, a constant coefficient
     standing for every row. Quotients are zero-safe (fields.vec_div), and
     rows that admits rejects may give any coefficients. shape gives the
-    exponent pairs of the coefficient space a converse audit sweeps, and
-    companion names the build_G case for that shape. Exponent indices are
+    exponent pairs of the coefficient space a converse audit sweeps.
+    companion(t, coeffs) gives, for the coefficient bits coeffs on that
+    shape, the Frobenius-orbit generators of the companion polynomial:
+    {exponent tuple: coefficient bits}, one term per orbit, which
+    surfaces.build_G expands into its conjugates. Exponent indices are
     taken mod n, so small m needs no special case.
     """
     tag: str
@@ -371,7 +362,7 @@ class Family:
     tower_msg: str = ""
     subfield: bool = False
     shape: Callable[[int], list[tuple[int, int]]] | None = None
-    companion: str | None = None
+    companion: Callable | None = None
 
 
 def _p2_delta(t, u, v) -> np.ndarray:
@@ -428,26 +419,53 @@ def _k4_shape(m):
     return [(0, m), (0, 2 * m), (0, 3 * m)]
 
 
+# Companion orbit generators, one term per orbit of the cyclic variable
+# shift; surfaces.build_G adds their conjugates.
+
+def _p1_companion(t, coeffs):
+    a, b = coeffs
+    return {(1, 1): 1, (2, 0): t.spec.sqr(a), (1, 0): b}
+
+
+def _p2_companion(t, coeffs):
+    a, b, c = (t.spec.sqr(x) for x in coeffs)
+    return {(1, 1, 1): 1, (3, 0, 0): b, (2, 1, 0): c, (2, 0, 1): a}
+
+
+def _p3_companion(t, coeffs):
+    a, b, c = coeffs
+    return {(1, 1, 1): 1, (1, 1, 0): c ^ t.spec.frob(a, t.m), (2, 0, 0): b}
+
+
+def _k4_companion(t, coeffs):
+    a, b, c = (t.spec.sqr(x) for x in coeffs)
+    mul, fr = t.spec.mul, lambda x, j: t.spec.frob(x, j * t.m)
+    return {(1, 1, 1, 1): 1,
+            (2, 2, 0, 0): mul(b, fr(b, 1)) ^ mul(fr(a, 1), c),
+            (2, 0, 2, 0): mul(c, fr(c, 2)) ^ mul(a, fr(a, 2)),
+            (2, 1, 0, 1): b, (2, 1, 1, 0): c, (2, 0, 1, 1): a}
+
+
 REGISTRY = {f.tag: f for f in (
     Family("P1", 2, _p1_terms,
            admits=lambda t, s: t.vec_rel_norm(s) != 1,
            admits_msg="P1 needs s with s^(1+q) != 1",
-           shape=lambda m: [(0, m), (1, m + 1)], companion="P1"),
+           shape=lambda m: [(0, m), (1, m + 1)], companion=_p1_companion),
     Family("P2", 3, _p2_terms, arity=2,
            admits=lambda t, u, v: _p2_delta(t, u, v) != 1,
            admits_msg="P2 needs (u,v) with Delta != 1",
-           shape=lambda m: [(0, m), (m, 2 * m), (0, 2 * m)], companion="P2"),
+           shape=lambda m: [(0, m), (m, 2 * m), (0, 2 * m)], companion=_p2_companion),
     Family("P3", 3, lambda t, a: [(a, 1, t.m + 1), (t.vec_frobq(a), 1, 2 * t.m + 1)],
            shape=lambda m: [(1, m + 1), (m + 1, 2 * m + 1), (1, 2 * m + 1)],
-           companion="P3"),
+           companion=_p3_companion),
     Family("P4a", 4, _p4a_terms,
            admits=lambda t, s1: _p4a_norm(t, s1) != 1,
            admits_msg="P4a needs s1 with s1^(1+q^2) != 1",
-           shape=_k4_shape, companion="P4a"),
+           shape=_k4_shape, companion=_k4_companion),
     Family("P4b", 4, _p4b_terms,
            admits=lambda t, s2: t.vec_rel_norm(s2) != 1,
            admits_msg="P4b needs s2 with s2^(1+q+q^2+q^3) != 1",
-           shape=_k4_shape, companion="P4a"),
+           shape=_k4_shape, companion=_k4_companion),
     Family("SZ-monomial", 2, lambda t, c: [(c, 0, t.m)], subfield=True,
            admits=lambda t, c: (c != 0) & (t.vec_frobq(c) == c)
            & (t.vec_abs_trace_base(c) == 0),
@@ -525,8 +543,6 @@ def family_coeffs(p: FamilyParams) -> DOPoly:
     the record's admits and terms."""
     t = p.tower
     rec = family_record(p.family, t)
-    if len(p.params) != rec.arity:
-        raise ValueError(f"{p.family} takes {rec.arity} parameters, got {len(p.params)}")
     row = np.array(_coeff_bits(p.params, t, rec.arity, p.family),
                    dtype=np.int64).reshape(1, rec.arity)
     if not _admitted(rec, t, row)[0]:
@@ -553,64 +569,58 @@ def family_shape(fam: str, t: TowerView) -> list[tuple[int, int]]:
     return pairs
 
 
-def _shape_rows(fam: str, t: TowerView, terms, nrows: int) -> np.ndarray:
-    """Coefficient rows on fam's shape: each term column (u, v taken mod n)
-    added into the shape column of its exponent pair."""
-    shape = family_shape(fam, t)
-    out = np.zeros((nrows, len(shape)), dtype=np.int64)
+def _layout_rows(fam: str, layout, terms, nrows: int) -> np.ndarray:
+    """Coefficient rows on a layout of exponent pairs: each term column
+    (u, v taken mod n) added into the column of its exponent pair."""
+    out = np.zeros((nrows, len(layout)), dtype=np.int64)
     for c, u, v in terms:
         pair = (min(u, v), max(u, v))
-        if pair not in shape:
+        if pair not in layout:
             raise ValueError(f"term x^(2^{u}+2^{v}) lies outside the {fam} shape")
-        out[:, shape.index(pair)] ^= c
+        out[:, layout.index(pair)] ^= c
     return out
 
 
 def family_tuple(fam: str, f: DOPoly, t: TowerView) -> tuple[int, ...]:
     """f's coefficients on the family's shape, one per exponent pair."""
-    return tuple(_shape_rows(fam, t, [(cb, u, v) for _, cb, u, v in f.terms], 1)[0].tolist())
+    terms = [(cb, u, v) for _, cb, u, v in f.terms]
+    return tuple(_layout_rows(fam, family_shape(fam, t), terms, 1)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
-# The coefficient sets of the degree-2 monomial correspondence
+# The coefficient sets of the degree-2 monomial correspondence, read from the
+# registry: the monomial coefficients of SZ-generalized and the P1 term
 # ---------------------------------------------------------------------------
 
 def norm_trace_zero_set(t: TowerView) -> set[Fe]:
-    """{c in GF(q^2) : absolute trace of c^(1+q) over GF(q) is 0}."""
-    if t.k != 2:
-        raise ValueError("needs a k=2 tower")
-    return {x for x in t.elements() if t.abs_trace_base(t.rel_norm(x)) == 0}
+    """{c in GF(q^2) : absolute trace of c^(1+q) over GF(q) is 0}: zero and
+    the SZ-generalized parameters."""
+    return {t.fe(c) for c in [0] + family_param_rows("SZ-generalized", t)[:, 0].tolist()}
+
+
+def _p1_image(t: TowerView) -> tuple[np.ndarray, np.ndarray]:
+    """The P1 parameters s and their monomial coefficients s^q/(1+s^(1+q))."""
+    s = family_param_rows("P1", t)
+    ((c, _, _),) = _term_columns(REGISTRY["P1"], t, s)
+    return s[:, 0], c
 
 
 def fraction_image_set(t: TowerView) -> set[Fe]:
     """{s^q / (1 + s^(1+q)) : s in GF(q^2), s^(1+q) != 1}."""
-    if t.k != 2:
-        raise ValueError("needs a k=2 tower")
-    out = set()
-    for s in t.elements():
-        nrm = t.rel_norm(s)
-        if nrm != 1:
-            out.add(t.frobq(s) / (1 + nrm))
-    return out
+    return {t.fe(c) for c in np.unique(_p1_image(t)[1]).tolist()}
 
 
 def fraction_map_two_to_one(t: TowerView) -> bool:
     """The map s -> s^q/(1+s^(1+q)) pairs s with s^(-q) and nothing else,
     over nonzero s outside the norm-1 subgroup."""
-    if t.k != 2:
-        raise ValueError("needs a k=2 tower")
-    preimages: dict[int, list[Fe]] = {}
-    domain = [s for s in t.elements() if s and t.rel_norm(s) != 1]
-    for s in domain:
-        img = t.frobq(s) / (1 + t.rel_norm(s))
-        preimages.setdefault(img.bits, []).append(s)
-    for group in preimages.values():
-        if len(group) != 2:
-            return False
-        s, u = group
-        if u != t.frobq(s.inv()) or s == u:
-            return False
-    return True
+    s, img = _p1_image(t)
+    s, img = s[s != 0], img[s != 0]
+    partner = vec_div(t.spec, 1, t.vec_frobq(s))  # s^(-q), again in the domain
+    image_of = np.zeros(t.spec.order, dtype=np.int64)
+    image_of[s] = img
+    _, counts = np.unique(img, return_counts=True)
+    return bool((counts == 2).all() and (partner != s).all()
+                and (image_of[partner] == img).all())
 
 
 # ---------------------------------------------------------------------------
@@ -655,17 +665,6 @@ def _sweep_mask(spec, exponents, rows: np.ndarray, threads: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _exponent_rows(t: TowerView, terms, nrows: int):
-    """Merge term columns by reduced exponent, as DOPoly normalization does:
-    the sorted distinct exponents and one coefficient column for each."""
-    p1 = t.spec.order - 1
-    exps = sorted({_do_exponent(u, v, p1) for _, u, v in terms})
-    out = np.zeros((nrows, len(exps)), dtype=np.int64)
-    for c, u, v in terms:
-        out[:, exps.index(_do_exponent(u, v, p1))] ^= c
-    return exps, out
-
-
 def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
                  threads: int = 1) -> AuditReport:
     """Sufficiency: every admissible parameter must give a planar function.
@@ -673,11 +672,9 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
     report planar tuples outside the family image (never assert absence).
 
     Both read the family through arrays: the admissible parameter rows of
-    family_param_rows and the term columns of the record. A family with a
-    shape has one coefficient row per parameter on that shape. Without one,
-    terms merge by reduced exponent and each row is swept with its nonzero
-    coefficients, grouped by the exponents they sit on, as a DOPoly would
-    hold them."""
+    family_param_rows and the term columns of the record. Sufficiency
+    sweeps one coefficient row per parameter on one layout: the family's
+    shape, or else its term pairs ordered by reduced exponent."""
     if mode not in ("sufficiency", "converse"):
         raise ValueError("mode must be 'sufficiency' or 'converse'")
     spec = t.spec
@@ -688,23 +685,17 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
         params = family_param_rows(fam, t, budget)
         terms = _term_columns(rec, t, params)
         if rec.shape is not None:
-            coeffs = _shape_rows(fam, t, terms, len(params))
-            mask = _sweep_mask(spec, [(1 << u) + (1 << v) for u, v in family_shape(fam, t)],
-                               coeffs, threads)
-            tuples = [tuple(r) for r in coeffs.tolist()]
-        else:  # no fixed shape: sweep the rows of each nonzero pattern together
-            exps, coeffs = _exponent_rows(t, terms, len(params))
-            nonzero = coeffs != 0
-            patterns, group = np.unique(nonzero, axis=0, return_inverse=True)
-            mask = np.zeros(len(params), dtype=bool)
-            for g, pattern in enumerate(patterns):
-                idx = np.flatnonzero(group.reshape(-1) == g)
-                mask[idx] = _sweep_mask(spec, [e for e, on in zip(exps, pattern) if on],
-                                        coeffs[idx][:, pattern], threads)
-            tuples = [tuple(c for c in r if c) for r in coeffs.tolist()]
+            layout = family_shape(fam, t)
+        else:
+            layout = sorted({(min(u, v), max(u, v)) for _, u, v in terms},
+                            key=lambda uv: _do_exponent(*uv, spec.order - 1))
+        coeffs = _layout_rows(fam, layout, terms, len(params))
+        exponents = [(1 << u) + (1 << v) for u, v in layout]
+        mask = _sweep_mask(spec, exponents, coeffs, threads).tolist()
+        tuples = [tuple(r) for r in coeffs.tolist()]
         report.tested = len(params)
-        report.planar = [tup for tup, ok in zip(tuples, mask.tolist()) if ok]
-        report.failures = [tup for tup, ok in zip(tuples, mask.tolist()) if not ok]
+        report.planar = [tup for tup, ok in zip(tuples, mask) if ok]
+        report.failures = [tup for tup, ok in zip(tuples, mask) if not ok]
         return report
 
     shape = family_shape(fam, t)
@@ -714,7 +705,7 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
     if total > budget:
         raise BudgetError(f"coefficient space of size {total} exceeds the audit budget {budget}")
     params = family_param_rows(fam, t)
-    image = _shape_rows(fam, t, _term_columns(rec, t, params), len(params))
+    image = _layout_rows(fam, shape, _term_columns(rec, t, params), len(params))
     in_family = {tuple(r) for r in image.tolist()}
     planar: list[tuple[int, ...]] = []
     for rows in lex_chunks(spec.order, width):

@@ -4,7 +4,9 @@ Each supported coefficient shape has a companion polynomial G in k
 variables over GF(q^k): substituting the Frobenius orbit
 (eps, eps^q, ..., eps^(q^(k-1))) reproduces the single-variable criterion
 value pointwise, so planarity is exactly "G has no zero on a nonzero
-orbit". Reducibility of G explains which coefficients can be planar:
+orbit". The family registry holds G as one generator term per Frobenius
+orbit (Family.companion), and build_G adds the conjugates of each.
+Reducibility of G explains which coefficients can be planar:
 the relevant factorizations are products of Frobenius-conjugate linear
 forms, which linear_factor_search recovers by exact division.
 
@@ -27,7 +29,7 @@ import math
 import numpy as np
 
 from .fields import BudgetError, Fe, FieldSpec, TowerView, lex_rows, vec_frob, vec_mul
-from .planar import REGISTRY, DOPoly, family_record, family_shape
+from .planar import REGISTRY, DOPoly, family_record, family_shape, family_tuple
 
 COUNT_LIMIT = 1 << 24  # affine/projective enumeration budget (points)
 
@@ -278,7 +280,7 @@ class LinearForm:
 
 
 # ---------------------------------------------------------------------------
-# Companion polynomials of the four supported shapes
+# Companion polynomials: the registry's orbit generators and their conjugates
 # ---------------------------------------------------------------------------
 
 def build_G(f: DOPoly, t: TowerView, shape: str | None = None) -> MvPoly:
@@ -286,77 +288,30 @@ def build_G(f: DOPoly, t: TowerView, shape: str | None = None) -> MvPoly:
 
     shape is a family tag; by default it is the first family on this
     tower degree with a companion whose shape holds f's exponent pairs.
+    The record's companion gives one generator term per Frobenius orbit
+    for f's coefficients on that shape; each term (e, c) contributes its
+    conjugates, variable i moved to i + j and c raised to q^j, for j up
+    to the period of e under the cyclic shift.
     """
     if f.tower != t:
         raise ValueError("polynomial belongs to a different tower")
-    exps = f.exponent_pairs()
     if shape is None:
         shape = next((rec.tag for rec in REGISTRY.values()
                       if rec.companion and rec.k == t.k
-                      and exps <= set(family_shape(rec.tag, t))), None)
+                      and f.exponent_pairs() <= set(family_shape(rec.tag, t))), None)
         if shape is None:
             raise ValueError(f"no companion shape of a k={t.k} family fits the polynomial")
     companion = family_record(shape, t).companion
     if companion is None:
         raise ValueError(f"family {shape!r} has no companion polynomial")
-    layout = family_shape(shape, t)
-    if not exps <= set(layout):
-        raise ValueError(f"polynomial does not match the {shape} coefficient shape")
-    spec = t.spec
-    fr = lambda x, j: spec.frob(x, (j % t.k) * t.m)
-    sq = lambda x: spec.mul(x, x)
-    mul = spec.mul
-
-    if companion == "P1":
-        a, b = (f.coeff_at(u, v).bits for u, v in layout)
-        terms = {
-            (1, 1): 1,
-            (2, 0): sq(a), (0, 2): fr(sq(a), 1),
-            (1, 0): b, (0, 1): fr(b, 1),
-        }
-        return MvPoly(spec, 2, terms)
-
-    if companion == "P2":
-        a, b, c = (f.coeff_at(u, v).bits for u, v in layout)
-        a2, b2, c2 = sq(a), sq(b), sq(c)
-        terms = {
-            (3, 0, 0): b2, (0, 3, 0): fr(b2, 1), (0, 0, 3): fr(b2, 2),
-            (2, 1, 0): c2, (0, 2, 1): fr(c2, 1), (1, 0, 2): fr(c2, 2),
-            (2, 0, 1): a2, (1, 2, 0): fr(a2, 1), (0, 1, 2): fr(a2, 2),
-            (1, 1, 1): 1,
-        }
-        return MvPoly(spec, 3, terms)
-
-    if companion == "P3":
-        a, b, c = (f.coeff_at(u, v).bits for u, v in layout)
-        terms = {
-            (1, 1, 0): c ^ fr(a, 1),
-            (0, 1, 1): fr(c, 1) ^ fr(a, 2),
-            (1, 0, 1): fr(c, 2) ^ a,
-            (2, 0, 0): b, (0, 2, 0): fr(b, 1), (0, 0, 2): fr(b, 2),
-            (1, 1, 1): 1,
-        }
-        return MvPoly(spec, 3, terms)
-
-    # degree-4 trinomial shape
-    a, b, c = (f.coeff_at(u, v).bits for u, v in layout)
-    a2, b2, c2 = sq(a), sq(b), sq(c)
-    terms = {
-        (1, 1, 1, 1): 1,
-        (2, 2, 0, 0): mul(b2, fr(b2, 1)) ^ mul(fr(a2, 1), c2),
-        (2, 0, 0, 2): mul(b2, fr(b2, 3)) ^ mul(a2, fr(c2, 3)),
-        (0, 2, 2, 0): mul(fr(b2, 1), fr(b2, 2)) ^ mul(fr(a2, 2), fr(c2, 1)),
-        (0, 0, 2, 2): mul(fr(b2, 2), fr(b2, 3)) ^ mul(fr(a2, 3), fr(c2, 2)),
-        (2, 0, 2, 0): mul(c2, fr(c2, 2)) ^ mul(a2, fr(a2, 2)),
-        (0, 2, 0, 2): mul(fr(c2, 1), fr(c2, 3)) ^ mul(fr(a2, 1), fr(a2, 3)),
-        (2, 1, 0, 1): b2, (1, 2, 1, 0): fr(b2, 1),
-        (0, 1, 2, 1): fr(b2, 2), (1, 0, 1, 2): fr(b2, 3),
-        (2, 1, 1, 0): c2, (0, 2, 1, 1): fr(c2, 1),
-        (1, 0, 2, 1): fr(c2, 2), (1, 1, 0, 2): fr(c2, 3),
-        (2, 0, 1, 1): a2, (1, 2, 0, 1): fr(a2, 1),
-        (1, 1, 2, 0): fr(a2, 2), (0, 1, 1, 2): fr(a2, 3),
-    }
-    return MvPoly(spec, 4, terms)
+    terms: dict[tuple[int, ...], int] = {}
+    for exps, c in companion(t, family_tuple(shape, f, t)).items():
+        for j in range(t.k):
+            conj = exps[t.k - j:] + exps[:t.k - j]
+            if j and conj == exps:
+                break
+            terms[conj] = t.spec.frob(c, j * t.m)
+    return MvPoly(t.spec, t.k, terms)
 
 
 # ---------------------------------------------------------------------------

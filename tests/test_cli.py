@@ -62,6 +62,18 @@ def test_check_beyond_the_oracle_bound_takes_the_rank_verdict(capsys, monkeypatc
                  "--budget", str(1 << 15)]) == 3
 
 
+def test_surface_takes_the_rank_verdict_beyond_the_oracle_bound(capsys, monkeypatch):
+    def no_oracle(*args):
+        raise AssertionError("the definition oracle ran beyond CHECK_ORACLE_N_MAX")
+
+    monkeypatch.setattr(cli, "CHECK_ORACLE_N_MAX", 6)
+    monkeypatch.setattr(kernels, "planar_check_table", no_oracle)
+    code, out = run(capsys, "surface", "--family", "P1", "--m", "4", "--coeffs", "3")
+    rep = json.loads(out)
+    assert code == 0 and rep["n"] == 8
+    assert rep["planar"] is True and rep["orbit_has_zero"] is False
+
+
 def test_check_runs_the_oracle_up_to_the_bound(capsys, monkeypatch):
     monkeypatch.setattr(cli, "CHECK_ORACLE_N_MAX", 6)
     for m, k, brute in ((2, 3, True), (7, 1, None)):  # f = 0 over GF(2^6), GF(2^7)
@@ -117,25 +129,49 @@ def test_sufficiency_budget_stops_the_parameter_listing(tmp_path, capsys, monkey
     assert sum(blocks) < 4096 ** 2 // 2 and sum(blocks) > 1 << 22
 
 
+def _digest_without_version(tmp_path, argv) -> str:
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    kept = b"".join(line for line in out.read_bytes().splitlines(keepends=True)
+                    if not line.startswith(b'  "version": '))
+    return hashlib.sha256(kept).hexdigest()
+
+
 # sha256 of audit report bytes without the "version" line, recorded at 0.9.0
 # (one DOPoly per parameter): they pin row order and tuple format, including
-# the shapeless grouping of SZ-generalized.
+# the layout of the shapeless SZ-generalized. Hu2 (shapeless, parameter-free)
+# was recorded at 0.10.0, before the shapeless sweep lost its own branch.
 GOLDEN_AUDITS = {
     ("P2", "2", "sufficiency"): "44e784a72410b2f7150af025ea02a769d109802d03df18cb5e7d11839600417c",
     ("P3", "3", "sufficiency"): "537195f1bae5d5248588d88697ab500feeda6da2f88df789a6ec4d3e07434122",
     ("SZ-generalized", "4", "sufficiency"):
         "fb6d400b1c524ecae326124fca6733a33eb23d480a33a582ce06e6bef689e67c",
     ("P3", "2", "converse"): "596cb23122223ab5bff159ca635f19af7f438431496ae6de6ff5eb348845c008",
+    ("Hu2", "3", "sufficiency"): "4904ee110ba46fa2785741166b1cee912450e81fb3dc9ab4ad7cece76e05213c",
 }
 
 
 @pytest.mark.parametrize("family, m, mode", list(GOLDEN_AUDITS))
 def test_audit_report_bytes_match_the_recorded_digest(tmp_path, family, m, mode):
-    out = tmp_path / "r.json"
-    assert main(["audit", "--family", family, "--m", m, "--mode", mode, "--out", str(out)]) == 0
-    kept = b"".join(line for line in out.read_bytes().splitlines(keepends=True)
-                    if not line.startswith(b'  "version": '))
-    assert hashlib.sha256(kept).hexdigest() == GOLDEN_AUDITS[family, m, mode]
+    argv = ["audit", "--family", family, "--m", m, "--mode", mode]
+    assert _digest_without_version(tmp_path, argv) == GOLDEN_AUDITS[family, m, mode]
+
+
+# sha256 of surface report bytes without the "version" line, recorded at
+# 0.10.0, when build_G still spelled out every companion term by hand.
+GOLDEN_SURFACES = {
+    ("P1", "3", "5"): "bbfe1daffe09ae0390053186cf12b10319378e6c1b564d080ae45aa9462cea65",
+    ("P2", "2", "1f,3d"): "e79d05fe3015cbf0c0b81926138504a0e2a2114a89ad3d290aec838616e75232",
+    ("P3", "2", "b"): "3cd82e508a050da837af91b86d449f433bae01b097f2f7220699a5babcf5b93e",
+    ("P4a", "2", "89"): "02b7abac3f17b123d8a3042270c2c847cdb721e2616a0f4adf206b752d73a6c2",
+    ("P4b", "2", "8e"): "17cfe249cf84f3e0588bb262a7aae6913a61082c7c2bd73625563d6672192791",
+}
+
+
+@pytest.mark.parametrize("family, m, coeffs", list(GOLDEN_SURFACES))
+def test_surface_report_bytes_match_the_recorded_digest(tmp_path, family, m, coeffs):
+    argv = ["surface", "--family", family, "--m", m, "--coeffs", coeffs]
+    assert _digest_without_version(tmp_path, argv) == GOLDEN_SURFACES[family, m, coeffs]
 
 
 def test_surface_p1_factor_recovery(capsys):
@@ -290,6 +326,22 @@ def test_flags_a_subcommand_does_not_use_are_rejected():
     assert main(["audit", "--family", "P1", "--m", "2", "--seed", "1"]) == 1
     assert main(["semifield", "--family", "P1", "--coeffs", "2", "--m", "2",
                  "--budget", "10"]) == 1
+    # out-of-range counts
+    assert main(["problem27", "--m", "3", "--support", "-1"]) == 1
+    assert main(["problem27", "--m", "2", "--threads", "0"]) == 1
+    assert main(["audit", "--family", "P1", "--m", "2", "--threads", "-4"]) == 1
+    assert main(["audit", "--family", "P1", "--m", "2", "--threads", "0"]) == 1
+    assert main(["audit", "--family", "P1", "--m", "2", "--budget", "-5"]) == 1
+    assert main(["check", "--terms", "(1,0,1)", "--m", "1", "--k", "2", "--budget", "-1"]) == 1
+    assert main(["surface", "--family", "P1", "--coeffs", "2", "--m", "2",
+                 "--budget", "-5"]) == 1
+
+
+def test_the_parser_is_built_once(tmp_path):
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["fields", "--max-n", "2", "--out", str(tmp_path / "f.json")]) == 0
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_choices_and_default_k_come_from_the_registry(monkeypatch):

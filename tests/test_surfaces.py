@@ -8,9 +8,9 @@ from hypothesis.extra.numpy import arrays
 import planar2 as p2
 from planar2 import surfaces
 from planar2.fields import BudgetError
-from planar2.planar import (DOPoly, FamilyParams, criterion_table_k2,
+from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_table_k2,
                             criterion_table_k3, criterion_table_k4, criterion_lists,
-                            family_coeffs, family_param_space)
+                            family_coeffs, family_param_space, family_shape)
 from planar2.surfaces import (LinearForm, MvPoly, build_G, count_points_affine,
                               count_points_projective, divmod_linear, eval_orbit,
                               langweil_check, langweil_rhs, linear_factor_search,
@@ -122,6 +122,22 @@ def test_build_G_trivial_cases():
     assert g2 == g3
 
 
+@pytest.mark.parametrize("fam, m, generators", [
+    ("P1", 2, 3), ("P1", 3, 3), ("P2", 2, 4), ("P3", 2, 3), ("P4a", 2, 6), ("P4b", 2, 6)])
+def test_companion_is_orbit_generators_closed_under_conjugation(fam, m, generators):
+    rec = REGISTRY[fam]
+    t = p2.tower(m, rec.k)
+    rng = np.random.default_rng(m)
+    assert REGISTRY["P4a"].companion is REGISTRY["P4b"].companion
+    for _ in range(10):
+        cs = [int(c) for c in rng.integers(1, t.spec.order, len(family_shape(fam, t)))]
+        assert len(rec.companion(t, cs)) == generators
+        f = DOPoly(t, [(c, u, v) for c, (u, v) in zip(cs, family_shape(fam, t))])
+        g = build_G(f, t, shape=fam)
+        for exps, c in g.terms.items():  # X_i -> X_(i+1), c -> c^q maps G to itself
+            assert g.terms[exps[-1:] + exps[:-1]] == t.spec.frob(c, m)
+
+
 def test_build_G_rejects_wrong_shape():
     t3 = p2.tower(2, 3)
     f = DOPoly(t3, [(1, 0, 1)])
@@ -131,22 +147,24 @@ def test_build_G_rejects_wrong_shape():
 
 def test_orbit_values_match_criterion_tables():
     rng = np.random.default_rng(0)
-    t2 = p2.tower(2, 2)
-    for _ in range(40):
-        a, b = (int(v) for v in rng.integers(0, 16, 2))
-        f = DOPoly(t2, [(a, 0, 2), (b, 1, 3)])
-        g = build_G(f, t2, shape="P1")
-        assert np.array_equal(orbit_value_table(g, t2), criterion_table_k2([a, b], t2))
-    t3 = p2.tower(2, 3)
-    for shape, exps in (("P2", [(0, 2), (2, 4), (0, 4)]),
-                        ("P3", [(1, 3), (3, 5), (1, 5)])):
+    for m in (2, 3):
+        t2 = p2.tower(m, 2)
         for _ in range(40):
-            cs = [int(v) for v in rng.integers(0, 64, 3)]
-            f = DOPoly(t3, [(cs[i], *exps[i]) for i in range(3)])
-            g = build_G(f, t3, shape=shape)
-            c1, c2 = criterion_lists(f)
-            assert np.array_equal(orbit_value_table(g, t3),
-                                  criterion_table_k3(c1, c2, t3))
+            a, b = (int(v) for v in rng.integers(0, t2.spec.order, 2))
+            f = DOPoly(t2, [(a, 0, m), (b, 1, m + 1)])
+            g = build_G(f, t2, shape="P1")
+            (c1,) = criterion_lists(f)
+            assert np.array_equal(orbit_value_table(g, t2), criterion_table_k2(c1, t2))
+        t3 = p2.tower(m, 3)
+        for shape in ("P2", "P3"):
+            exps = family_shape(shape, t3)
+            for _ in range(40):
+                cs = [int(v) for v in rng.integers(0, t3.spec.order, 3)]
+                f = DOPoly(t3, [(c, u, v) for c, (u, v) in zip(cs, exps)])
+                g = build_G(f, t3, shape=shape)
+                c1, c2 = criterion_lists(f)
+                assert np.array_equal(orbit_value_table(g, t3),
+                                      criterion_table_k3(c1, c2, t3))
     t4 = p2.tower(2, 4)
     for _ in range(25):
         a, b, c = (int(v) for v in rng.integers(0, 256, 3))
