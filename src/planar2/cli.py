@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -52,8 +53,46 @@ def _emit(args, payload: str):
         sys.stdout.write(payload)
 
 
+_SEP = "\x00"  # never in the C encoder's output: ensure_ascii escapes control characters
+_SCALARS = {str, int, float, bool, type(None)}
+_quote = json.encoder.encode_basestring_ascii  # a key as json writes it; a non-str key raises
+_LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+           type(None): lambda _: "null"}
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=2).encode
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for str-keyed objects, at
+    the indentation that pad (a newline and spaces) gives, in the same
+    bytes. With indent, json runs its pure-Python encoder, slow on a
+    report's rows; here dicts are walked, and a nonempty list of scalars or
+    a table (a nonempty list of nonempty lists of scalars) is one call of
+    the C encoder: the table with _SEP between items, which then become
+    the row boundaries "]" _SEP "[" and the cell separators. Anything else
+    goes to json's indenting encoder, whose literal newlines are all
+    structural."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{inner}{_quote(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + ",".join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        types = set(map(type, obj))
+        if types <= _SCALARS:
+            return f"[{inner}{json.dumps(obj, separators=(',' + inner, ': '))[1:-1]}{pad}]"
+        if (types <= {list, tuple} and all(obj)
+                and set(map(type, itertools.chain.from_iterable(obj))) <= _SCALARS):
+            cell = inner + "  "
+            body = json.dumps(obj, separators=(_SEP, ": "))[2:-2]
+            body = body.replace(f"]{_SEP}[", f"{inner}],{inner}[{cell}").replace(_SEP, "," + cell)
+            return f"[{inner}[{cell}{body}{inner}]{pad}]"
+    return _INDENTED(obj).replace("\n", pad)
+
+
 def _emit_json(args, obj: dict):
-    _emit(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _emit(args, _json(obj) + "\n")
 
 
 def _family_poly(args, t) -> DOPoly:

@@ -8,11 +8,23 @@ bijection for every nonzero a. Two independent implementations decide it:
     and GF(2)-bilinear, and the difference map at a is B(a, .) plus a
     constant, so f is planar iff the n x n GF(2) matrix
     M_a = [B(a, e_j)]_j is nonsingular for every a != 0. The kernel
-    evaluates each monomial only at the points of weight <= 2, builds every
-    M_a from the n rows B(e_i, .) by doubling, and tests the matrices by
-    batched elimination: about 2^n * n^2 operations per row.
-    nonsingular_form runs the same test on one form given by its basis
-    values, such as a presemifield's structure constants.
+    evaluates each monomial only at the points of weight <= 2, builds the
+    M_a from n rows B(b_i, .) by doubling, and tests the matrices by
+    batched elimination. Only one a per coset of GF(2^s)* needs a test,
+    for s = gcd(n, v - u over the terms x^(2^u + 2^v)): lambda^(2^u) =
+    lambda^(2^v) for lambda in GF(2^s), so B(lambda*a, x) = B(a, lambda*x)
+    term by term and for a*x, and M_(lambda*a) is M_a times the invertible
+    matrix of x -> lambda*x. In a GF(2)-basis b of GF(2^n) made of groups
+    w_j*beta_0 .. w_j*beta_(s-1), beta a basis of GF(2^s) with beta_0 = 1
+    and b_0 = 1, one a per coset is exactly an a whose top nonzero group
+    of coordinates is (1, 0, .., 0): coordinates a' in [2^(js), 2^(js+1)).
+    So a row costs about (2^n - 1)/(2^s - 1) * n^2 operations instead of
+    2^n * n^2. Every family of the paper lives over GF(q^k), q = 2^m, with
+    u = v (mod m) in each term, so s >= m and at most (q^k - 1)/(q - 1)
+    matrices are tested.
+    nonsingular_form runs the test, over every a, on one form given by its
+    basis values, such as a presemifield's structure constants, which
+    carry no exponents.
   * planar_check_table, the definition on a full value table, for any f.
     D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2, so D_a
     is a bijection iff min(v, v + a^2) takes distinct values on a
@@ -27,6 +39,7 @@ Both are vectorized numpy; there is no other backend.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -162,9 +175,60 @@ def _monomial_forms(spec, exponents) -> np.ndarray:
     return forms
 
 
+def _scaling_degree(n: int, exponents) -> int:
+    """s = gcd(n, v - u over the exponents x^(2^u + 2^v) of binary weight 2
+    mod 2^n - 1, an exponent e > 0 with e = 0 mod 2^n - 1 reading as
+    2^n - 1): every lambda in GF(2^s)* then has lambda^(2^u) = lambda^(2^v)
+    in each term. Exponents of weight <= 1 add no term to B."""
+    p1, s = (1 << n) - 1, n
+    for e in exponents:
+        r = (e % p1 or p1) if e and p1 > 1 else 0
+        if bin(r).count("1") == 2:
+            s = math.gcd(s, r.bit_length() - (r & -r).bit_length())
+    return s
+
+
+def _coset_basis(spec, s: int) -> list[int]:
+    """A GF(2)-basis of GF(2^n) in n/s groups w_j*beta_0 .. w_j*beta_(s-1):
+    beta_l = g^l for a generator g of GF(2^s)*, w_0 = 1, and each later w_j
+    the first e_i outside the GF(2^s)-span of the groups before it. So
+    index 0 is 1, and the a whose top coordinate is a multiple of s, with
+    no other coordinate of its group set, are one per GF(2^s)*-coset."""
+    n = spec.n
+    g = int(spec.exp[(spec.order - 1) // ((1 << s) - 1)])
+    beta = [spec.pow(g, l) for l in range(s)]
+    basis, span = [], {}  # span: top bit -> vector, an XOR basis of the groups so far
+
+    def reduce(x):
+        while x and x.bit_length() - 1 in span:
+            x ^= span[x.bit_length() - 1]
+        return x
+
+    for w in (1 << i for i in range(n)):
+        if reduce(w):  # w is outside the span, a GF(2^s)-space: its whole group is too
+            for b in beta:
+                basis.append(spec.mul(w, b))
+                y = reduce(basis[-1])
+                span[y.bit_length() - 1] = y
+    return basis
+
+
+@functools.lru_cache(maxsize=256)
+def _sweep_forms(spec, exponents: tuple) -> tuple[int, np.ndarray]:
+    """(s, forms) for planar_sweep: s = _scaling_degree, and
+    forms[t, i, j] = B_t(b_i, e_j) for the _coset_basis b of s, the last
+    slice b_i * e_j; a GF(2)-transform of _monomial_forms. Read-only."""
+    forms = _monomial_forms(spec, exponents)
+    s = _scaling_degree(spec.n, exponents)
+    bits = [[l for l in range(spec.n) if b >> l & 1] for b in _coset_basis(spec, s)]
+    adapted = np.stack([np.bitwise_xor.reduce(forms[:, ls], axis=1) for ls in bits], axis=1)
+    adapted.setflags(write=False)
+    return s, adapted
+
+
 def _basis_rows(spec, forms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """B[r, i, j] = B(e_i, e_j) for the polynomial of coefficient row r, for
-    the i that forms covers."""
+    """B[r, i, j] = B(b_i, e_j) for the polynomial of coefficient row r, for
+    the a-side basis elements b_i that forms covers."""
     mono, cross = forms[:-1], forms[-1]
     acc = np.empty((coeffs.shape[0],) + cross.shape, dtype=spec.dtype)
     acc[:] = cross
@@ -204,22 +268,27 @@ def _full_rank(cols: np.ndarray) -> np.ndarray:
     return (pivots != 0).all(axis=0)
 
 
-def _nonsingular(brows: np.ndarray, a0: int, bits: int) -> np.ndarray:
-    """True for each row r of brows (brows[r, i] = B(e_i, .) as n integers)
-    whose M_a is nonsingular for every nonzero a in [a0, a0 + 2^bits), a0 a
-    multiple of 2^bits."""
+def _nonsingular(brows: np.ndarray, a0: int, bits: int, s: int = 1) -> np.ndarray:
+    """True for each row r of brows (brows[r, i] = B(b_i, .) as n integers,
+    for an a-side basis b) whose M_a is nonsingular for every a = sum a'_i b_i
+    with a' in [a0, a0 + 2^bits), a0 a multiple of 2^bits. From a0 = 0 only
+    the a' != 0 whose top bit is a multiple of s are tested."""
     nrows, _, n = brows.shape
+    if a0 == 0:  # a' in [2^k, 2^(k+1)) for k = 0, s, 2s, ..., from a table over k + 1 bits
+        tops = range(0, bits, s)
+        bits = tops[-1] + 1
     cols = np.empty((n, nrows, 1 << bits), dtype=brows.dtype)
     high = np.zeros((nrows, n), dtype=brows.dtype)
     for i in range(bits, a0.bit_length()):
         if a0 >> i & 1:
             high ^= brows[:, i]
     cols[:, :, 0] = high.T
-    for i in range(bits):  # doubling: M_(r + 2^i) = M_r ^ B(e_i, .)
+    for i in range(bits):  # doubling: M_(a' + 2^i) = M_a' ^ B(b_i, .)
         h = 1 << i
         np.bitwise_xor(cols[:, :, :h], brows[:, i].T[:, :, None], out=cols[:, :, h:2 * h])
-    if a0 == 0:  # a = 0 is no difference
-        cols = cols[:, :, 1:]
+    if a0 == 0:  # a' = 0 is no difference; nor, for s > 1, is a' outside the tops
+        cols = cols[:, :, 1:] if s == 1 else cols[:, :, np.concatenate(
+            [np.arange(1 << k, 2 << k) for k in tops])]
     ok = _full_rank(cols.reshape(n, -1))
     return ok.reshape(nrows, -1).all(axis=1)
 
@@ -239,27 +308,39 @@ def planar_sweep(spec, exponents: list[int], coeffs: np.ndarray) -> np.ndarray:
 
     Row r encodes f(x) = sum_t coeffs[r, t] * x^exponents[t]; every exponent
     must be a Dembowski-Ostrom one (binary weight <= 2 mod 2^n - 1, or 0).
-    Rows go in blocks of 2^14. Each block tests a < 2^k0 first, then
-    a in [2^k, 2^(k+1)) for k = k0 .. n-1, and only the rows that pass a
-    stage go on to the next: most non-planar rows fail at small a. k0 is 1
-    for a full block and larger for a smaller one, up to n for a single
-    row, so that the first stage fills one rank call. A rank call holds at
-    most 2^14 matrices: several rows while 2^k is small, one row and a
-    slice of the stage when 2^k is larger.
+
+    Only one a per coset of GF(2^s)* is tested, s = _scaling_degree. Each
+    term x^(2^u + 2^v) has s | v - u, so lambda^(2^u) = lambda^(2^v) for
+    lambda in GF(2^s), and B_t(lambda*a, x) = lambda^(2^u) * B_t(a, x) =
+    B_t(a, lambda*x); so does a*x. Hence B(lambda*a, .) = B(a, .) o lambda,
+    and M_(lambda*a) is singular iff M_a is. In the coordinates a' of
+    _coset_basis, a = sum_j mu_j w_j with mu_j in GF(2^s); scaling by
+    1/mu_J for the top nonzero mu_J leaves mu_J = 1, which is a' in
+    [2^k, 2^(k+1)) for k = J*s: (2^n - 1)/(2^s - 1) values of a instead of
+    2^n - 1 (17 for P1 at m=4, 73 for P3 at m=3). s = 1 tests every a.
+
+    Rows go in blocks of 2^14. Each block tests the a' < 2^k0 first (a = 1
+    first of all), then a' in [2^k, 2^(k+1)) for k = k0 .. n-1 with s | k,
+    and only the rows that pass a stage go on to the next: most non-planar
+    rows fail at small a. k0 is 1 for a full block and larger for a smaller
+    one, up to n for a single row, so that the first stage fills one rank
+    call. A rank call holds at most 2^14 matrices: several rows while 2^k
+    is small, one row and a slice of the stage when 2^k is larger. The rows
+    B(b_i, .) are built per stage, for the bits that stage adds.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
     n = spec.n
-    forms = _monomial_forms(spec, exponents)
+    s, forms = _sweep_forms(spec, tuple(map(int, exponents)))
     cap = 1 << _BLOCK_BITS
     out = np.zeros(coeffs.shape[0], dtype=bool)
     for r0 in range(0, coeffs.shape[0], cap):
         rows = np.arange(r0, min(r0 + cap, coeffs.shape[0]))
         brows = np.zeros((rows.size, 0, n), dtype=spec.dtype)
-        # the first stage, a < 2^k0, fills one rank call; then one stage per doubling
+        # the first stage, a' < 2^k0, fills one rank call; then one stage per doubling
         k0 = min(n, max(1, _BLOCK_BITS - (rows.size - 1).bit_length()))
-        bounds = [0] + [1 << k for k in range(k0, n + 1)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            # B(e_i, .) for the new bits of a, for the rows still alive
+        stages = [(0, 1 << k0)] + [(1 << k, 2 << k) for k in range(k0, n) if k % s == 0]
+        for lo, hi in stages:
+            # B(b_i, .) for the new bits of a', for the rows still alive
             extra = _basis_rows(spec, forms[:, brows.shape[1]:hi.bit_length() - 1],
                                 coeffs[rows])
             brows = np.concatenate([brows, extra], axis=1)
@@ -269,7 +350,7 @@ def planar_sweep(spec, exponents: list[int], coeffs: np.ndarray) -> np.ndarray:
             for s0 in range(0, rows.size, per_call):
                 sub = np.arange(s0, min(s0 + per_call, rows.size))
                 for a0 in range(lo, hi, 1 << bits):
-                    sub = sub[_nonsingular(brows[sub], a0, bits)]
+                    sub = sub[_nonsingular(brows[sub], a0, bits, s)]
                     if not sub.size:
                         break
                 kept.append(sub)

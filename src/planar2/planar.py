@@ -485,9 +485,9 @@ REGISTRY = {f.tag: f for f in (
            tower_msg="this binomial family needs m != 1 (mod 3)"),
     Family("Knuth", None,
            lambda t: [(1, 0, 1), (1, 1, 1)] + [(1, 1, j) for j in range(2, t.k)], arity=0,
-           tower_ok=lambda m, k: m == 1 and k % 2 == 1,
+           tower_ok=lambda m, k: m == 1 and k % 2 == 1 and k >= 3,
            tower_msg="the binary-semifield companion is viewed over GF(2) (m=1) "
-                     "with odd degree k"),
+                     "with odd degree k >= 3 (at k=1 its two terms cancel)"),
 )}
 
 FAMILIES = tuple(REGISTRY)

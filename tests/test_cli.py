@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planar2 import cli, kernels, planar, semifields, surfaces
 from planar2.cli import main
@@ -157,6 +158,27 @@ def test_audit_report_bytes_match_the_recorded_digest(tmp_path, family, m, mode)
     assert _digest_without_version(tmp_path, argv) == GOLDEN_AUDITS[family, m, mode]
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_JSON_VALUES)
+def test_report_writer_matches_json_dumps(obj):
+    # lists of scalars and tables take the C encoder, dicts are walked, the rest
+    # goes to json's indenting encoder
+    assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_report_writer_matches_json_dumps_on_tables():
+    rows = [["1f", 0, None], ("a]\x00[b", True, 1.5), [float("nan")], ["\u00e9"]]
+    for obj in ({"planar": rows, "extras": [], "tested": 3}, [rows, [[]], [[], [1]]]):
+        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
 # sha256 of surface report bytes without the "version" line, recorded at
 # 0.10.0, when build_G still spelled out every companion term by hand.
 GOLDEN_SURFACES = {
@@ -301,6 +323,13 @@ def test_fields_table(capsys):
 
 def test_knuth_family_needs_explicit_k():
     assert main(["semifield", "--family", "Knuth", "--m", "1"]) == 1
+
+
+@pytest.mark.parametrize("command", ["audit", "semifield"])
+def test_knuth_family_rejects_degree_one(capsys, command):
+    # over GF(2) both Knuth terms fold onto one exponent and cancel: the zero function
+    assert main([command, "--family", "Knuth", "--m", "1", "--k", "1"]) == 1
+    assert "odd degree k >= 3" in capsys.readouterr().err
 
 
 def test_knuth_family_with_explicit_k(capsys):

@@ -122,6 +122,46 @@ def test_batched_rows_straddling_blocks_match_the_oracle(batch, bits):
     assert kernels.planar_sweep(spec, exps, rows).tolist() == want
 
 
+@st.composite
+def scaled_batches(draw):
+    """Rows on a random exponent set over GF(2^n), n = 1..8, whose terms
+    x^(2^u + 2^v) mostly have v - u a multiple of a divisor d < n of n, so that
+    the sweep's scaling degree s is often > 1, plus additive (weight 1) and
+    constant (zero) exponents, exponents beyond 2^n - 1, and x^3 and x^6 over
+    GF(4), whose exponents are = 0 mod 2^n - 1. Zero rows and rows with one
+    live term keep planar rows in the batch."""
+    n = draw(st.integers(1, 8) | st.sampled_from([4, 6, 8]))  # 1 < s < n needs n composite
+    d = draw(st.sampled_from([d for d in range(1, max(2, n)) if n % d == 0]))
+    u = st.integers(0, 2 * n - 1)
+    gapped = st.tuples(u, st.integers(min(1, n // d - 1), n // d - 1)).map(
+        lambda uj: (1 << uj[0]) + (1 << (uj[0] + d * uj[1])))
+    free = st.tuples(u, u).map(lambda uv: (1 << uv[0]) + (1 << uv[1]))
+    edge = st.sampled_from([0, 1, 2, 1 << n] + ([3, 6] if n == 2 else []))
+    exps = draw(st.lists(st.one_of(gapped, gapped, free, edge), min_size=1, max_size=4))
+    coeff = st.integers(0, (1 << n) - 1)
+    rows = draw(st.lists(st.lists(coeff, min_size=len(exps), max_size=len(exps)),
+                         min_size=1, max_size=24))
+    rows.append([0] * len(exps))
+    rows.append([0] * (len(exps) - 1) + [draw(coeff)])
+    return p2.field(n), exps, np.array(draw(st.permutations(rows)), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(scaled_batches(), st.sampled_from([None, 2, 3, 4]))
+def test_sweep_over_coset_representatives_matches_the_oracle(batch, bits):
+    spec, exps, rows = batch
+    want = [row_oracle(spec, exps, row) for row in rows]
+    if bits is None:
+        got = kernels.planar_sweep(spec, exps, rows)
+    else:
+        with block_bits(bits):  # rank calls of 2^bits matrices: stages split over rows and a
+            got = kernels.planar_sweep(spec, exps, rows)
+    assert got.tolist() == want
+    s = kernels._scaling_degree(spec.n, exps)
+    event(f"s={'1' if s == 1 else 'n' if s == spec.n else '1<s<n'} "
+          f"verdicts={'mixed' if 0 < sum(want) < len(want) else 'one'}")
+
+
 def _do_exponents(n):
     return st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(
         lambda uv: (1 << uv[0]) + (1 << uv[1]))

@@ -183,6 +183,32 @@ def test_known_planar_tables_pass_both_backends():
     assert kernels.planar_sweep(spec, [1 + 8], np.array(cs)[:, None]).all()
 
 
+@pytest.mark.parametrize("fam,m,k,matrices", [("P1", 4, 2, 17), ("P3", 3, 3, 73)])
+def test_planar_row_tests_one_a_per_subfield_coset(monkeypatch, fam, m, k, matrices):
+    # every term has v - u = 0 mod m, so one a per coset of GF(2^m)* decides:
+    # (2^n - 1)/(2^m - 1) matrices, not 2^n - 1, and all in one rank call
+    t = p2.tower(m, k)
+    f = planar.family_coeffs(FamilyParams(fam, (t.fe(3),), t))
+    calls = []
+    real = kernels._full_rank
+
+    def counted(cols):
+        calls.append(cols.shape[1])
+        return real(cols)
+
+    monkeypatch.setattr(kernels, "_full_rank", counted)
+    assert p2.is_planar_linearized(f)
+    assert calls == [matrices] == [(t.spec.order - 1) // (t.q - 1)]
+
+
+def test_scaling_degree_reads_exponents_mod_the_group_order():
+    assert kernels._scaling_degree(8, [1 + 16, 2 + 32]) == 4  # P1 at m=4
+    assert kernels._scaling_degree(2, [3]) == 1  # x^3 over GF(4): 3 = 0 reads as 2^2 - 1
+    assert kernels._scaling_degree(6, [0, 4, 1 + 8]) == 3  # weight <= 1 adds nothing
+    assert kernels._scaling_degree(6, [1 + (1 << 9)]) == 3  # 2^9 = 2^3 mod 63
+    assert kernels._scaling_degree(1, [3]) == 1
+
+
 def test_sweep_rejects_exponents_outside_do_form():
     with pytest.raises(ValueError, match="Dembowski-Ostrom"):
         kernels.planar_sweep(p2.field(4), [7], np.ones((1, 1), dtype=np.int64))
