@@ -51,9 +51,9 @@ def _gf2x_mul(a: int, b: int) -> int:
 
 
 def _gf2x_mod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm and a:
-        a ^= m << (a.bit_length() - 1 - dm)
+    dm = m.bit_length()
+    while (da := a.bit_length()) >= dm:
+        a ^= m << (da - dm)
     return a
 
 
@@ -141,17 +141,7 @@ class FieldSpec:
     # -- table construction --------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
-        mask = self.order
-        mod = self.modulus
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & mask:
-                a ^= mod
-        return r
+        return _gf2x_mod(_gf2x_mul(a, b), self.modulus)
 
     def _is_generator(self, g: int) -> bool:
         # g generates iff g^((N-1)/p) != 1 for every prime p | N-1
@@ -182,17 +172,12 @@ class FieldSpec:
         chain = np.zeros(p1, dtype=np.int64)
         chain[0] = 1
         k = 1
-        while k < p1:  # chain[k:2k] = chain[:k] * g^k, by shift-and-xor over the array
-            src = chain[:min(k, p1 - k)]
-            acc = np.zeros_like(src)
-            c = self._pow_raw(g, k)
-            while c:
-                if c & 1:
-                    acc ^= src
-                c >>= 1
-                src = src << 1
-                src ^= (src >> self.n) * self.modulus
-            chain[k:k + acc.size] = acc
+        while k < p1:  # chain[k:2k] = chain[:k] * g^k: the products e_i * g^k over the bits i
+            src, dst = chain[:min(k, p1 - k)], chain[k:2 * k]
+            col = self._pow_raw(g, k)
+            for i in range(self.n):  # col = e_i * g^k
+                dst ^= (src >> i & 1) * col
+                col = _gf2x_mod(col << 1, self.modulus)
             k *= 2
         self.exp = np.zeros(4 * p1 + 1, dtype=self.dtype)  # a run of zeros past 2 periods
         self.exp[:p1] = self.exp[p1:2 * p1] = chain
@@ -543,10 +528,17 @@ class TowerView:
 
     # -- subsets -----------------------------------------------------------
 
+    def subfield_bits(self) -> np.ndarray:
+        """The q-subfield {x : x^q = x} as a sorted int64 array of element
+        bits: 0 and the powers of g^((q^k - 1)/(q - 1)), the subgroup of order
+        q - 1 of the cyclic group GF(q^k)*."""
+        p1 = self.spec.order - 1
+        units = self.spec.exp[:p1:p1 // (self.q - 1)]
+        return np.sort(np.concatenate([[0], units]).astype(np.int64))
+
     def subfield_members(self) -> set[Fe]:
         """All x with x^q = x; exactly q of them."""
-        return {Fe(b, self.spec) for b in range(self.spec.order)
-                if self.spec.frob(b, self.m) == b}
+        return {Fe(b, self.spec) for b in self.subfield_bits().tolist()}
 
     def mu_set(self) -> set[Fe]:
         """Norm-1 elements {d : d^((q^k-1)/(q-1)) = 1}; size that quotient."""
@@ -584,22 +576,14 @@ class TowerView:
 
     def _embedding(self):
         if self._embed is None:
-            base = self.base_field()
-            root = None
-            for cand in sorted(x.bits for x in self.subfield_members()):
-                acc = 0
-                p = base.modulus
-                i = 0
-                while p:
-                    if p & 1:
-                        acc ^= self.spec.pow(cand, i)
-                    p >>= 1
-                    i += 1
-                if acc == 0:
-                    root = cand
-                    break
-            if root is None:
+            cands, modulus = self.subfield_bits(), self.base_field().modulus
+            value = np.zeros_like(cands)  # the base modulus at every candidate, by Horner
+            for i in range(modulus.bit_length() - 1, -1, -1):
+                value = vec_mul(self.spec, value, cands) ^ (modulus >> i & 1)
+            roots = cands[value == 0]
+            if not roots.size:
                 raise RuntimeError("base modulus must split in its own subfield")
+            root = int(roots[0])
             fwd = np.zeros(1, dtype=np.int64)
             for i in range(self.m):  # fwd[b] = sum of root^i over the bits i of b
                 fwd = np.concatenate([fwd, fwd ^ self.spec.pow(root, i)])

@@ -3,28 +3,21 @@
 A function f on GF(2^n) is planar when x -> f(x+a) + f(x) + a*x is a
 bijection for every nonzero a. Two independent implementations decide it:
 
-  * planar_sweep, the production kernel, for Dembowski-Ostrom (DO)
-    polynomials. B(a, x) = f(a+x) + f(a) + f(x) + f(0) + a*x is symmetric
-    and GF(2)-bilinear, and the difference map at a is B(a, .) plus a
+  * the rank test, for Dembowski-Ostrom (DO) polynomials.
+    B(a, x) = f(a+x) + f(a) + f(x) + f(0) + a*x is symmetric and
+    GF(2)-bilinear, and the difference map at a is B(a, .) plus a
     constant, so f is planar iff the n x n GF(2) matrix
-    M_a = [B(a, e_j)]_j is nonsingular for every a != 0. The kernel
-    evaluates each monomial only at the points of weight <= 2, builds the
-    M_a from n rows B(b_i, .) by doubling, and tests the matrices by
-    batched elimination. Only one a per coset of GF(2^s)* needs a test,
-    for s = gcd(n, v - u over the terms x^(2^u + 2^v)): lambda^(2^u) =
-    lambda^(2^v) for lambda in GF(2^s), so B(lambda*a, x) = B(a, lambda*x)
-    term by term and for a*x, and M_(lambda*a) is M_a times the invertible
-    matrix of x -> lambda*x. In a GF(2)-basis b of GF(2^n) made of groups
-    w_j*beta_0 .. w_j*beta_(s-1), beta a basis of GF(2^s) with beta_0 = 1
-    and b_0 = 1, one a per coset is exactly an a whose top nonzero group
-    of coordinates is (1, 0, .., 0): coordinates a' in [2^(js), 2^(js+1)).
-    So a row costs about (2^n - 1)/(2^s - 1) * n^2 operations instead of
-    2^n * n^2. Every family of the paper lives over GF(q^k), q = 2^m, with
-    u = v (mod m) in each term, so s >= m and at most (q^k - 1)/(q - 1)
-    matrices are tested.
-    nonsingular_form runs the test, over every a, on one form given by its
-    basis values, such as a presemifield's structure constants, which
-    carry no exponents.
+    M_a = [B(a, e_j)]_j is nonsingular for every a != 0. This module is
+    the only one that knows how a DO polynomial becomes that test's
+    input. One form builder, _monomial_forms, gathers B_t(b_i, e_j) for
+    each monomial from the log tables, for any a-side basis b; one stage
+    loop, _stage_sweep, builds the M_a from the rows B(b_i, .) by
+    doubling and tests them by batched elimination, stage by stage with
+    early exit. planar_sweep runs it on many coefficient rows and tests
+    one a per coset of GF(2^s)* (see there), at most (q^k - 1)/(q - 1)
+    matrices for the families of the paper; nonsingular_form runs it on
+    one form's basis values (bilinear_form), such as a presemifield's
+    structure constants, over every a.
   * planar_check_table, the definition on a full value table, for any f.
     D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2, so D_a
     is a bijection iff min(v, v + a^2) takes distinct values on a
@@ -152,37 +145,44 @@ def planar_check_table(spec, fvals: np.ndarray) -> bool:
 # Production kernel: GF(2)-rank of the bilinear form
 # ---------------------------------------------------------------------------
 
-def _monomial_forms(spec, exponents) -> np.ndarray:
-    """forms[t, i, j] = B_t(e_i, e_j) for the monomial x^exponents[t], where
-    B_t(a, x) = (a+x)^e + a^e + x^e + 0^e; the last slice holds e_i * e_j."""
+def reduced_exponent(n: int, e: int) -> int:
+    """The exponent of x^e as a function on GF(2^n): e mod 2^n - 1, with a
+    positive multiple of 2^n - 1 read as 2^n - 1 (not x^0), every e != 0 as 1
+    over GF(2), and 0 as 0. x^e is Dembowski-Ostrom iff it has weight <= 2."""
+    p1 = (1 << n) - 1
+    return (e % p1 or p1) if e and p1 > 1 else int(e != 0)
+
+
+def _monomial_forms(spec, exponents, basis) -> np.ndarray:
+    """forms[t, i, j] = B_t(b_i, e_j) for the monomial x^exponents[t] and the
+    a-side basis b, where B_t(a, x) = (a+x)^e + a^e + x^e + 0^e; the last
+    slice holds b_i * e_j. Gathers from the log tables at the len(b) x n
+    points b_i + e_j, so any basis costs the same as the standard one."""
     n, p1 = spec.n, spec.order - 1
-    for e in exponents:
-        r = e % p1 if p1 > 1 else 1
-        if e and bin(r or p1).count("1") > 2:
-            raise ValueError(f"x^{e} is not a Dembowski-Ostrom monomial over GF(2^{n})")
-    basis = [1 << i for i in range(n)]
-    forms = np.zeros((len(exponents) + 1, n, n), dtype=np.int64)
-    for t, e in enumerate(exponents):
-        pw = [spec.pow(b, e) for b in basis]
-        zero = spec.pow(0, e)
-        for i in range(n):
-            for j in range(i + 1, n):
-                forms[t, i, j] = forms[t, j, i] = (
-                    spec.pow(basis[i] ^ basis[j], e) ^ pw[i] ^ pw[j] ^ zero)
-    for i in range(n):
-        for j in range(n):
-            forms[-1, i, j] = spec.mul(basis[i], basis[j])
+    b = np.asarray(basis, dtype=np.int64)[:, None]
+    e = 1 << np.arange(n, dtype=np.int64)
+    points = (b ^ e, b, e)
+    logs = [spec.log[x] for x in points]
+    forms = np.empty((len(exponents) + 1, b.size, n), dtype=np.int64)
+    for t, exponent in enumerate(exponents):
+        r = reduced_exponent(n, exponent)
+        if bin(r).count("1") > 2:
+            raise ValueError(f"x^{exponent} is not a Dembowski-Ostrom monomial over GF(2^{n})")
+        zero = int(r == 0)  # 0^e
+        pab, pa, pb = (np.where(x != 0, spec.exp[lx * r % p1], zero)
+                       for x, lx in zip(points, logs))
+        forms[t] = pab ^ pa ^ pb ^ zero
+    forms[-1] = spec.exp[logs[1] + logs[2]]
     return forms
 
 
 def _scaling_degree(n: int, exponents) -> int:
-    """s = gcd(n, v - u over the exponents x^(2^u + 2^v) of binary weight 2
-    mod 2^n - 1, an exponent e > 0 with e = 0 mod 2^n - 1 reading as
-    2^n - 1): every lambda in GF(2^s)* then has lambda^(2^u) = lambda^(2^v)
+    """s = gcd(n, v - u over the reduced exponents 2^u + 2^v of binary
+    weight 2): every lambda in GF(2^s)* then has lambda^(2^u) = lambda^(2^v)
     in each term. Exponents of weight <= 1 add no term to B."""
-    p1, s = (1 << n) - 1, n
+    s = n
     for e in exponents:
-        r = (e % p1 or p1) if e and p1 > 1 else 0
+        r = reduced_exponent(n, e)
         if bin(r).count("1") == 2:
             s = math.gcd(s, r.bit_length() - (r & -r).bit_length())
     return s
@@ -215,15 +215,12 @@ def _coset_basis(spec, s: int) -> list[int]:
 
 @functools.lru_cache(maxsize=256)
 def _sweep_forms(spec, exponents: tuple) -> tuple[int, np.ndarray]:
-    """(s, forms) for planar_sweep: s = _scaling_degree, and
-    forms[t, i, j] = B_t(b_i, e_j) for the _coset_basis b of s, the last
-    slice b_i * e_j; a GF(2)-transform of _monomial_forms. Read-only."""
-    forms = _monomial_forms(spec, exponents)
+    """(s, forms) for planar_sweep: s = _scaling_degree, and the
+    _monomial_forms on the _coset_basis of s. Read-only."""
     s = _scaling_degree(spec.n, exponents)
-    bits = [[l for l in range(spec.n) if b >> l & 1] for b in _coset_basis(spec, s)]
-    adapted = np.stack([np.bitwise_xor.reduce(forms[:, ls], axis=1) for ls in bits], axis=1)
-    adapted.setflags(write=False)
-    return s, adapted
+    forms = _monomial_forms(spec, exponents, _coset_basis(spec, s))
+    forms.setflags(write=False)
+    return s, forms
 
 
 def _basis_rows(spec, forms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -236,6 +233,15 @@ def _basis_rows(spec, forms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     for t in range(mono.shape[0]):
         acc ^= spec.exp[spec.log[coeffs[:, t, None, None]] + logf[t]]
     return acc
+
+
+def bilinear_form(spec, exponents, coeffs) -> np.ndarray:
+    """brows[i, j] = B(e_i, e_j) on the standard basis, in spec's dtype, for
+    f = sum_t coeffs[t] * x^exponents[t] (DO exponents, one coefficient
+    row): nonsingular_form's input, and the structure constants e_i * e_j
+    of the presemifield x*y = xy + f(x+y) + f(x) + f(y)."""
+    forms = _monomial_forms(spec, exponents, [1 << i for i in range(spec.n)])
+    return _basis_rows(spec, forms, np.asarray(coeffs, dtype=np.int64).reshape(1, -1))[0]
 
 
 def _full_rank(cols: np.ndarray) -> np.ndarray:
@@ -268,7 +274,7 @@ def _full_rank(cols: np.ndarray) -> np.ndarray:
     return (pivots != 0).all(axis=0)
 
 
-def _nonsingular(brows: np.ndarray, a0: int, bits: int, s: int = 1) -> np.ndarray:
+def _nonsingular(brows: np.ndarray, a0: int, bits: int, s: int) -> np.ndarray:
     """True for each row r of brows (brows[r, i] = B(b_i, .) as n integers,
     for an a-side basis b) whose M_a is nonsingular for every a = sum a'_i b_i
     with a' in [a0, a0 + 2^bits), a0 a multiple of 2^bits. From a0 = 0 only
@@ -293,57 +299,32 @@ def _nonsingular(brows: np.ndarray, a0: int, bits: int, s: int = 1) -> np.ndarra
     return ok.reshape(nrows, -1).all(axis=1)
 
 
-def nonsingular_form(brows: np.ndarray) -> bool:
-    """True iff M_a = [B(a, e_j)]_j is nonsingular for every a != 0, for the
-    one bilinear form with basis values brows[i, j] = B(e_i, e_j): the rank
-    test of planar_sweep for a single row, 2^_BLOCK_BITS matrices per call.
-    On a presemifield's structure constants it says "no zero divisors"."""
-    n = brows.shape[0]
-    bits = min(n, _BLOCK_BITS)
-    return all(_nonsingular(brows[None], a0, bits)[0] for a0 in range(0, 1 << n, 1 << bits))
-
-
-def planar_sweep(spec, exponents: list[int], coeffs: np.ndarray) -> np.ndarray:
-    """Planarity mask for many coefficient rows of a fixed monomial shape.
-
-    Row r encodes f(x) = sum_t coeffs[r, t] * x^exponents[t]; every exponent
-    must be a Dembowski-Ostrom one (binary weight <= 2 mod 2^n - 1, or 0).
-
-    Only one a per coset of GF(2^s)* is tested, s = _scaling_degree. Each
-    term x^(2^u + 2^v) has s | v - u, so lambda^(2^u) = lambda^(2^v) for
-    lambda in GF(2^s), and B_t(lambda*a, x) = lambda^(2^u) * B_t(a, x) =
-    B_t(a, lambda*x); so does a*x. Hence B(lambda*a, .) = B(a, .) o lambda,
-    and M_(lambda*a) is singular iff M_a is. In the coordinates a' of
-    _coset_basis, a = sum_j mu_j w_j with mu_j in GF(2^s); scaling by
-    1/mu_J for the top nonzero mu_J leaves mu_J = 1, which is a' in
-    [2^k, 2^(k+1)) for k = J*s: (2^n - 1)/(2^s - 1) values of a instead of
-    2^n - 1 (17 for P1 at m=4, 73 for P3 at m=3). s = 1 tests every a.
+def _stage_sweep(n: int, s: int, nrows: int, basis_rows) -> np.ndarray:
+    """The rank test's one stage loop: True for each of nrows forms on
+    GF(2^n) whose M_a is nonsingular for every a' in [2^k, 2^(k+1)) with s | k
+    (every a != 0 for s = 1). basis_rows(rows, lo, hi) gives the basis rows
+    B(b_i, .), lo <= i < hi, of the forms with the given indices.
 
     Rows go in blocks of 2^14. Each block tests the a' < 2^k0 first (a = 1
     first of all), then a' in [2^k, 2^(k+1)) for k = k0 .. n-1 with s | k,
     and only the rows that pass a stage go on to the next: most non-planar
     rows fail at small a. k0 is 1 for a full block and larger for a smaller
-    one, up to n for a single row, so that the first stage fills one rank
-    call. A rank call holds at most 2^14 matrices: several rows while 2^k
-    is small, one row and a slice of the stage when 2^k is larger. The rows
-    B(b_i, .) are built per stage, for the bits that stage adds.
+    one, up to min(n, 14) for a single row, so that the first stage fills
+    one rank call. A rank call holds at most 2^14 matrices: several rows
+    while 2^k is small, one row and a slice of the stage when 2^k is larger.
+    The basis rows are asked for per stage, for the bits that stage adds.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
-    n = spec.n
-    s, forms = _sweep_forms(spec, tuple(map(int, exponents)))
     cap = 1 << _BLOCK_BITS
-    out = np.zeros(coeffs.shape[0], dtype=bool)
-    for r0 in range(0, coeffs.shape[0], cap):
-        rows = np.arange(r0, min(r0 + cap, coeffs.shape[0]))
-        brows = np.zeros((rows.size, 0, n), dtype=spec.dtype)
-        # the first stage, a' < 2^k0, fills one rank call; then one stage per doubling
+    out = np.zeros(nrows, dtype=bool)
+    for r0 in range(0, nrows, cap):
+        rows = np.arange(r0, min(r0 + cap, nrows))
         k0 = min(n, max(1, _BLOCK_BITS - (rows.size - 1).bit_length()))
         stages = [(0, 1 << k0)] + [(1 << k, 2 << k) for k in range(k0, n) if k % s == 0]
+        brows = basis_rows(rows, 0, k0)
         for lo, hi in stages:
-            # B(b_i, .) for the new bits of a', for the rows still alive
-            extra = _basis_rows(spec, forms[:, brows.shape[1]:hi.bit_length() - 1],
-                                coeffs[rows])
-            brows = np.concatenate([brows, extra], axis=1)
+            if lo:  # the bits this stage adds, for the rows still alive
+                extra = basis_rows(rows, brows.shape[1], hi.bit_length() - 1)
+                brows = np.concatenate([brows, extra], axis=1)
             bits = min((hi - lo).bit_length() - 1, _BLOCK_BITS)
             per_call = max(1, cap >> bits)
             kept = []
@@ -360,3 +341,33 @@ def planar_sweep(spec, exponents: list[int], coeffs: np.ndarray) -> np.ndarray:
                 break
         out[rows] = True
     return out
+
+
+def nonsingular_form(brows: np.ndarray) -> bool:
+    """True iff M_a = [B(a, e_j)]_j is nonsingular for every a != 0, for the
+    one form with basis values brows[i, j] = B(e_i, e_j) (bilinear_form):
+    _stage_sweep on one row with s = 1. On a presemifield's structure
+    constants it says "no zero divisors"."""
+    return bool(_stage_sweep(brows.shape[0], 1, 1, lambda rows, lo, hi: brows[None, lo:hi])[0])
+
+
+def planar_sweep(spec, exponents: list[int], coeffs: np.ndarray) -> np.ndarray:
+    """Planarity mask for many coefficient rows of a fixed monomial shape.
+
+    Row r encodes f(x) = sum_t coeffs[r, t] * x^exponents[t]; every exponent
+    must be a Dembowski-Ostrom one (reduced_exponent of binary weight <= 2).
+
+    Only one a per coset of GF(2^s)* is tested, s = _scaling_degree. Each
+    term x^(2^u + 2^v) has s | v - u, so lambda^(2^u) = lambda^(2^v) for
+    lambda in GF(2^s), and B_t(lambda*a, x) = lambda^(2^u) * B_t(a, x) =
+    B_t(a, lambda*x); so does a*x. Hence B(lambda*a, .) = B(a, .) o lambda,
+    and M_(lambda*a) is singular iff M_a is. In the coordinates a' of
+    _coset_basis, a = sum_j mu_j w_j with mu_j in GF(2^s); scaling by
+    1/mu_J for the top nonzero mu_J leaves mu_J = 1, which is a' in
+    [2^k, 2^(k+1)) for k = J*s: (2^n - 1)/(2^s - 1) values of a instead of
+    2^n - 1 (17 for P1 at m=4, 73 for P3 at m=3). s = 1 tests every a.
+    """
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
+    s, forms = _sweep_forms(spec, tuple(map(int, exponents)))
+    return _stage_sweep(spec.n, s, coeffs.shape[0],
+                        lambda rows, lo, hi: _basis_rows(spec, forms[:, lo:hi], coeffs[rows]))

@@ -9,7 +9,8 @@ two independent tests:
   * is_planar_bruteforce - the definition on the full value table (the
     independent oracle, about 4^n/2 work), and
   * is_planar_linearized - GF(2)-rank of the linear map per a, through the
-    batched rank kernel that also runs every sweep (2^n * n^2 work).
+    rank kernel that also runs every sweep. This module hands kernels only
+    exponents and coefficient rows (DOPoly.as_row, the audit layouts).
 
 For coefficient families with exponents 2^(jm+i) + 2^i there is a third,
 equivalent test: a single equation having no nonzero root, implemented by
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -45,29 +47,19 @@ from .fields import (N_MAX, BudgetError, Fe, TowerView, lex_chunks, lex_rows, ve
 # Dembowski-Ostrom polynomials
 # ---------------------------------------------------------------------------
 
-def _do_exponent(u: int, v: int, p1: int) -> int:
-    """2^u + 2^v as an exponent on a field with p1 = 2^n - 1 units: reduced
-    modulo p1, a zero residue kept as p1 (never x^0), and 1 over GF(2)."""
-    if p1 == 1:
-        return 1
-    return ((1 << u) + (1 << v)) % p1 or p1
-
-
 class DOPoly:
     """sum c * x^(2^u + 2^v) with 0 <= u, v < n (u = v gives c * x^(2^(u+1))).
 
-    Terms are normalized: exponents reduced modulo 2^n - 1 as functions on
-    the field (a zero residue of a positive exponent stays at 2^n - 1,
-    never x^0), duplicates merged by coefficient addition, zero
+    Terms are normalized: exponents read as functions on the field
+    (kernels.reduced_exponent: modulo 2^n - 1, a zero residue kept at
+    2^n - 1, never x^0), duplicates merged by coefficient addition, zero
     coefficients dropped.
     """
 
     __slots__ = ("tower", "terms")
 
     def __init__(self, tower: TowerView, terms):
-        spec = tower.spec
-        n = spec.n
-        p1 = spec.order - 1
+        n = tower.spec.n
         merged: dict[int, tuple[int, int, int]] = {}
         prepared = []
         for coeff, u, v in terms:
@@ -79,7 +71,7 @@ class DOPoly:
             u, v = min(u, v), max(u, v)
             prepared.append((cb, u, v))
         for cb, u, v in sorted(prepared, key=lambda t: (t[1], t[2])):
-            e = _do_exponent(u, v, p1)
+            e = kernels.reduced_exponent(n, (1 << u) + (1 << v))
             if e in merged:
                 old, ou, ov = merged[e]
                 merged[e] = (old ^ cb, ou, ov)
@@ -95,6 +87,12 @@ class DOPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def as_row(self) -> tuple[list[int], np.ndarray]:
+        """f as the rank kernel reads it: its exponents, and their
+        coefficients as the one row of an int64 array."""
+        return ([e for e, _, _, _ in self.terms],
+                np.array([cb for _, cb, _, _ in self.terms], dtype=np.int64).reshape(1, -1))
 
     def exponent_pairs(self) -> set[tuple[int, int]]:
         return {(u, v) for _, _, u, v in self.terms}
@@ -166,9 +164,7 @@ def is_planar_bruteforce(f: DOPoly, budget: int = 1 << N_MAX) -> bool:
 
 def is_planar_linearized(f: DOPoly) -> bool:
     """Rank test: the linear part of each difference map must be bijective."""
-    spec = f.spec
-    row = np.array([[cb for _, cb, _, _ in f.terms]], dtype=np.int64).reshape(1, -1)
-    return bool(kernels.planar_sweep(spec, [e for e, _, _, _ in f.terms], row)[0])
+    return bool(kernels.planar_sweep(f.spec, *f.as_row())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +522,7 @@ def family_param_rows(fam: str, t: TowerView, budget: int | None = None) -> np.n
     by fields.lex_chunks. With a budget, raise BudgetError as soon as
     more than budget rows are admissible, before listing the rest."""
     rec = family_record(fam, t)
-    xs = np.arange(t.spec.order, dtype=np.int64)
-    pool = xs[t.vec_frobq(xs) == xs] if rec.subfield else xs
+    pool = t.subfield_bits() if rec.subfield else np.arange(t.spec.order, dtype=np.int64)
     kept, count = [], 0
     for block in lex_chunks(pool.size, rec.arity):
         block = pool[block]
@@ -687,8 +682,8 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
         if rec.shape is not None:
             layout = family_shape(fam, t)
         else:
-            layout = sorted({(min(u, v), max(u, v)) for _, u, v in terms},
-                            key=lambda uv: _do_exponent(*uv, spec.order - 1))
+            layout = sorted({(min(u, v), max(u, v)) for _, u, v in terms}, key=lambda uv:
+                            kernels.reduced_exponent(spec.n, (1 << uv[0]) + (1 << uv[1])))
         coeffs = _layout_rows(fam, layout, terms, len(params))
         exponents = [(1 << u) + (1 << v) for u, v in layout]
         mask = _sweep_mask(spec, exponents, coeffs, threads).tolist()
@@ -722,8 +717,8 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
     """Sweep sparse coefficient vectors of the k=2 gapped shape
     f = sum_i c_i x^(2^(m+i)+2^i) and collect every planar vector whose
     support reaches past index 0 (candidate violations of the conjectured
-    single-coefficient shape). An empty candidate list at this scale is
-    evidence, not proof."""
+    single-coefficient shape), all as rows of the full shape in one sweep.
+    An empty candidate list at this scale is evidence, not proof."""
     if t.k != 2:
         raise ValueError("the sparse-shape search needs a k=2 tower")
     if support_size > 3:
@@ -731,27 +726,21 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
     m, spec = t.m, t.spec
     support_size = min(support_size, m)
     nz = spec.order - 1
-    total = sum(
-        len(list(itertools.combinations(range(m), s))) * nz ** s
-        for s in range(support_size + 1))
+    total = sum(math.comb(m, s) * nz ** s for s in range(support_size + 1))
     if total > budget:
         raise BudgetError(f"{total} candidate vectors exceed the budget {budget}")
 
-    planar_vectors: list[tuple[int, ...]] = []
+    rows = np.zeros((total, m), dtype=np.int64)
+    r0 = 0
     for s in range(support_size + 1):
         for positions in itertools.combinations(range(m), s):
-            if s == 0:
-                planar_vectors.append(tuple([0] * m))  # zero function is planar
-                continue
-            exponents = [(1 << (m + i)) + (1 << i) for i in positions]
-            rows = lex_rows(spec.order - 1, s) + 1
-            mask = _sweep_mask(spec, exponents, rows, threads)
-            for r in rows[mask]:
-                vec = [0] * m
-                for pos, cb in zip(positions, r):
-                    vec[pos] = int(cb)
-                planar_vectors.append(tuple(vec))
-    planar_vectors.sort()
+            block = lex_rows(nz, s)
+            block += 1  # in place: rows and one block are the peak
+            rows[r0:r0 + nz ** s, list(positions)] = block
+            r0 += nz ** s
+    exponents = [(1 << (m + i)) + (1 << i) for i in range(m)]
+    mask = _sweep_mask(spec, exponents, rows, threads)
+    planar_vectors = sorted(map(tuple, rows[mask].tolist()))
     off = [v for v in planar_vectors if any(c != 0 for c in v[1:])]
     in_shape = [v for v in planar_vectors if all(c == 0 for c in v[1:])]
     return {

@@ -7,8 +7,10 @@ generalization. A presemifield is held as its structure constants
 S[i, j] = e_i * e_j on the polynomial basis (Knuth's cubical array), so
 the product is biadditive by construction; every operation reads S or the
 column table C[a, j] = a * e_j. The constructor checks that S is symmetric
-and that the product has no zero divisors: every x -> a*x, a != 0, is
-nonsingular, decided by the same GF(2)-rank kernel as planarity.
+and that every x -> a*x, a != 0, is nonsingular (no zero divisors) with
+kernels.nonsingular_form, the stage loop of the planarity sweep, so no
+constructed Presemifield has any. A planar f's constants are its form,
+kernels.bilinear_form; the field's are the form of f = 0.
 Only the full 2^n x 2^n table (for n <= TABLE_N_MAX) holds 4^n entries.
 
 A unital semifield is obtained from a presemifield in two ways, both
@@ -95,9 +97,6 @@ class Presemifield:
 
     # -- structure checks -----------------------------------------------------
 
-    def has_zero_divisors(self) -> bool:
-        return not kernels.nonsingular_form(self.consts)
-
     def is_unital(self) -> bool:
         """identity * e_j = e_j for every j, which suffices by linearity."""
         if self.identity is None:
@@ -118,22 +117,18 @@ class Presemifield:
 # ---------------------------------------------------------------------------
 
 def field_presemifield(spec: FieldSpec) -> Presemifield:
-    """The field itself, as the trivial (pre)semifield."""
-    basis = [1 << i for i in range(spec.n)]
-    return Presemifield(spec, "field", [[spec.mul(u, v) for v in basis] for u in basis],
-                        identity=1)
+    """The field itself, as the trivial (pre)semifield: the form of f = 0."""
+    return Presemifield(spec, "field", kernels.bilinear_form(spec, [], []), identity=1)
 
 
 def presemifield_from_planar(f: DOPoly, check_planar: bool = True) -> Presemifield:
     """x*y = xy + f(x+y) + f(x) + f(y) for a planar quadratic f. Its
     structure constants are the basis values B(e_i, e_j) of the form that
-    the rank kernel tests; check_planar runs the definition oracle first."""
-    spec = f.spec
+    the rank kernel tests (kernels.bilinear_form); check_planar runs the
+    definition oracle first."""
     if check_planar and not is_planar_bruteforce(f):
         raise ValueError("f is not planar; the product would have zero divisors")
-    forms = kernels._monomial_forms(spec, [e for e, _, _, _ in f.terms])
-    row = np.array([[cb for _, cb, _, _ in f.terms]], dtype=np.int64).reshape(1, -1)
-    return Presemifield(spec, "planar", kernels._basis_rows(spec, forms, row)[0])
+    return Presemifield(f.spec, "planar", kernels.bilinear_form(f.spec, *f.as_row()))
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,25 @@ def test_audit_report_bytes_match_the_recorded_digest(tmp_path, family, m, mode)
     assert _digest_without_version(tmp_path, argv) == GOLDEN_AUDITS[family, m, mode]
 
 
+# sha256 of problem27 report bytes without the "version" line, recorded at
+# 0.12.0, when each support pattern took its own sweep on its own exponents.
+GOLDEN_PROBLEM27 = {
+    ("2", "0"): "e86a7cd3cc6d3cc66a3991fc61e87767e2b7d5f90802747ed542a623bd05fbcf",
+    ("2", "1"): "9865e51db148afc28f2a99455a48ff28b7858d902e366849a3e0149ba2610729",
+    ("2", "2"): "f0d4d5a6f6d24f87a93ef5cefc318696157f24dedde91ee56bd970dca70c6645",
+    ("3", "1"): "f9ececa8337f702f279cba2ec40e71e9da7617475155040eda57139c28dd95fb",
+    ("3", "2"): "188ad695e33cb17e6fabed2ca21155d417bcf40ff6f73358e412d305d53b4301",
+    ("3", "3"): "89980d7b3e0e404d3219164bd18456121a7f919a2f93812279606ca614535199",
+    ("4", "2"): "17ab4c680a1fdcb5cc837094a7ef7de07de3c7b704f911180fc455d24a665fd9",
+}
+
+
+@pytest.mark.parametrize("m, support", list(GOLDEN_PROBLEM27))
+def test_problem27_report_bytes_match_the_recorded_digest(tmp_path, m, support):
+    argv = ["problem27", "--m", m, "--support", support]
+    assert _digest_without_version(tmp_path, argv) == GOLDEN_PROBLEM27[m, support]
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)

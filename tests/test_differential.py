@@ -1,7 +1,8 @@
 """Differential properties: the definition oracle, the rank kernel (sweep and
 is_planar_linearized), the no-root criterion and the companion orbit must
 agree on random Dembowski-Ostrom polynomials, on batches that straddle the
-kernel's blocks, through the threaded sweep and on whole sufficiency spaces."""
+kernel's blocks, through the threaded sweep and on whole sufficiency spaces;
+and the one-form rank test must agree with a product table's injectivity."""
 
 import contextlib
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import planar2 as p2
-from planar2 import kernels, planar, surfaces
+from planar2 import kernels, planar, semifields, surfaces
 from planar2.fields import vec_mul
 from planar2.planar import DOPoly, FamilyParams
 
@@ -165,6 +166,55 @@ def test_sweep_over_coset_representatives_matches_the_oracle(batch, bits):
 def _do_exponents(n):
     return st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(
         lambda uv: (1 << uv[0]) + (1 << uv[1]))
+
+
+def injective_products(consts) -> bool:
+    """Reference: x -> a*x is injective for every a != 0, for the product
+    with structure constants consts[i, j] = e_i * e_j, read off its full
+    table a*y = table[y, a]."""
+    cols = semifields._span(np.asarray(consts))  # cols[a, j] = a * e_j
+    table = semifields._span(cols.T)             # table[y, a] = a * y
+    return bool((table[1:, 1:] != 0).all())
+
+
+@st.composite
+def symmetric_constants(draw):
+    """Symmetric n x n constants over GF(2^n), n = 1..8: the field's own
+    product, the form of a random DO polynomial, or random entries; then,
+    three times in four, one symmetric pair of entries changed, which mostly
+    leaves a few a with a singular M_a. Most draws are singular."""
+    n = draw(st.integers(1, 8))
+    spec = p2.field(n)
+    coeff = st.integers(0, spec.order - 1)
+    kind = draw(st.sampled_from(("field", "form", "random")))
+    if kind == "random":
+        consts = np.array(draw(st.lists(coeff, min_size=n * n, max_size=n * n))).reshape(n, n)
+        consts = np.triu(consts) | np.triu(consts, 1).T
+    else:
+        exps = draw(st.lists(_do_exponents(n), max_size=3)) if kind == "form" else []
+        row = draw(st.lists(coeff, min_size=len(exps), max_size=len(exps)))
+        consts = kernels.bilinear_form(spec, exps, row).astype(np.int64)
+    if draw(st.integers(0, 3)):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        delta = draw(st.integers(1, spec.order - 1))
+        consts[i, j] ^= delta
+        if i != j:
+            consts[j, i] ^= delta
+    return kind, consts.astype(spec.dtype)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(symmetric_constants(), st.sampled_from([None, 2, 3]))
+def test_nonsingular_form_is_injectivity_of_every_product_map(case, bits):
+    kind, consts = case
+    want = injective_products(consts)
+    if bits is None:
+        got = kernels.nonsingular_form(consts)
+    else:
+        with block_bits(bits):  # the one row's stages split into rank calls of 2^bits
+            got = kernels.nonsingular_form(consts)
+    assert got == want
+    event(f"{kind} nonsingular={want}")
 
 
 @settings(max_examples=3, deadline=None, database=None, derandomize=True)

@@ -1,5 +1,7 @@
 """Field layer: moduli, arithmetic, towers, embeddings."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,35 @@ def test_table_arithmetic_agrees_with_shift_and_xor():
                 assert f.frob(a, 4) == f._pow_raw(a, 1 << 4)
 
 
+# sha256 of exp.tobytes() + log.tobytes(), recorded at 0.12.0, when
+# FieldSpec._mul_raw still had its own shift-and-reduce loop.
+TABLE_DIGESTS = {
+    1: "6033d7d7e8a6b640795203accf09ff63e57ea5ae180589d93712cb70ff7820d6",
+    2: "0c1f12de5039c3377f2418dd66e856bf60f21d4610be2d726f816f7638eed0be",
+    3: "dab220f7be031b6e54a7a6232399ce73f7f43d92301c9532f46ff70b35069e9d",
+    4: "c6179f29b636c1a2c1ef79809ce6b34752bfde1ae6a369909f4192cdd0f09d34",
+    5: "ee5b70a6301177362492a44cc0a76ee5992927da32e17b55e9c03044248dea2c",
+    6: "a527464f6a37c37ebee6fd2cc765c7c6e7ad0553b9726008d951b589e4f05a09",
+    7: "887060d9fda16f8a0f83d15cab25f3e93d345dddfdde6c9bbdc13234c8c04311",
+    8: "21fadb411d121d6ed1b9b7c951c5e0fdd0929235a15bd4b9fa33008ec90859a1",
+    9: "ae031674d8d6ae01bf1bc24ff0c248f5abfa15c2a0c56879035c7d67922c1b3d",
+    10: "0c2e04c0b6d59de86a85a29debe2a96c0bc1ab7e94fb232e1e420259f7805618",
+    11: "a6f043d5a2302895f7a81658e625ad664be05af2a52c4911bd2ee8bd381c16b9",
+    12: "15a0ff7b6d635daba1346d04a8ef50c310538a66536d53c476a29deaba5827d3",
+    13: "213161b01ced665d57fd5f474f9c5e2ef32f204ebc3d0f7af204706ba40d29c4",
+    14: "58b104145e2f699f0d99677d21c3d6d939e3d9c2bfbc260067b3ce3ab7b3f8dd",
+    15: "bb1943f936534322c6f2c0b433c93c3795a0b99e715801f1533ce1d463232868",
+    16: "2bc1bbdfe0875b641f48abbe69ef4f099ba94f620ab46b2c2967388d61829d7e",
+    20: "607f1bcf6e04fb655d0f23e2dd04b59e2a9207fdde1931b36dfb38d911c3eda6",
+}
+
+
+def test_field_tables_match_the_recorded_digests():
+    for n, digest in TABLE_DIGESTS.items():
+        f = p2.field(n)
+        assert hashlib.sha256(f.exp.tobytes() + f.log.tobytes()).hexdigest() == digest, n
+
+
 def test_one_field_ceiling():
     assert N_MAX == 20 and p2.field(20).order == 1 << 20
     with pytest.raises(p2.BudgetError):
@@ -222,6 +253,14 @@ def test_fe_hex_roundtrip():
 def test_tower_requires_matching_degrees():
     t = p2.tower(2, 3)
     assert t.spec.n == 6 and t.q == 4
+
+
+def test_subfield_bits_list_the_frobenius_fixed_elements():
+    for m, k in [(1, 1), (3, 1), (1, 4), (2, 3), (4, 2), (5, 4)]:
+        t = p2.tower(m, k)
+        xs = np.arange(t.spec.order, dtype=np.int64)
+        got = t.subfield_bits()
+        assert got.dtype == np.int64 and np.array_equal(got, xs[t.vec_frobq(xs) == xs])
 
 
 def test_frobq_fixes_subfield_and_has_order_k():
@@ -376,9 +415,26 @@ def test_fe_hash_agrees_with_int_equality():
     assert {spec.fe(b) for b in range(16)} == {spec.fe(b) for b in range(16)}
 
 
+def test_embedding_sends_x_to_the_smallest_root_of_the_base_modulus():
+    # scalar reference: evaluate the base modulus at every q-subfield element
+    for m, k in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 4), (5, 3)]:
+        t = p2.tower(m, k)
+        spec, modulus = t.spec, t.base_field().modulus
+        roots = []
+        for c in range(spec.order):
+            value = 0
+            for i in range(m + 1):
+                if modulus >> i & 1:
+                    value ^= spec.pow(c, i)
+            if value == 0 and spec.frob(c, m) == c:
+                roots.append(c)
+        assert len(roots) == m
+        assert t.embed_base(t.base_field().fe(2)).bits == roots[0]
+
+
 def test_embedding_failure_is_a_runtime_error(monkeypatch):
     # a RuntimeError rather than an assert, so python -O keeps the check
     t = p2.TowerView(2, 2)
-    monkeypatch.setattr(t, "subfield_members", lambda: set())
+    monkeypatch.setattr(t, "subfield_bits", lambda: np.zeros(0, dtype=np.int64))
     with pytest.raises(RuntimeError, match="must split"):
         t.embed_base(t.base_field().fe(1))

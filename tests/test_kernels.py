@@ -1,7 +1,9 @@
 """The definition oracle must agree with a set-based reference on arbitrary
 tables, and the rank kernel with the oracle on identical inputs."""
 
+import ast
 import contextlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +209,145 @@ def test_scaling_degree_reads_exponents_mod_the_group_order():
     assert kernels._scaling_degree(6, [0, 4, 1 + 8]) == 3  # weight <= 1 adds nothing
     assert kernels._scaling_degree(6, [1 + (1 << 9)]) == 3  # 2^9 = 2^3 mod 63
     assert kernels._scaling_degree(1, [3]) == 1
+
+
+# The three readings of "e mod 2^n - 1" that kernels.reduced_exponent
+# replaced, as they stood at 0.12.0: planar._do_exponent (on e = 2^u + 2^v),
+# the Dembowski-Ostrom check of kernels._monomial_forms and the reading of
+# kernels._scaling_degree.
+
+def _do_exponent_reading(e, p1):
+    if p1 == 1:
+        return 1
+    return e % p1 or p1
+
+
+def _do_check_rejects(e, p1):
+    r = e % p1 if p1 > 1 else 1
+    return bool(e and bin(r or p1).count("1") > 2)
+
+
+def _scaling_reading(e, p1):
+    return (e % p1 or p1) if e and p1 > 1 else 0
+
+
+def _term_gap(r):
+    """v - u for r = 2^u + 2^v of binary weight 2, else None: what a reading
+    contributes to the scaling degree."""
+    return r.bit_length() - (r & -r).bit_length() if bin(r).count("1") == 2 else None
+
+
+def test_reduced_exponent_matches_the_readings_it_replaced():
+    for n in range(1, 11):
+        p1 = (1 << n) - 1
+        for e in range(4 << n):
+            r = kernels.reduced_exponent(n, e)
+            if e:
+                assert r == _do_exponent_reading(e, p1), (n, e)
+            assert (bin(r).count("1") > 2) == _do_check_rejects(e, p1), (n, e)
+            assert _term_gap(r) == _term_gap(_scaling_reading(e, p1)), (n, e)
+
+
+def _xor_transformed_forms(spec, exponents):
+    """The reference construction of 0.12.0: B_t(e_i, e_j) by scalar powers
+    on the standard basis, then, by bilinearity in the a slot, an XOR
+    transform into the coset basis of the scaling degree."""
+    n = spec.n
+    basis = [1 << i for i in range(n)]
+    forms = np.zeros((len(exponents) + 1, n, n), dtype=np.int64)
+    for t, e in enumerate(exponents):
+        pw = [spec.pow(b, e) for b in basis]
+        zero = spec.pow(0, e)
+        for i in range(n):
+            for j in range(i + 1, n):
+                forms[t, i, j] = forms[t, j, i] = (
+                    spec.pow(basis[i] ^ basis[j], e) ^ pw[i] ^ pw[j] ^ zero)
+    for i in range(n):
+        for j in range(n):
+            forms[-1, i, j] = spec.mul(basis[i], basis[j])
+    s = kernels._scaling_degree(n, exponents)
+    bits = [[l for l in range(n) if b >> l & 1] for b in kernels._coset_basis(spec, s)]
+    return s, np.stack([np.bitwise_xor.reduce(forms[:, ls], axis=1) for ls in bits], axis=1)
+
+
+def _random_do_exponents(rng, n):
+    pool = [0, 1, 2, 1 << n, (1 << n) - 1, 3]
+    return [int(rng.choice(pool)) if rng.random() < 0.3
+            else (1 << int(rng.integers(2 * n))) + (1 << int(rng.integers(2 * n)))
+            for _ in range(int(rng.integers(0, 4)))]
+
+
+@pytest.mark.parametrize("n, exponents, s", [
+    (6, [3, 5], 1), (5, [1 + 4, 2, 0], 1), (1, [3, 0], 1), (2, [3, 6], 1),
+    (8, [1 + 16, 2 + 32], 4), (6, [1 + 8, 4], 3), (9, [1 + 8, 1 + 64], 3),
+    (12, [1 + 64, 2 + 128, 0], 6), (4, [1 + 4], 2)])
+def test_sweep_forms_equal_the_xor_transformed_standard_forms(n, exponents, s):
+    spec = p2.field(n)
+    got_s, got = kernels._sweep_forms(spec, tuple(exponents))
+    want_s, want = _xor_transformed_forms(spec, exponents)
+    assert got_s == want_s == s
+    assert np.array_equal(got, want) and not got.flags.writeable
+
+
+def test_sweep_forms_equal_the_xor_transformed_standard_forms_on_random_exponents():
+    rng = np.random.default_rng(13)
+    seen = set()
+    for _ in range(120):
+        n = int(rng.integers(1, 11))
+        exps = [e for e in _random_do_exponents(rng, n)
+                if bin(kernels.reduced_exponent(n, e)).count("1") <= 2]
+        spec = p2.field(n)
+        s, got = kernels._sweep_forms(spec, tuple(exps))
+        want_s, want = _xor_transformed_forms(spec, exps)
+        assert s == want_s and np.array_equal(got, want), (n, exps)
+        seen.add(s == 1)
+    assert seen == {True, False}
+
+
+def test_nonsingular_form_runs_the_sweeps_matrix_sequence(monkeypatch):
+    # one row, s = 1: a' < 2^min(n, 14) in one rank call, then 2^14-slices
+    # of each [2^k, 2^(k+1)); the field's own product is nonsingular, so all run
+    sizes = []
+    real = kernels._full_rank
+
+    def counted(cols):
+        sizes.append(cols.shape[1])
+        return real(cols)
+
+    monkeypatch.setattr(kernels, "_full_rank", counted)
+    for n, want in ((5, [31]), (16, [(1 << 14) - 1] + [1 << 14] * 3)):
+        spec = p2.field(n)
+        sizes.clear()
+        assert kernels.nonsingular_form(kernels.bilinear_form(spec, [], []))
+        assert sizes == want
+
+
+def _private_kernel_reads(source: str) -> list[str]:
+    """kernels._<name> attributes and `from .kernels import _<name>` in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name == "kernels":
+                found.append(f"{node.lineno}: kernels.{node.attr}")
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "kernels":
+            found += [f"{node.lineno}: from kernels import {a.name}"
+                      for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_no_module_reads_a_private_kernels_name():
+    assert len(_private_kernel_reads(
+        "from .kernels import _basis_rows, planar_sweep\n"
+        "import planar2.kernels\n"
+        "kernels._monomial_forms(spec, [3])\n"
+        "planar2.kernels._BLOCK_BITS\n"
+        "kernels.planar_sweep\n")) == 3
+    package = Path(kernels.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "kernels.py":
+            assert _private_kernel_reads(path.read_text()) == [], path.name
 
 
 def test_sweep_rejects_exponents_outside_do_form():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import planar2 as p2
+from planar2 import planar
 from planar2.fields import BudgetError, lex_rows
 from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_lists,
                             family_audit, family_coeffs, family_param_rows,
@@ -544,6 +545,21 @@ def test_offdiagonal_search_support2_m2_full_space():
     rep = offdiagonal_search(t, 2)
     assert rep["tested"] == 256  # the whole binomial space at m=2
     assert rep["candidates"] == []  # consistent with the conjectured shape
+
+
+def test_offdiagonal_search_is_one_sweep_of_the_whole_shape(monkeypatch):
+    t = p2.tower(3, 2)
+    calls = []
+    real = planar._sweep_mask
+
+    def counted(spec, exponents, rows, threads):
+        calls.append((list(exponents), rows.shape))
+        return real(spec, exponents, rows, threads)
+
+    monkeypatch.setattr(planar, "_sweep_mask", counted)
+    rep = offdiagonal_search(t, 2)
+    assert calls == [([1 + 8, 2 + 16, 4 + 32], (rep["tested"], 3))]
+    assert rep["tested"] == 1 + 3 * 63 + 3 * 63 ** 2
 
 
 def test_offdiagonal_search_guards():
