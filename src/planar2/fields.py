@@ -26,6 +26,7 @@ matrix for nonsingularity.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -358,28 +359,31 @@ def lex_rows(base: int, width: int) -> np.ndarray:
     return np.indices((base,) * width, dtype=np.int64).reshape(width, base ** width).T
 
 
-def lex_chunks(base: int, width: int, rows: int = 1 << 18):
-    """lex_rows(base, width) in consecutive blocks, without holding it whole.
+def lex_chunks(bases, rows: int = 1 << 18):
+    """Every tuple of range(bases[0]) x range(bases[1]) x ... in
+    lexicographic order, in consecutive blocks, without holding it whole:
+    over one base b, lex_rows(b, len(bases)).
 
-    Take the largest j <= width with base^j <= rows. Each block is a run of
-    at most rows // base^j leading tuples of lex_rows(base, width - j), each
-    one followed by every j-tuple over range(base). Broadcasts write a block
-    into one new C-contiguous array, so no rows are held twice and no
-    element is divided."""
+    Take the largest j with a product of the last j bases <= rows. Each
+    block is a run of at most rows // that product leading tuples over the
+    first bases, each one followed by every tuple over the last j. Broadcasts
+    write a block into one new C-contiguous array, so no rows are held twice
+    and no element is divided."""
+    width = len(bases)
     j = 0
-    while j < width and base ** (j + 1) <= rows:
+    while j < width and math.prod(bases[width - j - 1:]) <= rows:
         j += 1
-    heads = lex_rows(base, width - j)
-    step = max(1, rows // base ** j)
-    digits = np.arange(base, dtype=np.int64)
+    lead, tail = tuple(bases[:width - j]), tuple(bases[width - j:])
+    heads = np.indices(lead, dtype=np.int64).reshape(len(lead), math.prod(lead)).T
+    step = max(1, rows // max(1, math.prod(tail)))
     for h in range(0, heads.shape[0], step):
         head = heads[h:h + step]
-        block = np.empty((head.shape[0],) + (base,) * j + (width,), dtype=np.int64)
+        block = np.empty((head.shape[0],) + tail + (width,), dtype=np.int64)
         block[..., :width - j] = head.reshape((head.shape[0],) + (1,) * j + (width - j,))
-        for c in range(j):  # tail digit c varies along axis 1 + c
+        for c, base in enumerate(tail):  # tail digit c varies along axis 1 + c
             axes = (1,) * (c + 1) + (base,) + (1,) * (j - c - 1)
-            block[..., width - j + c] = digits.reshape(axes)
-        yield block.reshape(head.shape[0] * base ** j, width)
+            block[..., width - j + c] = np.arange(base, dtype=np.int64).reshape(axes)
+        yield block.reshape(head.shape[0] * math.prod(tail), width)
 
 
 def vec_mul(spec: FieldSpec, a, b) -> np.ndarray:
@@ -541,10 +545,10 @@ class TowerView:
         return {Fe(b, self.spec) for b in self.subfield_bits().tolist()}
 
     def mu_set(self) -> set[Fe]:
-        """Norm-1 elements {d : d^((q^k-1)/(q-1)) = 1}; size that quotient."""
-        e = (self.spec.order - 1) // (self.q - 1)
-        return {Fe(b, self.spec) for b in range(1, self.spec.order)
-                if self.spec.pow(b, e) == 1}
+        """Norm-1 elements {d : d^((q^k-1)/(q-1)) = 1}: the subgroup of that
+        order of the cyclic group GF(q^k)*, the powers of g^(q-1)."""
+        units = self.spec.exp[:self.spec.order - 1:self.q - 1]
+        return {Fe(b, self.spec) for b in units.tolist()}
 
     def elements(self):
         return self.spec.elements()

@@ -17,7 +17,10 @@ bijection for every nonzero a. Two independent implementations decide it:
     one a per coset of GF(2^s)* (see there), at most (q^k - 1)/(q - 1)
     matrices for the families of the paper; nonsingular_form runs it on
     one form's basis values (bilinear_form), such as a presemifield's
-    structure constants, over every a.
+    structure constants, over every a. planar_orbit_sweep finds every
+    planar row of a coefficient space with a sweep of one row per orbit
+    of the scaling f -> mu^-2 f(mu x), which keeps planarity, and expands
+    the planar ones into their orbits.
   * planar_check_table, the definition on a full value table, for any f.
     D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2, so D_a
     is a bijection iff min(v, v + a^2) takes distinct values on a
@@ -36,9 +39,12 @@ import math
 
 import numpy as np
 
+from .fields import lex_chunks
+
 _CHECK_ELEMS = 1 << 18  # the oracle gathers at most this many values D_a(x) at once
 _FIRST_ELEMS = 1 << 15  # ... and at most this many in its first, cached gather
 _BLOCK_BITS = 14        # the sweep's rank test takes at most 2^14 matrices M_a at once
+_ORBIT_ROWS = 1 << 18   # planar_orbit_sweep lists and sweeps normal forms in batches this large
 
 
 def backend() -> str:
@@ -371,3 +377,92 @@ def planar_sweep(spec, exponents: list[int], coeffs: np.ndarray) -> np.ndarray:
     s, forms = _sweep_forms(spec, tuple(map(int, exponents)))
     return _stage_sweep(spec.n, s, coeffs.shape[0],
                         lambda rows, lo, hi: _basis_rows(spec, forms[:, lo:hi], coeffs[rows]))
+
+
+# ---------------------------------------------------------------------------
+# Scaling orbits: one coefficient row per orbit of f -> mu^-2 f(mu x)
+# ---------------------------------------------------------------------------
+
+def _scaling_shifts(n: int, exponents) -> np.ndarray:
+    """d_t = reduced_exponent(e_t) - 2 mod 2^n - 1: scaling by mu = gamma^j
+    adds j*d_t to the log of the coefficient of x^e_t."""
+    p1 = (1 << n) - 1
+    return np.array([(reduced_exponent(n, e) - 2) % p1 for e in exponents], dtype=np.int64)
+
+
+def _normal_form_box(p1: int, shifts: np.ndarray, pattern) -> tuple[list[int], int]:
+    """(bounds, orbit) for the rows with support pattern (t_1 < ... < t_r):
+    the normal forms are the rows with log c_(t_i) in [0, bounds[i]), and
+    every orbit has orbit rows.
+
+    j in Z/p1 adds j*d_t to log c_t. The shifts of the first coordinate
+    are the multiples of g_1 = gcd(d_(t_1), p1), so log c_(t_1) has one
+    value in [0, g_1) per orbit, and the j that keep it are the multiples
+    of step = p1/g_1. They shift the next coordinate by the multiples of
+    g_2 = gcd(step*d_(t_2), p1), and keep it for the multiples of
+    step*p1/g_2; and so on. At the end the stabilizer is the multiples of
+    step, which has p1/gcd(step, p1) elements, so orbit = gcd(step, p1)."""
+    step, bounds = 1, []
+    for t in pattern:
+        bounds.append(math.gcd(step * int(shifts[t]), p1))
+        step *= p1 // bounds[-1]
+    return bounds, math.gcd(step, p1)
+
+
+def _normal_forms(spec, shifts: np.ndarray, patterns):
+    """(rows, orbit) blocks: the normal forms of each support pattern as
+    coefficient rows (zero off the pattern), listed by fields.lex_chunks
+    over their log box, and the orbit size they share."""
+    p1, width = spec.order - 1, shifts.size
+    for pattern in patterns:
+        bounds, orbit = _normal_form_box(p1, shifts, pattern)
+        for logs in lex_chunks(bounds, _ORBIT_ROWS):
+            rows = np.zeros((logs.shape[0], width), dtype=np.int64)
+            rows[:, list(pattern)] = spec.exp[logs]
+            yield rows, orbit
+
+
+def _scaled_images(spec, shifts: np.ndarray, rows: np.ndarray, orbit: int) -> np.ndarray:
+    """The orbit of each row under scaling, j < orbit: exp[log c_t + j*d_t
+    mod p1], one gather, zero coefficients staying zero (log 0 points into
+    the zeros of exp)."""
+    j = np.arange(orbit, dtype=np.int64)[:, None, None]
+    images = spec.exp[spec.log[rows] + j * shifts % (spec.order - 1)]
+    return images.reshape(-1, shifts.size).astype(np.int64)
+
+
+def _batches(blocks, cap: int):
+    """Consecutive blocks grouped so that each group but the last holds
+    at least cap rows."""
+    held, size = [], 0
+    for block in blocks:
+        held.append(block)
+        size += block[0].shape[0]
+        if size >= cap:
+            yield held
+            held, size = [], 0
+    if held:
+        yield held
+
+
+def planar_orbit_sweep(spec, exponents, patterns, sweep) -> np.ndarray:
+    """The planar rows, sorted, among every coefficient row of the shape
+    x^exponents[t] whose support is one of patterns (tuples of column
+    indices, ascending), found by sweeping one row per scaling orbit.
+
+    For mu in GF(2^n)*, g(x) = mu^-2 f(mu x) has coefficient c_t mu^(e_t-2)
+    on x^e_t, and D_a g(x) = mu^-2 D_(mu a) f(mu x) (the two cross terms
+    a*x cancel), so g is planar iff f is. With mu = gamma^j for a generator
+    gamma this adds j*d_t to log c_t (_scaling_shifts) and keeps the
+    support. The normal forms of each pattern (_normal_form_box) go through
+    sweep(rows) -> bool mask (planar_sweep on exponents, or a split of it)
+    in batches of about _ORBIT_ROWS rows, and each planar one is expanded
+    into its orbit, which lists every planar row once."""
+    shifts = _scaling_shifts(spec.n, exponents)
+    found = [np.empty((0, shifts.size), dtype=np.int64)]
+    for batch in _batches(_normal_forms(spec, shifts, patterns), _ORBIT_ROWS):
+        mask = sweep(np.concatenate([rows for rows, _ in batch]))
+        ends = np.cumsum([len(rows) for rows, _ in batch])
+        for (rows, orbit), ok in zip(batch, np.split(mask, ends[:-1])):
+            found.append(_scaled_images(spec, shifts, rows[ok], orbit))
+    return np.unique(np.concatenate(found), axis=0)

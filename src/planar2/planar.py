@@ -25,7 +25,10 @@ arrays (family_param_rows), and family_coeffs and family_param_space are
 one-row and list views of the same code. Exhaustive audits sweep
 parameter or coefficient spaces; converse sweeps report extras instead of
 asserting their absence, since the necessity direction of the family
-characterizations is asymptotic in m.
+characterizations is asymptotic in m. Converse audits and the sparse
+problem27 search cover their coefficient spaces with one row per scaling
+orbit (kernels.planar_orbit_sweep), while tested and the budget count
+every row.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import kernels
-from .fields import (N_MAX, BudgetError, Fe, TowerView, lex_chunks, lex_rows, vec_div,
+from .fields import (N_MAX, BudgetError, Fe, TowerView, lex_chunks, vec_div,
                      vec_frob, vec_mul)
 
 # ---------------------------------------------------------------------------
@@ -524,7 +527,7 @@ def family_param_rows(fam: str, t: TowerView, budget: int | None = None) -> np.n
     rec = family_record(fam, t)
     pool = t.subfield_bits() if rec.subfield else np.arange(t.spec.order, dtype=np.int64)
     kept, count = [], 0
-    for block in lex_chunks(pool.size, rec.arity):
+    for block in lex_chunks((pool.size,) * rec.arity):
         block = pool[block]
         kept.append(block[_admitted(rec, t, block)])
         count += kept[-1].shape[0]
@@ -663,8 +666,9 @@ def _sweep_mask(spec, exponents, rows: np.ndarray, threads: int) -> np.ndarray:
 def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
                  threads: int = 1) -> AuditReport:
     """Sufficiency: every admissible parameter must give a planar function.
-    Converse: sweep the whole coefficient space of the family's shape and
-    report planar tuples outside the family image (never assert absence).
+    Converse: find every planar tuple of the family's shape, one sweep row
+    per scaling orbit of each support pattern (_planar_rows), and report
+    those outside the family image (never assert absence).
 
     Both read the family through arrays: the admissible parameter rows of
     family_param_rows and the term columns of the record. Sufficiency
@@ -702,14 +706,20 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
     params = family_param_rows(fam, t)
     image = _layout_rows(fam, shape, _term_columns(rec, t, params), len(params))
     in_family = {tuple(r) for r in image.tolist()}
-    planar: list[tuple[int, ...]] = []
-    for rows in lex_chunks(spec.order, width):
-        mask = _sweep_mask(spec, exponents, rows, threads)
-        planar.extend(tuple(r) for r in rows[mask].tolist())
+    patterns = [p for r in range(width + 1) for p in itertools.combinations(range(width), r)]
     report.tested = total
-    report.planar = sorted(planar)
-    report.extras = sorted(tup for tup in planar if tup not in in_family)
+    report.planar = _planar_rows(spec, exponents, patterns, threads)
+    report.extras = [tup for tup in report.planar if tup not in in_family]
     return report
+
+
+def _planar_rows(spec, exponents, patterns, threads: int) -> list[tuple[int, ...]]:
+    """Every planar coefficient row on exponents whose support is one of
+    patterns, sorted: kernels.planar_orbit_sweep, one row per scaling orbit
+    through _sweep_mask."""
+    rows = kernels.planar_orbit_sweep(
+        spec, exponents, patterns, lambda batch: _sweep_mask(spec, exponents, batch, threads))
+    return [tuple(r) for r in rows.tolist()]
 
 
 def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
@@ -717,8 +727,10 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
     """Sweep sparse coefficient vectors of the k=2 gapped shape
     f = sum_i c_i x^(2^(m+i)+2^i) and collect every planar vector whose
     support reaches past index 0 (candidate violations of the conjectured
-    single-coefficient shape), all as rows of the full shape in one sweep.
-    An empty candidate list at this scale is evidence, not proof."""
+    single-coefficient shape). Every support of at most support_size
+    positions is covered, one row per scaling orbit (_planar_rows); the
+    budget counts every vector. An empty candidate list at this scale is
+    evidence, not proof."""
     if t.k != 2:
         raise ValueError("the sparse-shape search needs a k=2 tower")
     if support_size > 3:
@@ -730,17 +742,9 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
     if total > budget:
         raise BudgetError(f"{total} candidate vectors exceed the budget {budget}")
 
-    rows = np.zeros((total, m), dtype=np.int64)
-    r0 = 0
-    for s in range(support_size + 1):
-        for positions in itertools.combinations(range(m), s):
-            block = lex_rows(nz, s)
-            block += 1  # in place: rows and one block are the peak
-            rows[r0:r0 + nz ** s, list(positions)] = block
-            r0 += nz ** s
     exponents = [(1 << (m + i)) + (1 << i) for i in range(m)]
-    mask = _sweep_mask(spec, exponents, rows, threads)
-    planar_vectors = sorted(map(tuple, rows[mask].tolist()))
+    patterns = [p for s in range(support_size + 1) for p in itertools.combinations(range(m), s)]
+    planar_vectors = _planar_rows(spec, exponents, patterns, threads)
     off = [v for v in planar_vectors if any(c != 0 for c in v[1:])]
     in_shape = [v for v in planar_vectors if all(c == 0 for c in v[1:])]
     return {

@@ -142,12 +142,17 @@ def _digest_without_version(tmp_path, argv) -> str:
 # (one DOPoly per parameter): they pin row order and tuple format, including
 # the layout of the shapeless SZ-generalized. Hu2 (shapeless, parameter-free)
 # was recorded at 0.10.0, before the shapeless sweep lost its own branch.
+# The P1 and P2 converse digests were recorded at 0.13.0, when converse swept
+# every tuple of the coefficient space instead of one per scaling orbit.
 GOLDEN_AUDITS = {
     ("P2", "2", "sufficiency"): "44e784a72410b2f7150af025ea02a769d109802d03df18cb5e7d11839600417c",
     ("P3", "3", "sufficiency"): "537195f1bae5d5248588d88697ab500feeda6da2f88df789a6ec4d3e07434122",
     ("SZ-generalized", "4", "sufficiency"):
         "fb6d400b1c524ecae326124fca6733a33eb23d480a33a582ce06e6bef689e67c",
     ("P3", "2", "converse"): "596cb23122223ab5bff159ca635f19af7f438431496ae6de6ff5eb348845c008",
+    ("P1", "3", "converse"): "014a2a6feccb814f1dd77af1b2a3877bd1fb2513318df203488d4b158caaed44",
+    ("P1", "4", "converse"): "da5074b8ffbc5561c2478a94c92cb531aee69dc431b78ffde5a0524f9eb8c9da",
+    ("P2", "2", "converse"): "07f64466dbd36940d60d2f709489ffd14c93ba28eff6554ece53214fa4449921",
     ("Hu2", "3", "sufficiency"): "4904ee110ba46fa2785741166b1cee912450e81fb3dc9ab4ad7cece76e05213c",
 }
 

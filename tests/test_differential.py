@@ -2,9 +2,13 @@
 is_planar_linearized), the no-root criterion and the companion orbit must
 agree on random Dembowski-Ostrom polynomials, on batches that straddle the
 kernel's blocks, through the threaded sweep and on whole sufficiency spaces;
-and the one-form rank test must agree with a product table's injectivity."""
+the one-form rank test must agree with a product table's injectivity; and
+the sweep of one row per scaling orbit must find what a full sweep finds."""
 
 import contextlib
+import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,14 +25,19 @@ SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=
 
 
 @contextlib.contextmanager
-def block_bits(bits):
-    """Shrink the kernel's rank-call cap so small fields straddle its blocks."""
-    saved = kernels._BLOCK_BITS
-    kernels._BLOCK_BITS = bits
+def kernel_constant(name, value):
+    """Set one of the kernels module's size constants inside a block."""
+    saved = getattr(kernels, name)
+    setattr(kernels, name, value)
     try:
         yield
     finally:
-        kernels._BLOCK_BITS = saved
+        setattr(kernels, name, saved)
+
+
+def block_bits(bits):
+    """Shrink the kernel's rank-call cap so small fields straddle its blocks."""
+    return kernel_constant("_BLOCK_BITS", bits)
 
 
 def oracle(f: DOPoly) -> bool:
@@ -161,6 +170,66 @@ def test_sweep_over_coset_representatives_matches_the_oracle(batch, bits):
     s = kernels._scaling_degree(spec.n, exps)
     event(f"s={'1' if s == 1 else 'n' if s == spec.n else '1<s<n'} "
           f"verdicts={'mixed' if 0 < sum(want) < len(want) else 'one'}")
+
+
+@st.composite
+def orbit_shapes(draw):
+    """DO exponents over GF(2^n), n = 2..8, and a random collection of
+    support patterns on them whose rows number at most 2^13. The exponents
+    mix weight-2 terms (whose d_t = e_t - 2 often shares factors with
+    2^n - 1, 63 = 7*9 and 255 = 3*5*17 at n = 6, 8), weight-1 terms and
+    x^0, and x^2 and x^(2^(n+1)), whose d_t = 0: scaling fixes them."""
+    n = draw(st.integers(2, 8) | st.sampled_from([6, 8]))
+    p1 = (1 << n) - 1
+    u = st.integers(0, 2 * n - 1)
+    weight2 = st.tuples(u, u).map(lambda uv: (1 << uv[0]) + (1 << uv[1]))
+    weight1 = u.map(lambda i: 1 << i)
+    exps = draw(st.lists(st.one_of(weight2, weight2, weight1, st.sampled_from([0, 2, 2 << n])),
+                         min_size=1, max_size=3))
+    every = [p for r in range(len(exps) + 1) for p in itertools.combinations(range(len(exps)), r)]
+    drawn = draw(st.lists(st.sampled_from([p for p in every if p1 ** len(p) <= 1 << 13]),
+                          min_size=1, max_size=5, unique=True))
+    patterns = [p for i, p in enumerate(drawn)
+                if sum(p1 ** len(q) for q in drawn[:i + 1]) <= 1 << 13]
+    return p2.field(n), exps, patterns
+
+
+def pattern_rows(spec, width, patterns) -> np.ndarray:
+    """Every coefficient row whose support is one of patterns."""
+    blocks = []
+    for pattern in patterns:
+        rows = np.zeros(((spec.order - 1) ** len(pattern), width), dtype=np.int64)
+        rows[:, list(pattern)] = p2.fields.lex_rows(spec.order - 1, len(pattern)) + 1
+        blocks.append(rows)
+    return np.concatenate(blocks)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(orbit_shapes(), st.sampled_from([None, 61]))
+def test_orbit_sweep_matches_the_full_sweep_and_lists_each_orbit_once(shape, rows_cap):
+    spec, exps, patterns = shape
+    full = pattern_rows(spec, len(exps), patterns)
+    want = np.unique(full[kernels.planar_sweep(spec, exps, full)], axis=0)
+    sweep = functools.partial(kernels.planar_sweep, spec, exps)
+    if rows_cap is None:
+        got = kernels.planar_orbit_sweep(spec, exps, patterns, sweep)
+    else:
+        with kernel_constant("_ORBIT_ROWS", rows_cap):  # small batches, across patterns
+            got = kernels.planar_orbit_sweep(spec, exps, patterns, sweep)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # the orbits of the listed normal forms cover every row exactly once
+    shifts = kernels._scaling_shifts(spec.n, exps)
+    blocks = list(kernels._normal_forms(spec, shifts, patterns))
+    assert sum(orbit * len(reps) for reps, orbit in blocks) == len(full)
+    images = np.concatenate([kernels._scaled_images(spec, shifts, reps, orbit)
+                             for reps, orbit in blocks])
+    assert len(images) == len(full) and np.array_equal(np.unique(images, axis=0),
+                                                       np.unique(full, axis=0))
+    p1 = spec.order - 1
+    fixed = any(d == 0 for d in shifts.tolist())
+    shared = any(math.gcd(d, p1) not in (1, p1) for d in shifts.tolist())
+    event(f"d=0 {fixed} shared-factor d {shared} "
+          f"multi-position {max(map(len, patterns)) > 1} planar {len(want) > 0}")
 
 
 def _do_exponents(n):

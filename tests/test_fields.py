@@ -189,12 +189,19 @@ def test_lex_rows_lists_tuples_like_itertools_product():
 
 
 def test_lex_chunks_list_lex_rows_in_bounded_blocks():
+    import itertools
     for base, width, rows in ((3, 0, 4), (1, 3, 4), (5, 1, 4), (4, 3, 16), (4, 3, 20),
                               (2, 5, 7), (6, 2, 5), (7, 2, 1), (3, 4, 1 << 18)):
-        blocks = list(lex_chunks(base, width, rows))
+        blocks = list(lex_chunks((base,) * width, rows))
         assert np.array_equal(np.concatenate(blocks), lex_rows(base, width))
-        j = max(i for i in range(width + 1) if base ** i <= rows or i == 0)
-        assert all(b.dtype == np.int64 and len(b) <= max(rows, base ** j) for b in blocks)
+        assert all(b.dtype == np.int64 and len(b) <= rows for b in blocks)
+    # per-column bases: the box of the scaling normal forms
+    for bases, rows in (((3, 1, 5), 4), ((1, 7), 3), ((2, 3, 4), 6), ((9,), 2),
+                        ((4, 1, 1, 3), 1 << 18), ((5, 2), 1)):
+        blocks = list(lex_chunks(bases, rows))
+        assert [tuple(r) for r in np.concatenate(blocks).tolist()] == list(
+            itertools.product(*map(range, bases)))
+        assert all(b.dtype == np.int64 and len(b) <= rows for b in blocks)
 
 
 def test_determinant_and_solve_share_one_elimination():
@@ -338,6 +345,16 @@ def test_mu_set_size_and_membership():
     assert t.fe(1) in mu
     t3 = p2.tower(2, 3)
     assert len(t3.mu_set()) == (64 - 1) // 3
+
+
+@pytest.mark.parametrize("m, k", [(2, 2), (3, 2), (2, 3), (2, 4), (5, 2)])
+def test_mu_set_is_the_norm_one_group(m, k):
+    t = p2.tower(m, k)
+    e = (t.spec.order - 1) // (t.q - 1)
+    want = {b for b in range(1, t.spec.order) if t.spec.pow(b, e) == 1}
+    mu = t.mu_set()
+    assert {x.bits for x in mu} == want and len(mu) == e
+    assert all(isinstance(x, p2.Fe) and x.spec is t.spec for x in mu)
 
 
 def test_base_embedding_is_field_homomorphism():

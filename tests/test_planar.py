@@ -558,7 +558,10 @@ def test_offdiagonal_search_is_one_sweep_of_the_whole_shape(monkeypatch):
 
     monkeypatch.setattr(planar, "_sweep_mask", counted)
     rep = offdiagonal_search(t, 2)
-    assert calls == [([1 + 8, 2 + 16, 4 + 32], (rep["tested"], 3))]
+    # one call on the scaling normal forms of every support of size <= 2:
+    # d_i = 9*2^i - 2 = 7, 16, 34 mod 63 gives 1 (empty) + 7 + 1 + 1 (one
+    # position) + 3 * 63 (two positions) rows, not the 12,097 vectors tested
+    assert calls == [([1 + 8, 2 + 16, 4 + 32], (1 + 7 + 1 + 1 + 3 * 63, 3))]
     assert rep["tested"] == 1 + 3 * 63 + 3 * 63 ** 2
 
 
