@@ -25,7 +25,7 @@ import json
 import sys
 
 from . import __version__, kernels, planar, semifields, surfaces
-from .fields import BudgetError, tower
+from .fields import BudgetError, hex_bits, tower
 from .planar import DOPoly, FamilyParams
 
 # check and surface run the 4^n definition oracle only up to this degree
@@ -138,11 +138,10 @@ def cmd_audit(args) -> int:
     t = tower(args.m, args.k)
     report = planar.family_audit(args.family, t, args.mode,
                                  budget=args.budget, threads=args.threads)
-    report.meta = _meta(t, args)
     if args.format == "csv":
         _emit(args, report.to_csv())
     else:
-        _emit_json(args, report.to_json())
+        _emit_json(args, {**report.to_json(), **_meta(t, args)})
     return 0
 
 
@@ -161,7 +160,7 @@ def cmd_surface(args) -> int:
         "companion": g.to_json(),
         "orbit_has_zero": surfaces.orbit_has_zero(g, t),
         "planar": _planarity(f, args.budget)[0],
-        "factors": [{"coeffs": [f"{c:x}" for c in form.coeffs], "multiplicity": mult}
+        "factors": [{"coeffs": hex_bits(form.coeffs), "multiplicity": mult}
                     for form, mult in factors],
         "remainder": remainder.to_json(),
         "specialized_affine_zeros": affine,
@@ -176,15 +175,14 @@ def cmd_surface(args) -> int:
 def cmd_semifield(args) -> int:
     t = tower(args.m, args.k)
     f = _family_poly(args, t)
-    pre = semifields.presemifield_from_planar(f, check_planar=False)  # its rank test is exact
+    pre = semifields.presemifield_from_planar(f)
     e = t.fe(int(args.e, 16))
     semi = semifields.to_semifield(pre, e, construction=args.construction)
     rep = semifields.nuclei(semi)
-    rep.meta = {"family": args.family, "e": args.e,
-                "construction": args.construction, **_meta(t, args)}
     if args.dump_table:
         semi.dump_table(args.dump_table)
-    _emit_json(args, rep.to_json())
+    _emit_json(args, {**rep.to_json(), "family": args.family, "e": args.e,
+                      "construction": args.construction, **_meta(t, args)})
     return 0
 
 
@@ -192,15 +190,9 @@ def cmd_problem27(args) -> int:
     t = tower(args.m, 2)
     rep = planar.offdiagonal_search(t, args.support,
                                     budget=args.budget, threads=args.threads)
-    out = {
-        "tested": rep["tested"],
-        "support": rep["support"],
-        "planar": [[f"{c:x}" for c in v] for v in rep["planar"]],
-        "candidates": [[f"{c:x}" for c in v] for v in rep["candidates"]],
-        "in_shape": [[f"{c:x}" for c in v] for v in rep["in_shape"]],
-        **_meta(t, args),
-    }
-    _emit_json(args, out)
+    rows = {key: hex_bits(rep[key]) for key in ("planar", "candidates", "in_shape")}
+    _emit_json(args, {"tested": rep["tested"], "support": rep["support"], **rows,
+                      **_meta(t, args)})
     return 0
 
 

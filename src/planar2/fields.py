@@ -353,6 +353,16 @@ def fe_from_hex(s: str, spec: FieldSpec) -> Fe:
 # Vectorized helpers (int64 arrays of element bits)
 # ---------------------------------------------------------------------------
 
+def hex_bits(a) -> list:
+    """Element bits as lowercase hex strings, nested as a.tolist() nests
+    them: the one formatter of report rows. Each distinct value is
+    formatted once."""
+    a = np.asarray(a, dtype=np.int64)
+    values, inverse = np.unique(a, return_inverse=True)
+    text = np.array([f"{v:x}" for v in values.tolist()], dtype=object)
+    return text[inverse.reshape(a.shape)].tolist()  # numpy versions disagree on its shape
+
+
 def lex_rows(base: int, width: int) -> np.ndarray:
     """All base^width tuples over range(base) in lexicographic order, as the
     rows of an int64 array; width 0 gives one empty row."""

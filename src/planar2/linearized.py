@@ -93,13 +93,9 @@ def inverse_map(L: LinearizedPoly) -> LinearizedPoly:
     matrix is the transposed Dickson matrix of L.
     """
     t = L.tower
-    spec = t.spec
-    k = t.k
-    rows = [[spec.frob(L.coeffs[(ti - j) % k].bits, j * t.m) for j in range(k)]
-            for ti in range(k)]
-    rhs = [1] + [0] * (k - 1)
+    rows = [list(col) for col in zip(*L.dickson_rows())]
     try:
-        sol = mat_solve(spec, rows, rhs)
+        sol = mat_solve(t.spec, rows, [1] + [0] * (t.k - 1))
     except ValueError:
         raise ValueError("inverse of a non-permutation linearized polynomial") from None
     return LinearizedPoly(t, sol)

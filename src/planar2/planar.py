@@ -28,7 +28,8 @@ asserting their absence, since the necessity direction of the family
 characterizations is asymptotic in m. Converse audits and the sparse
 problem27 search cover their coefficient spaces with one row per scaling
 orbit (kernels.planar_orbit_sweep), while tested and the budget count
-every row.
+every row. Reports carry their coefficient rows as the sweep's int64
+arrays, split by boolean masks, up to the writer (fields.hex_bits).
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ import itertools
 import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .fields import (N_MAX, BudgetError, Fe, TowerView, lex_chunks, vec_div,
+from .fields import (N_MAX, BudgetError, Fe, TowerView, hex_bits, lex_chunks, vec_div,
                      vec_frob, vec_mul)
 
 # ---------------------------------------------------------------------------
@@ -625,33 +626,31 @@ def fraction_map_two_to_one(t: TowerView) -> bool:
 # Exhaustive audits
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class AuditReport:
+    """An audit's verdicts. planar, extras and failures are int64
+    coefficient rows, one column per layout pair, written through
+    fields.hex_bits; an empty one keeps its width."""
     family: str
     q: int
     k: int
     mode: str
     tested: int
-    planar: list[tuple[int, ...]]
-    extras: list[tuple[int, ...]]
-    failures: list[tuple[int, ...]] = dc_field(default_factory=list)
-    meta: dict = dc_field(default_factory=dict)
+    planar: np.ndarray
+    extras: np.ndarray
+    failures: np.ndarray
 
     def to_json(self) -> dict:
         return {
             "family": self.family, "q": self.q, "k": self.k, "mode": self.mode,
-            "tested": self.tested,
-            "planar": [[f"{c:x}" for c in tup] for tup in self.planar],
-            "extras": [[f"{c:x}" for c in tup] for tup in self.extras],
-            "failures": [[f"{c:x}" for c in tup] for tup in self.failures],
-            **self.meta,
+            "tested": self.tested, "planar": hex_bits(self.planar),
+            "extras": hex_bits(self.extras), "failures": hex_bits(self.failures),
         }
 
     def to_csv(self) -> str:
-        width = max((len(t) for t in self.planar), default=0)
-        header = ",".join(f"c{i}" for i in range(width))
-        lines = [header] + [",".join(f"{c:x}" for c in tup) for tup in self.planar]
-        return "\n".join(lines) + "\n"
+        rows = [",".join(row) for row in hex_bits(self.planar)]
+        width = self.planar.shape[1] if rows else 0
+        return "\n".join([",".join(f"c{i}" for i in range(width))] + rows) + "\n"
 
 
 def _sweep_mask(spec, exponents, rows: np.ndarray, threads: int) -> np.ndarray:
@@ -677,8 +676,6 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
     if mode not in ("sufficiency", "converse"):
         raise ValueError("mode must be 'sufficiency' or 'converse'")
     spec = t.spec
-    report = AuditReport(fam, t.q, t.k, mode, 0, [], [])
-
     rec = family_record(fam)
     if mode == "sufficiency":
         params = family_param_rows(fam, t, budget)
@@ -690,12 +687,9 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
                             kernels.reduced_exponent(spec.n, (1 << uv[0]) + (1 << uv[1])))
         coeffs = _layout_rows(fam, layout, terms, len(params))
         exponents = [(1 << u) + (1 << v) for u, v in layout]
-        mask = _sweep_mask(spec, exponents, coeffs, threads).tolist()
-        tuples = [tuple(r) for r in coeffs.tolist()]
-        report.tested = len(params)
-        report.planar = [tup for tup, ok in zip(tuples, mask) if ok]
-        report.failures = [tup for tup, ok in zip(tuples, mask) if not ok]
-        return report
+        mask = _sweep_mask(spec, exponents, coeffs, threads)
+        return AuditReport(fam, t.q, t.k, mode, len(params), coeffs[mask], coeffs[:0],
+                           coeffs[~mask])
 
     shape = family_shape(fam, t)
     exponents = [((1 << u) + (1 << v)) for u, v in shape]
@@ -705,21 +699,24 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
         raise BudgetError(f"coefficient space of size {total} exceeds the audit budget {budget}")
     params = family_param_rows(fam, t)
     image = _layout_rows(fam, shape, _term_columns(rec, t, params), len(params))
-    in_family = {tuple(r) for r in image.tolist()}
     patterns = [p for r in range(width + 1) for p in itertools.combinations(range(width), r)]
-    report.tested = total
-    report.planar = _planar_rows(spec, exponents, patterns, threads)
-    report.extras = [tup for tup in report.planar if tup not in in_family]
-    return report
+    rows = _planar_rows(spec, exponents, patterns, threads)
+    return AuditReport(fam, t.q, t.k, mode, total, rows, rows[~_rows_in(rows, image)],
+                       rows[:0])
 
 
-def _planar_rows(spec, exponents, patterns, threads: int) -> list[tuple[int, ...]]:
+def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each int64 row of rows is a row of table (same width)."""
+    keys = lambda a: np.ascontiguousarray(a).view(np.dtype((np.void, 8 * a.shape[1]))).ravel()
+    return np.isin(keys(rows), keys(table))
+
+
+def _planar_rows(spec, exponents, patterns, threads: int) -> np.ndarray:
     """Every planar coefficient row on exponents whose support is one of
-    patterns, sorted: kernels.planar_orbit_sweep, one row per scaling orbit
-    through _sweep_mask."""
-    rows = kernels.planar_orbit_sweep(
+    patterns, sorted, as int64 rows: kernels.planar_orbit_sweep, one row
+    per scaling orbit through _sweep_mask."""
+    return kernels.planar_orbit_sweep(
         spec, exponents, patterns, lambda batch: _sweep_mask(spec, exponents, batch, threads))
-    return [tuple(r) for r in rows.tolist()]
 
 
 def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
@@ -729,7 +726,8 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
     support reaches past index 0 (candidate violations of the conjectured
     single-coefficient shape). Every support of at most support_size
     positions is covered, one row per scaling orbit (_planar_rows); the
-    budget counts every vector. An empty candidate list at this scale is
+    budget counts every vector. planar, candidates and in_shape are int64
+    rows of the m coefficients. An empty candidate list at this scale is
     evidence, not proof."""
     if t.k != 2:
         raise ValueError("the sparse-shape search needs a k=2 tower")
@@ -744,10 +742,9 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
 
     exponents = [(1 << (m + i)) + (1 << i) for i in range(m)]
     patterns = [p for s in range(support_size + 1) for p in itertools.combinations(range(m), s)]
-    planar_vectors = _planar_rows(spec, exponents, patterns, threads)
-    off = [v for v in planar_vectors if any(c != 0 for c in v[1:])]
-    in_shape = [v for v in planar_vectors if all(c == 0 for c in v[1:])]
+    rows = _planar_rows(spec, exponents, patterns, threads)
+    off = rows[:, 1:].any(axis=1)
     return {
         "m": m, "q": t.q, "support": support_size, "tested": total,
-        "planar": planar_vectors, "candidates": off, "in_shape": in_shape,
+        "planar": rows, "candidates": rows[off], "in_shape": rows[~off],
     }

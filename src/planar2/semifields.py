@@ -27,14 +27,15 @@ of these orders, "left nucleus = everything" is the same as being a field.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .fields import BudgetError, Fe, FieldSpec, TowerView, field, tower, vec_frob, vec_mul
+from .fields import (BudgetError, Fe, FieldSpec, TowerView, field, hex_bits, tower, vec_frob,
+                     vec_mul)
 from .linearized import LinearizedPoly, inverse_map
-from .planar import DOPoly, is_planar_bruteforce
+from .planar import DOPoly, is_planar_bruteforce  # noqa: F401 (perfbench's tracer looks it up here)
 
 TABLE_N_MAX = 12        # the full 2^n x 2^n table: table() and dump_table
 _NUCLEI_ROWS = 1 << 10  # nuclei test at most this many a at once
@@ -121,13 +122,11 @@ def field_presemifield(spec: FieldSpec) -> Presemifield:
     return Presemifield(spec, "field", kernels.bilinear_form(spec, [], []), identity=1)
 
 
-def presemifield_from_planar(f: DOPoly, check_planar: bool = True) -> Presemifield:
+def presemifield_from_planar(f: DOPoly) -> Presemifield:
     """x*y = xy + f(x+y) + f(x) + f(y) for a planar quadratic f. Its
     structure constants are the basis values B(e_i, e_j) of the form that
-    the rank kernel tests (kernels.bilinear_form); check_planar runs the
-    definition oracle first."""
-    if check_planar and not is_planar_bruteforce(f):
-        raise ValueError("f is not planar; the product would have zero divisors")
+    the rank kernel tests (kernels.bilinear_form); the constructor's exact
+    rank test raises ValueError when f is not planar."""
     return Presemifield(f.spec, "planar", kernels.bilinear_form(f.spec, *f.as_row()))
 
 
@@ -264,19 +263,16 @@ class NucleiReport:
     is_associative: bool
     is_field: bool
     order: int
-    meta: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
             "order": self.order,
             "left_size": len(self.left), "middle_size": len(self.middle),
             "right_size": len(self.right),
-            "left": [f"{b:x}" for b in self.left],
-            "middle": [f"{b:x}" for b in self.middle],
-            "right": [f"{b:x}" for b in self.right],
+            "left": hex_bits(self.left), "middle": hex_bits(self.middle),
+            "right": hex_bits(self.right),
             "is_associative": self.is_associative,
             "is_field": self.is_field,
-            **self.meta,
         }
 
 
@@ -356,7 +352,7 @@ def quartic_example_check(m: int, rng_triples: int = 1000, seed: int = 0) -> dic
         xg, yg = (a.ravel() for a in np.meshgrid(basis, basis, indexing="ij"))
 
     frq = lambda arr, j: vec_frob(spec, arr, j * t.m)
-    pre = presemifield_from_planar(h, check_planar=False)  # the rank test verifies h
+    pre = presemifield_from_planar(h)
 
     def linv(arr):
         out = np.zeros(arr.shape, dtype=np.int64)

@@ -182,6 +182,25 @@ def test_problem27_report_bytes_match_the_recorded_digest(tmp_path, m, support):
     assert _digest_without_version(tmp_path, argv) == GOLDEN_PROBLEM27[m, support]
 
 
+# sha256 of report bytes without the "version" line, recorded at 0.14.0, when
+# report rows were Python tuples: a converse audit with extras (P4b m=2: 290
+# planar rows, 119 of them extras), the CSV writer, and a semifield report
+# with the flags it echoes.
+GOLDEN_REPORTS = {
+    "audit --family P4b --m 2 --mode converse --budget 16777216":
+        "ab31feba3d065cc96e9d10cdb5a8080f5d8fb615520eefef44d0b99307f7cc1c",
+    "audit --family P2 --m 2 --format csv":
+        "dc145c5ce93d29dfca43fa7e678fc2bd7013108a04076088ad426f5c3064ccc5",
+    "semifield --family P1 --m 3 --coeffs 5":
+        "c088f28c1a66b57aaa803c29e39095ba49af222cc940fef56fa2cd3f1b36c9ca",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_REPORTS))
+def test_report_bytes_match_the_recorded_digest(tmp_path, argv):
+    assert _digest_without_version(tmp_path, argv.split()) == GOLDEN_REPORTS[argv]
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)

@@ -305,7 +305,7 @@ def test_threaded_sweep_mask_matches_the_oracle(exps):
 def test_sufficiency_spaces_are_planar_in_every_test(fam, m, k):
     t = p2.tower(m, k)
     rep = planar.family_audit(fam, t, "sufficiency", threads=2)
-    assert rep.failures == [] and len(rep.planar) == rep.tested > 0
+    assert len(rep.failures) == 0 and len(rep.planar) == rep.tested > 0
     space = planar.family_param_space(fam, t)
     for i in np.random.default_rng(m * k).choice(len(space), min(4, len(space)), replace=False):
         f = planar.family_coeffs(space[i])

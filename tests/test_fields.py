@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import planar2 as p2
-from planar2.fields import (N_MAX, is_irreducible, lex_chunks, lex_rows, mat_det, mat_solve,
-                            vec_div, vec_frob, vec_mul)
+from planar2.fields import (N_MAX, hex_bits, is_irreducible, lex_chunks, lex_rows, mat_det,
+                            mat_solve, vec_div, vec_frob, vec_mul)
 
 
 def _divides(d: int, p: int) -> bool:
@@ -186,6 +186,19 @@ def test_lex_rows_lists_tuples_like_itertools_product():
         assert rows.dtype == np.int64 and rows.shape == (base ** width, width)
         assert [tuple(r) for r in rows.tolist()] == list(
             itertools.product(range(base), repeat=width))
+
+
+def test_hex_bits_formats_like_an_fstring_per_element():
+    rng = np.random.default_rng(20)
+    top = (1 << N_MAX) - 1
+    rows = rng.integers(0, top + 1, size=(50, 3))
+    rows[:5] = [0, 1, top]  # repeated values, both ends of the range
+    for a in (rows, rows[:, 0], rows[:0], np.empty((0, 4), dtype=np.int64),
+              np.arange(20, dtype=np.int64)):
+        assert hex_bits(a) == (
+            [[f"{c:x}" for c in row] for row in a.tolist()] if a.ndim == 2
+            else [f"{c:x}" for c in a.tolist()])
+    assert hex_bits(rows[:0]) == [] and hex_bits(np.array([top])) == ["fffff"]
 
 
 def test_lex_chunks_list_lex_rows_in_bounded_blocks():

@@ -226,10 +226,10 @@ def test_family_sufficiency_small():
     for fam, t in (("P1", p2.tower(2, 2)), ("P3", p2.tower(2, 3)),
                    ("P4a", p2.tower(2, 4))):
         rep = family_audit(fam, t, "sufficiency")
-        assert not rep.failures
+        assert len(rep.failures) == 0
         assert rep.tested == len(family_param_space(fam, t))
-        zero_tuple = tuple([0] * len(family_shape(fam, t)))
-        assert zero_tuple in rep.planar
+        assert rep.planar.shape[1] == len(family_shape(fam, t))
+        assert (rep.planar == 0).all(axis=1).any()  # the zero row
 
 
 def test_known_families_planar():
@@ -417,7 +417,7 @@ def test_p3_at_m1_takes_exponents_mod_n():
     assert len(space) == 8
     assert all(p2.is_planar_bruteforce(family_coeffs(p)) for p in space)
     rep = family_audit("P3", t, "sufficiency")
-    assert rep.tested == 8 and not rep.failures
+    assert rep.tested == 8 and len(rep.failures) == 0
 
 
 def test_p1_at_m1_shape_columns_coincide():
@@ -492,7 +492,7 @@ def test_converse_audit_reports_rather_than_asserts():
     M = {c.bits for c in p2.norm_trace_zero_set(t)}
     assert in_family == {(c, 0) for c in M}
     # at this size the shape sweep finds nothing outside the family
-    assert rep.extras == []
+    assert len(rep.extras) == 0
 
 
 def test_audit_budget():
@@ -510,23 +510,52 @@ def test_audit_json_and_csv_deterministic():
     assert len(csv.splitlines()) == len(r1.planar) + 1
 
 
+def test_sufficiency_splits_planar_and_failures_in_row_order(monkeypatch):
+    t = p2.tower(2, 2)
+    swept = []
+
+    def every_third_fails(spec, exponents, rows, threads):
+        swept.append(rows)
+        return np.arange(len(rows)) % 3 != 0
+
+    monkeypatch.setattr(planar, "_sweep_mask", every_third_fails)
+    rep = family_audit("P1", t, "sufficiency")
+    (rows,) = swept
+    assert [tuple(r) for r in rows.tolist()] == [
+        family_tuple("P1", family_coeffs(p), t) for p in family_param_space("P1", t)]
+    ok = np.arange(len(rows)) % 3 != 0
+    assert rep.tested == len(rows) and len(rep.failures) > 0
+    assert np.array_equal(rep.planar, rows[ok]) and np.array_equal(rep.failures, rows[~ok])
+    assert rep.extras.shape == (0, 2)
+    assert rep.to_json()["failures"] == [[f"{c:x}" for c in r] for r in rows[~ok].tolist()]
+
+
+def test_audit_csv_without_planar_rows_is_one_newline(monkeypatch):
+    monkeypatch.setattr(planar, "_sweep_mask",
+                        lambda spec, exponents, rows, threads: np.zeros(len(rows), dtype=bool))
+    rep = family_audit("P1", p2.tower(2, 2), "sufficiency")
+    assert rep.planar.shape == (0, 2) and len(rep.failures) == rep.tested > 0
+    assert rep.to_csv() == "\n"
+    assert rep.to_json()["planar"] == [] and rep.to_json()["extras"] == []
+
+
 def test_audit_threads_match_serial():
     t = p2.tower(2, 3)
     a = family_audit("P3", t, "sufficiency", threads=1)
     b = family_audit("P3", t, "sufficiency", threads=4)
-    assert a.planar == b.planar and a.extras == b.extras
+    assert np.array_equal(a.planar, b.planar) and np.array_equal(a.extras, b.extras)
 
 
 def test_converse_audit_threads_match_serial():
     t = p2.tower(2, 2)
     a = family_audit("P1", t, "converse", threads=1)
     b = family_audit("P1", t, "converse", threads=3)
-    assert a.planar == b.planar and a.extras == b.extras
+    assert np.array_equal(a.planar, b.planar) and np.array_equal(a.extras, b.extras)
 
 
 def test_audit_of_parameter_free_family():
     rep = family_audit("Knuth", p2.tower(1, 5), "sufficiency")
-    assert rep.tested == 1 and not rep.failures
+    assert rep.tested == 1 and len(rep.failures) == 0
     with pytest.raises(ValueError):
         family_audit("Knuth", p2.tower(1, 5), "converse")
 
@@ -535,16 +564,16 @@ def test_offdiagonal_search_support1_recovers_the_set():
     t = p2.tower(2, 2)
     rep = offdiagonal_search(t, 1)
     M = {c.bits for c in p2.norm_trace_zero_set(t)}
-    assert {v[0] for v in rep["in_shape"]} == M
-    assert rep["candidates"] == []
-    assert tuple([0, 0]) in rep["planar"]
+    assert set(rep["in_shape"][:, 0].tolist()) == M
+    assert len(rep["candidates"]) == 0
+    assert (rep["planar"] == 0).all(axis=1).any()  # the zero row
 
 
 def test_offdiagonal_search_support2_m2_full_space():
     t = p2.tower(2, 2)
     rep = offdiagonal_search(t, 2)
     assert rep["tested"] == 256  # the whole binomial space at m=2
-    assert rep["candidates"] == []  # consistent with the conjectured shape
+    assert len(rep["candidates"]) == 0  # consistent with the conjectured shape
 
 
 def test_offdiagonal_search_is_one_sweep_of_the_whole_shape(monkeypatch):

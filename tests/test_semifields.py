@@ -74,7 +74,7 @@ def presemifields(draw):
         fam, m, k = draw(st.sampled_from(FAMILY_TOWERS))
         space = family_param_space(fam, p2.tower(m, k))
         f = family_coeffs(space[draw(st.integers(0, len(space) - 1))])
-        return sf.presemifield_from_planar(f, check_planar=False), _planar_table(f)
+        return sf.presemifield_from_planar(f), _planar_table(f)
     if kind == "knuth":
         n = draw(st.sampled_from([3, 5, 7]))
         return sf.knuth_presemifield(n), _chain_table(p2.field(n), _trace_table(p2.field(n), 1, 1))
@@ -252,7 +252,7 @@ def test_constructor_checks_the_structure_constants():
     with pytest.raises(ValueError, match="zero divisors"):  # (e_0 + e_1) * y = 0
         sf.Presemifield(spec, "bad", np.ones((3, 3), dtype=int))
     with pytest.raises(ValueError, match="zero divisors"):  # x^3 is not planar over GF(4)
-        sf.presemifield_from_planar(DOPoly(p2.tower(1, 2), [(1, 0, 1)]), check_planar=False)
+        sf.presemifield_from_planar(DOPoly(p2.tower(1, 2), [(1, 0, 1)]))
     with pytest.raises(ValueError, match="structure constants"):
         sf.Presemifield(spec, "bad", np.full((3, 3), 8))
     # the rank test takes 2^14 values of a per call; here every zero divisor
@@ -302,14 +302,13 @@ def test_binary_semifield_n5_is_not_a_field():
 def test_p1_p2_derived_semifields_are_fields_at_q4():
     t2 = p2.tower(2, 2)
     for p in family_param_space("P1", t2):
-        s = sf.to_semifield(sf.presemifield_from_planar(family_coeffs(p), check_planar=False))
+        s = sf.to_semifield(sf.presemifield_from_planar(family_coeffs(p)))
         assert sf.nuclei(s).is_field
     t3 = p2.tower(2, 3)
     rng = np.random.default_rng(1)
     space = family_param_space("P2", t3)
     for i in rng.integers(0, len(space), 12):
-        s = sf.to_semifield(sf.presemifield_from_planar(family_coeffs(space[int(i)]),
-                                                        check_planar=False))
+        s = sf.to_semifield(sf.presemifield_from_planar(family_coeffs(space[int(i)])))
         assert sf.nuclei(s).is_field
 
 
@@ -321,8 +320,7 @@ def test_p3_derived_semifields_recorded_not_fields_at_q4():
     # constructions agree, as nuclei are isotopy invariants).
     t = p2.tower(2, 3)
     for a in (1, 2, 7):
-        pre = sf.presemifield_from_planar(
-            family_coeffs(FamilyParams("P3", (t.fe(a),), t)), check_planar=False)
+        pre = sf.presemifield_from_planar(family_coeffs(FamilyParams("P3", (t.fe(a),), t)))
         for cons in ("isotope", "left-division"):
             rep = sf.nuclei(sf.to_semifield(pre, construction=cons))
             assert not rep.is_field
@@ -336,8 +334,7 @@ def test_p4_derived_semifield_nuclei_recorded():
     space = family_param_space("P4b", t)
     sizes = set()
     for p in (space[1], space[17]):
-        s = sf.to_semifield(sf.presemifield_from_planar(family_coeffs(p),
-                                                        check_planar=False))
+        s = sf.to_semifield(sf.presemifield_from_planar(family_coeffs(p)))
         sizes.add(len(sf.nuclei(s).left))
     assert sizes  # recorded, nothing asserted about field-ness
 
