@@ -12,7 +12,7 @@ test, and a definition check on full value tables as the independent
 oracle.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .fields import (BudgetError, Fe, FieldSpec, TowerView, field, fe_from_hex,
                      smallest_irreducible, tower)
@@ -24,10 +24,9 @@ from .planar import (FAMILIES, AuditReport, DOPoly, FamilyParams, family_audit,
                      is_planar_linearized, norm_trace_zero_set, offdiagonal_search,
                      planar_by_criterion, planar_criterion_k2, planar_criterion_k3,
                      planar_criterion_k4)
-from .semifields import (NucleiReport, Presemifield, TraceChain, kantor_mul,
-                         kantor_presemifield, knuth_mul, knuth_presemifield,
-                         nuclei, presemifield_from_planar, quartic_example_check,
-                         to_semifield)
+from .semifields import (NucleiReport, Presemifield, TraceChain, kantor_presemifield,
+                         knuth_presemifield, nuclei, presemifield_from_planar,
+                         quartic_example_check, to_semifield)
 from .surfaces import (LinearForm, MvPoly, build_G, count_points_affine,
                        count_points_projective, eval_orbit, langweil_check,
                        langweil_rhs, linear_factor_search, orbit_has_zero,

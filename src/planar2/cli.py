@@ -10,10 +10,10 @@ converse audit are findings, not errors), 1 = bad arguments (unknown
 flags included), 2 = internal disagreement between planarity criteria,
 3 = budget exceeded (a field beyond GF(2^fields.N_MAX) included),
 4 = internal invariant failed (a RuntimeError or AssertionError, reported
-on stderr instead of a traceback); a negative count (--budget, --support)
-or fewer than one thread is bad arguments. check and surface run the
-definition oracle up to GF(2^CHECK_ORACLE_N_MAX) and take the rank verdict
-beyond, where check reports "bruteforce": null.
+on stderr instead of a traceback); a negative count (--budget, --support,
+--max-n) or fewer than one thread is bad arguments. check and surface run
+the definition oracle up to GF(2^CHECK_ORACLE_N_MAX) and take the rank
+verdict beyond, where check reports "bruteforce": null.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .planar import DOPoly, FamilyParams
 # check and surface run the 4^n definition oracle only up to this degree
 # (about 1 s for a planar input over GF(2^14)); beyond it the rank verdict decides.
 CHECK_ORACLE_N_MAX = 14
-_LEAST = {"budget": 0, "support": 0, "threads": 1}  # the smallest value each count takes
+# the smallest value each count takes
+_LEAST = {"budget": 0, "support": 0, "threads": 1, "max_n": 0}
 
 
 def _meta(t, args) -> dict:
@@ -272,7 +273,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     low = next((key for key, least in _LEAST.items() if getattr(args, key, least) < least), None)
     if low is not None:
-        print(f"error: --{low} must be at least {_LEAST[low]}", file=sys.stderr)
+        print(f"error: --{low.replace('_', '-')} must be at least {_LEAST[low]}", file=sys.stderr)
         return 1
     if getattr(args, "family", None) is not None and args.k is None:
         args.k = planar.REGISTRY[args.family].k

@@ -273,7 +273,7 @@ class Fe:
 
     def __init__(self, bits: int, spec: FieldSpec):
         if not 0 <= bits < spec.order:
-            raise ValueError(f"bits 0x{bits:x} out of range for {spec!r}")
+            raise ValueError(f"bits {bits:#x} out of range for {spec!r}")
         self.bits = bits
         self.spec = spec
 

@@ -67,9 +67,7 @@ class DOPoly:
         merged: dict[int, tuple[int, int, int]] = {}
         prepared = []
         for coeff, u, v in terms:
-            cb = coeff.bits if isinstance(coeff, Fe) else int(coeff)
-            if isinstance(coeff, Fe):
-                tower._own(coeff)
+            cb = _coeff_bits([coeff], tower, 1, "a term")[0]
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"exponent pair ({u},{v}) out of range for n={n}")
             u, v = min(u, v), max(u, v)
@@ -176,13 +174,13 @@ def is_planar_linearized(f: DOPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 def _coeff_bits(c, t: TowerView, length: int, what: str) -> list[int]:
+    """The element bits of the coefficients c, Fe or int: an int goes
+    through t.fe, so one out of range raises ValueError like any Fe."""
     out = []
     for x in c:
-        if isinstance(x, Fe):
-            t._own(x)
-            out.append(x.bits)
-        else:
-            out.append(int(x))
+        x = x if isinstance(x, Fe) else t.fe(int(x))
+        t._own(x)
+        out.append(x.bits)
     if len(out) != length:
         raise ValueError(f"{what} expects {length} coefficients, got {len(out)}")
     return out

@@ -1,16 +1,19 @@
 """Presemifields and semifields on GF(2^n).
 
-A planar quadratic f induces the commutative presemifield product
-x*y = xy + f(x+y) + f(x) + f(y); the binary-semifield product
-xy + (x Tr(y) + y Tr(x))^2 is the trivial case of its chained-trace
-generalization. A presemifield is held as its structure constants
-S[i, j] = e_i * e_j on the polynomial basis (Knuth's cubical array), so
-the product is biadditive by construction; every operation reads S or the
+Every presemifield here is the form of a Dembowski-Ostrom polynomial f:
+x*y = xy + f(x+y) + f(x) + f(y), which has no zero divisors exactly when
+f is planar. f = 0 gives the field, a planar f its commutative
+presemifield, and f = (x s(x))^2, for the GF(2)-linear
+s(x) = sum_i Tr_i(zeta_i x) of a subfield chain, the chained-trace product
+xy + (x s(y) + y s(x))^2; its trivial chain, s = Tr, is the
+binary-semifield product. A presemifield is held as its structure
+constants S[i, j] = e_i * e_j on the polynomial basis (Knuth's cubical
+array), the basis values of f's form (kernels.bilinear_form), so the
+product is biadditive by construction; every operation reads S or the
 column table C[a, j] = a * e_j. The constructor checks that S is symmetric
 and that every x -> a*x, a != 0, is nonsingular (no zero divisors) with
 kernels.nonsingular_form, the stage loop of the planarity sweep, so no
-constructed Presemifield has any. A planar f's constants are its form,
-kernels.bilinear_form; the field's are the form of f = 0.
+constructed Presemifield has any.
 Only the full 2^n x 2^n table (for n <= TABLE_N_MAX) holds 4^n entries.
 
 A unital semifield is obtained from a presemifield in two ways, both
@@ -26,16 +29,15 @@ of these orders, "left nucleus = everything" is the same as being a field.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .fields import (BudgetError, Fe, FieldSpec, TowerView, field, hex_bits, tower, vec_frob,
-                     vec_mul)
+from .fields import BudgetError, Fe, FieldSpec, TowerView, hex_bits, tower, vec_frob, vec_mul
 from .linearized import LinearizedPoly, inverse_map
-from .planar import DOPoly, is_planar_bruteforce  # noqa: F401 (perfbench's tracer looks it up here)
+from .planar import DOPoly, FamilyParams, family_coeffs
+from .planar import is_planar_bruteforce  # noqa: F401 (perfbench's tracer looks it up here)
 
 TABLE_N_MAX = 12        # the full 2^n x 2^n table: table() and dump_table
 _NUCLEI_ROWS = 1 << 10  # nuclei test at most this many a at once
@@ -154,63 +156,30 @@ class TraceChain:
             if not 0 < z < self.spec.order:
                 raise ValueError("chain weights must be nonzero field elements")
 
-    @functools.cached_property
-    def _weights(self) -> tuple[int, ...]:
-        """s(e_k) for every k, where s(x) = sum_i Tr_i(zeta_i x) and Tr_i is
-        the trace onto the subfield of degree m_i; s is GF(2)-linear."""
-        spec = self.spec
-        out = []
-        for k in range(spec.n):
-            acc = 0
-            for d, z in zip(self.degrees, self.zetas):
-                zx = spec.mul(z, 1 << k)
-                for j in range(0, spec.n, d):
-                    acc ^= spec.frob(zx, j)
-            out.append(acc)
-        return tuple(out)
-
-    def _weight(self, x: int) -> int:
-        """s(x): the sum of s(e_k) over the bits k of x."""
-        acc = 0
-        for k, w in enumerate(self._weights):
-            if x >> k & 1:
-                acc ^= w
-        return acc
-
-
-def kantor_mul(chain: TraceChain, x: Fe, y: Fe) -> Fe:
-    """x*y = xy + (x sum_i Tr_i(zeta_i y) + y sum_i Tr_i(zeta_i x))^2."""
-    spec = chain.spec
-    inner = spec.mul(x.bits, chain._weight(y.bits)) ^ spec.mul(y.bits, chain._weight(x.bits))
-    return Fe(spec.mul(x.bits, y.bits) ^ spec.sqr(inner), spec)
-
-
-def _chain_presemifield(chain: TraceChain, label: str) -> Presemifield:
-    """The chained-trace product, evaluated once on the basis pairs."""
-    basis = [chain.spec.fe(1 << i) for i in range(chain.spec.n)]
-    return Presemifield(chain.spec, label,
-                        [[kantor_mul(chain, u, v).bits for v in basis] for u in basis])
-
 
 def kantor_presemifield(chain: TraceChain) -> Presemifield:
-    return _chain_presemifield(chain, "kantor")
-
-
-@functools.lru_cache(maxsize=None)
-def _knuth_chain(spec: FieldSpec) -> TraceChain:
-    """The trivial chain F > GF(2) with weight 1: s is the absolute trace."""
-    if spec.n % 2 == 0:
-        raise ValueError("the binary-semifield product needs odd n")
-    return TraceChain(spec, (1,), (1,))
-
-
-def knuth_mul(spec: FieldSpec, x: Fe, y: Fe) -> Fe:
-    """x*y = xy + (x Tr(y) + y Tr(x))^2 with the absolute trace; n odd."""
-    return kantor_mul(_knuth_chain(spec), x, y)
+    """The chained-trace product x*y = xy + (x s(y) + y s(x))^2, where
+    s(x) = sum_i Tr_i(zeta_i x) and Tr_i is the trace onto the subfield of
+    degree m_i. s is GF(2)-linear, s(x) = sum_j w_j x^(2^j) with w_j the
+    sum of zeta_i^(2^j) over the levels with m_i | j, so the product is the
+    form of f = (x s(x))^2 = sum_j w_j^2 x^(2 + 2^((j+1) mod n))."""
+    spec = chain.spec
+    n = spec.n
+    w = [0] * n
+    for d, z in zip(chain.degrees, chain.zetas):
+        for j in range(0, n, d):
+            w[j] ^= spec.frob(z, j)
+    exponents = [2 + (1 << ((j + 1) % n)) for j in range(n)]
+    return Presemifield(spec, "kantor",
+                        kernels.bilinear_form(spec, exponents, [spec.sqr(c) for c in w]))
 
 
 def knuth_presemifield(n: int) -> Presemifield:
-    return _chain_presemifield(_knuth_chain(field(n)), "knuth")
+    """The binary-semifield product xy + (x Tr(y) + y Tr(x))^2, n odd: the
+    form of the registry's Knuth polynomial x^2 Tr(x) = (x Tr(x))^2, the
+    chained-trace product of the chain F > GF(2) with weight 1."""
+    f = family_coeffs(FamilyParams("Knuth", (), tower(1, n)))
+    return Presemifield(f.spec, "knuth", kernels.bilinear_form(f.spec, *f.as_row()))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,16 @@ def test_check_parse_error_exit1(capsys):
     assert main(["check", "--terms", "garbage", "--m", "2", "--k", "2"]) == 1
 
 
+@pytest.mark.parametrize("terms", ["(-1,0,1)", "(10,0,1)"])
+def test_check_rejects_a_coefficient_outside_the_field(capsys, terms):
+    # -1 would index the tables from the end, 0x10 past them, over GF(2^4)
+    assert main(["check", "--terms", terms, "--m", "2", "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "out of range" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_check_beyond_the_oracle_bound_takes_the_rank_verdict(capsys, monkeypatch):
     # planted P1 over GF(2^16): the 4^n oracle must not run there
     def no_oracle(*args):
@@ -362,6 +372,13 @@ def test_fields_table(capsys):
     assert code == 0
     assert rep["moduli"] == [{"n": 1, "modulus": "3"}, {"n": 2, "modulus": "7"},
                              {"n": 3, "modulus": "b"}, {"n": 4, "modulus": "13"}]
+
+
+def test_fields_rejects_a_negative_max_n(capsys):
+    assert main(["fields", "--max-n", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-n must be at least 0\n"
 
 
 def test_knuth_family_needs_explicit_k():

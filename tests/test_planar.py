@@ -43,6 +43,13 @@ def test_exponent_range_checked():
         DOPoly(t, [(1, 0, 4)])
 
 
+@pytest.mark.parametrize("coeff", [-1, 16, 1 << 40])
+def test_coefficient_range_checked(coeff):
+    # over GF(2^4): an int coefficient is an element's bits, like Fe's
+    with pytest.raises(ValueError, match="out of range"):
+        DOPoly(p2.tower(2, 2), [(coeff, 0, 2)])
+
+
 def test_square_exponent_term_is_additive():
     # u = v terms never change planarity: the linear part of the
     # difference map is unchanged
@@ -129,6 +136,12 @@ def test_criterion_wrong_arity_raises():
         p2.planar_criterion_k2([0], p2.tower(2, 2))
     with pytest.raises(ValueError):
         p2.planar_criterion_k3([0] * 4, [0] * 2, p2.tower(2, 2))
+
+
+@pytest.mark.parametrize("coeff", [-1, 16])
+def test_criterion_coefficient_range_checked(coeff):
+    with pytest.raises(ValueError, match="out of range"):
+        p2.planar_criterion_k2([coeff, 0], p2.tower(2, 2))
 
 
 def test_criterion_lists_mapping():

@@ -164,10 +164,20 @@ def test_trivial_chain_coincides_with_knuth():
 
 
 def test_chained_trace_product_gf64_over_gf4():
-    chain = sf.TraceChain(p2.field(6), (2,), (3,))
-    pre = sf.kantor_presemifield(chain)  # the constructor rejects zero divisors
-    x, y = p2.field(6).fe(5), p2.field(6).fe(44)
-    assert sf.kantor_mul(chain, x, y) == pre.mul(x, y)
+    spec = p2.field(6)
+    pre = sf.kantor_presemifield(sf.TraceChain(spec, (2,), (3,)))  # rejects zero divisors
+    want = _chain_table(spec, _trace_table(spec, 2, 3))
+    for x, y in ((5, 44), (1, 63), (17, 17), (0, 9)):
+        assert pre.mul(spec.fe(x), spec.fe(y)).bits == want[x, y]
+
+
+@pytest.mark.parametrize("zetas", [(1, 1), (0x1b, 0x1c5), (0x100, 0x3)])
+def test_two_level_chain_gf512_over_gf8_over_gf2(zetas):
+    # the smallest two-level chain: F > GF(8) > GF(2), s = Tr_3(z1 x) + Tr_1(z2 x)
+    spec = p2.field(9)
+    pre = sf.kantor_presemifield(sf.TraceChain(spec, (3, 1), zetas))
+    weight = _trace_table(spec, 3, zetas[0]) ^ _trace_table(spec, 1, zetas[1])
+    assert np.array_equal(pre.table(), _chain_table(spec, weight))
 
 
 def test_invalid_chains_rejected():
