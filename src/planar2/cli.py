@@ -191,9 +191,11 @@ def cmd_problem27(args) -> int:
     t = tower(args.m, 2)
     rep = planar.offdiagonal_search(t, args.support,
                                     budget=args.budget, threads=args.threads)
-    rows = {key: hex_bits(rep[key]) for key in ("planar", "candidates", "in_shape")}
-    _emit_json(args, {"tested": rep["tested"], "support": rep["support"], **rows,
-                      **_meta(t, args)})
+    rows = hex_bits(rep["planar"])  # formatted once, split by the candidate mask
+    split = {key: list(itertools.compress(rows, mask.tolist()))
+             for key, mask in (("candidates", rep["off"]), ("in_shape", ~rep["off"]))}
+    _emit_json(args, {"tested": rep["tested"], "support": rep["support"], "planar": rows,
+                      **split, **_meta(t, args)})
     return 0
 
 

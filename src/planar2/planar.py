@@ -725,8 +725,9 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
     single-coefficient shape). Every support of at most support_size
     positions is covered, one row per scaling orbit (_planar_rows); the
     budget counts every vector. planar, candidates and in_shape are int64
-    rows of the m coefficients. An empty candidate list at this scale is
-    evidence, not proof."""
+    rows of the m coefficients; off marks the planar rows that are
+    candidates. An empty candidate list at this scale is evidence, not
+    proof."""
     if t.k != 2:
         raise ValueError("the sparse-shape search needs a k=2 tower")
     if support_size > 3:
@@ -744,5 +745,5 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
     off = rows[:, 1:].any(axis=1)
     return {
         "m": m, "q": t.q, "support": support_size, "tested": total,
-        "planar": rows, "candidates": rows[off], "in_shape": rows[~off],
+        "planar": rows, "candidates": rows[off], "in_shape": rows[~off], "off": off,
     }

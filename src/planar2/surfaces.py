@@ -10,6 +10,10 @@ Reducibility of G explains which coefficients can be planar:
 the relevant factorizations are products of Frobenius-conjugate linear
 forms, which linear_factor_search recovers by exact division.
 
+MvPoly is the algebra under all of it: its constructor is the one place
+that XOR-merges terms (sums, products and substitutions hand it their
+term lists), and MvPoly.linear is the one builder of sum_i c_i x_i.
+
 Via a normal basis the orbit substitution turns G into a polynomial over
 GF(q) in k affine coordinates (specialize_normal); homogenizing and
 counting projective points connects to the quantitative bound
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -40,23 +45,29 @@ COUNT_LIMIT = 1 << 24  # affine/projective enumeration budget (points)
 
 class MvPoly:
     """Multivariate polynomial over a FieldSpec; terms map exponent tuples
-    to nonzero coefficient bits."""
+    to nonzero coefficient bits.
+
+    The constructor is the one place that adds terms: it takes a mapping
+    or an iterable of (exponent tuple, coefficient) pairs, XOR-adds equal
+    tuples, drops zero sums, and only then checks each kept tuple and
+    coefficient. Sums, products and substitutions hand it their terms.
+    """
 
     __slots__ = ("spec", "nvars", "terms")
 
-    def __init__(self, spec: FieldSpec, nvars: int, terms=None):
-        clean: dict[tuple[int, ...], int] = {}
-        for exps, cb in (terms or {}).items():
-            cb = cb.bits if isinstance(cb, Fe) else int(cb)
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+    def __init__(self, spec: FieldSpec, nvars: int, terms=()):
+        merged: dict[tuple[int, ...], int] = {}
+        for exps, c in (terms.items() if hasattr(terms, "items") else terms):
+            merged[exps] = merged.get(exps, 0) ^ (c.bits if isinstance(c, Fe) else c)
+        clean = {}
+        for exps, c in merged.items():
+            if not c:
+                continue
+            if len(exps) != nvars or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
-            if cb:
-                prev = clean.get(exps, 0) ^ cb
-                if prev:
-                    clean[exps] = prev
-                else:
-                    clean.pop(exps, None)
+            if not 0 < c < spec.order:
+                raise ValueError(f"coefficient {c:#x} out of range for {spec!r}")
+            clean[tuple(map(int, exps))] = int(c)
         self.spec = spec
         self.nvars = nvars
         self.terms = clean
@@ -64,18 +75,22 @@ class MvPoly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, spec, nvars):
-        return cls(spec, nvars, {})
+    def constant(cls, spec, nvars, c):
+        return cls(spec, nvars, {(0,) * nvars: c})
 
     @classmethod
-    def constant(cls, spec, nvars, c):
-        return cls(spec, nvars, {tuple([0] * nvars): c})
+    def linear(cls, spec, coeffs):
+        """sum_i c_i x_i in len(coeffs) variables: the one builder of a
+        linear polynomial."""
+        n = len(coeffs)
+        return cls(spec, n, ((tuple(int(j == i) for j in range(n)), c)
+                             for i, c in enumerate(coeffs)))
 
     @classmethod
     def variable(cls, spec, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(spec, nvars, {tuple(e): 1})
+        coeffs = [0] * nvars
+        coeffs[i] = 1
+        return cls.linear(spec, coeffs)
 
     # -- ring operations ----------------------------------------------------
 
@@ -85,28 +100,15 @@ class MvPoly:
 
     def __add__(self, other: "MvPoly") -> "MvPoly":
         self._compat(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) ^ c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return MvPoly(self.spec, self.nvars, out)
+        return MvPoly(self.spec, self.nvars,
+                      itertools.chain(self.terms.items(), other.terms.items()))
 
     def __mul__(self, other: "MvPoly") -> "MvPoly":
         self._compat(other)
-        spec = self.spec
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) ^ spec.mul(c1, c2)
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return MvPoly(spec, self.nvars, out)
+        mul = self.spec.mul
+        return MvPoly(self.spec, self.nvars,
+                      ((tuple(map(operator.add, e1, e2)), mul(c1, c2))
+                       for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()))
 
     def __pow__(self, e: int) -> "MvPoly":
         if e < 0:
@@ -137,25 +139,21 @@ class MvPoly:
     # -- substitution and evaluation -----------------------------------------
 
     def substitute(self, mapping: dict[int, "MvPoly"]) -> "MvPoly":
-        """Simultaneously replace variables by polynomials (same ring)."""
-        out = MvPoly.zero(self.spec, self.nvars)
-        cache: dict[tuple[int, int], MvPoly] = {}
+        """Simultaneously replace variables by polynomials (same ring); an
+        unmapped variable stays itself."""
+        powers: dict[tuple[int, int], MvPoly] = {}
+        products = []
         for exps, cb in self.terms.items():
             term = MvPoly.constant(self.spec, self.nvars, cb)
             for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if i in mapping:
-                    key = (i, e)
-                    if key not in cache:
-                        cache[key] = mapping[i] ** e
-                    term = term * cache[key]
-                else:
-                    mono = MvPoly(self.spec, self.nvars,
-                                  {tuple(e if j == i else 0 for j in range(self.nvars)): 1})
-                    term = term * mono
-            out = out + term
-        return out
+                if e:
+                    if (i, e) not in powers:
+                        base = (mapping[i] if i in mapping
+                                else MvPoly.variable(self.spec, self.nvars, i))
+                        powers[i, e] = base ** e
+                    term = term * powers[i, e]
+            products.extend(term.terms.items())
+        return MvPoly(self.spec, self.nvars, products)
 
     def evaluate(self, point) -> int:
         return int(self.evaluate_vec([p.bits if isinstance(p, Fe) else int(p) for p in point]))
@@ -227,7 +225,7 @@ class LinearForm:
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        cb = [c.bits if isinstance(c, Fe) else int(c) for c in coeffs]
+        cb = [spec.fe(c.bits if isinstance(c, Fe) else int(c)).bits for c in coeffs]
         lead = next((i for i, c in enumerate(cb) if c), None)
         if lead is None:
             raise ValueError("linear form must not be identically zero")
@@ -242,14 +240,7 @@ class LinearForm:
         return next(i for i, c in enumerate(self.coeffs) if c)
 
     def to_mvpoly(self) -> MvPoly:
-        n = len(self.coeffs)
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        return MvPoly(self.spec, n, terms)
+        return MvPoly.linear(self.spec, self.coeffs)
 
     def conjugate(self, t: TowerView) -> "LinearForm":
         """Coefficients raised to q, variables cyclically shifted."""
@@ -352,15 +343,9 @@ def specialize_normal(G: MvPoly, t: TowerView) -> MvPoly:
         raise ValueError("specialization needs one variable per Frobenius power")
     spec = t.spec
     xi = t.normal_element.bits
-    subs = {}
-    for j in range(t.k):
-        terms = {}
-        for i in range(t.k):
-            e = [0] * t.k
-            e[i] = 1
-            terms[tuple(e)] = spec.frob(xi, ((i + j) % t.k) * t.m)
-        subs[j] = MvPoly(spec, t.k, terms)
-    h = G.substitute(subs)
+    h = G.substitute({j: MvPoly.linear(spec, [spec.frob(xi, ((i + j) % t.k) * t.m)
+                                              for i in range(t.k)])
+                      for j in range(t.k)})
     if any(spec.frob(c, t.m) != c for c in h.terms.values()):
         raise RuntimeError("specialized coefficients left GF(q); the input is not "
                            "Frobenius-symmetric like build_G's companions")
@@ -406,28 +391,18 @@ def count_points_projective(P: MvPoly, budget: int = COUNT_LIMIT) -> int:
 
 def divmod_linear(P: MvPoly, form: LinearForm) -> tuple[MvPoly, MvPoly]:
     """Exact division of P by a linear form; remainder has no pivot variable."""
-    spec = P.spec
-    piv = form.pivot
-    rest = MvPoly(spec, P.nvars, {
-        tuple(1 if j == i else 0 for j in range(P.nvars)): c
-        for i, c in enumerate(form.coeffs) if c and i != piv})
+    spec, piv = P.spec, form.pivot
+    rest = MvPoly.linear(spec, [0 if i == piv else c for i, c in enumerate(form.coeffs)])
     bydeg: dict[int, dict] = {}
     for exps, c in P.terms.items():
-        d = exps[piv]
-        reduced = tuple(0 if i == piv else e for i, e in enumerate(exps))
-        bydeg.setdefault(d, {})[reduced] = c
-    maxd = max(bydeg, default=0)
-    coeffs = [MvPoly(spec, P.nvars, bydeg.get(d, {})) for d in range(maxd + 1)]
-    carry = MvPoly.zero(spec, P.nvars)
-    quot = MvPoly.zero(spec, P.nvars)
-    for d in range(maxd, 0, -1):
-        carry = carry + coeffs[d]
-        mono = MvPoly(spec, P.nvars,
-                      {tuple(d - 1 if i == piv else 0 for i in range(P.nvars)): 1})
-        quot = quot + carry * mono
+        bydeg.setdefault(exps[piv], {})[exps[:piv] + (0,) + exps[piv + 1:]] = c
+    carry, quot = MvPoly(spec, P.nvars), []
+    for d in range(max(bydeg, default=0), 0, -1):
+        carry = carry + MvPoly(spec, P.nvars, bydeg.get(d, {}))
+        # carry has no pivot variable, so times x_piv^(d-1) sets that exponent
+        quot.extend((e[:piv] + (d - 1,) + e[piv + 1:], c) for e, c in carry.terms.items())
         carry = carry * rest
-    rem = carry + coeffs[0]
-    return quot, rem
+    return MvPoly(spec, P.nvars, quot), carry + MvPoly(spec, P.nvars, bydeg.get(0, {}))
 
 
 def _candidate_matrix(spec: FieldSpec, nvars: int, pivot: int, support: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from planar2 import cli, kernels, planar, semifields, surfaces
 from planar2.cli import main
+from planar2.fields import tower
 from planar2.planar import FAMILIES, REGISTRY
 
 
@@ -247,6 +248,30 @@ GOLDEN_SURFACES = {
 def test_surface_report_bytes_match_the_recorded_digest(tmp_path, family, m, coeffs):
     argv = ["surface", "--family", family, "--m", m, "--coeffs", coeffs]
     assert _digest_without_version(tmp_path, argv) == GOLDEN_SURFACES[family, m, coeffs]
+
+
+# sha256 of json.dumps(specialize_normal(build_G(f), t).to_json(),
+# sort_keys=True) for the GOLDEN_SURFACES instances, recorded at 0.16.0,
+# before the polynomial algebra merged terms in its constructor alone.
+# Surface reports carry only point counts of the specialization, so these
+# pin its coefficients.
+GOLDEN_SPECIALIZED = {
+    ("P1", "3", "5"): "b521152ae5f8b3604c422940a2864c6719fec6e1cceaf406d2de0d0ae97ae859",
+    ("P2", "2", "1f,3d"): "be52987102c60ff1865c28bcb2642a4dbac60cc5fcd62a8e63800863c8820266",
+    ("P3", "2", "b"): "24402ae166213236a3a1f58d3c42a8a7b7c57f19a0343888c02db8f8cb4adef8",
+    ("P4a", "2", "89"): "782d4d2fb69e1d0d025d97c7df0f0007294e869d232376fe54f37555dec33776",
+    ("P4b", "2", "8e"): "c8d24ed88b600b553b7d0cb0872a428d95a2ebdb1f860eadb07ecf2e32d435f1",
+}
+
+
+@pytest.mark.parametrize("family, m, coeffs", list(GOLDEN_SPECIALIZED))
+def test_specialized_companion_matches_the_recorded_digest(family, m, coeffs):
+    t = tower(int(m), REGISTRY[family].k)
+    params = tuple(t.fe(int(c, 16)) for c in coeffs.split(","))
+    f = planar.family_coeffs(planar.FamilyParams(family, params, t))
+    psi = surfaces.specialize_normal(surfaces.build_G(f, t, shape=family), t)
+    digest = hashlib.sha256(json.dumps(psi.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_SPECIALIZED[family, m, coeffs]
 
 
 def test_surface_p1_factor_recovery(capsys):

@@ -607,6 +607,14 @@ def test_offdiagonal_search_is_one_sweep_of_the_whole_shape(monkeypatch):
     assert rep["tested"] == 1 + 3 * 63 + 3 * 63 ** 2
 
 
+def test_offdiagonal_search_off_mask_splits_the_planar_rows():
+    rep = offdiagonal_search(p2.tower(3, 2), 2)
+    off = rep["off"]
+    assert np.array_equal(off, rep["planar"][:, 1:].any(axis=1))
+    assert np.array_equal(rep["planar"][off], rep["candidates"])
+    assert np.array_equal(rep["planar"][~off], rep["in_shape"])
+
+
 def test_offdiagonal_search_guards():
     with pytest.raises(ValueError):
         offdiagonal_search(p2.tower(2, 3), 1)

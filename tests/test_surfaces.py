@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 import planar2 as p2
 from planar2 import surfaces
-from planar2.fields import BudgetError
+from planar2.fields import BudgetError, vec_mul
 from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_table_k2,
                             criterion_table_k3, criterion_table_k4, criterion_lists,
                             family_coeffs, family_param_space, family_shape)
@@ -29,6 +29,33 @@ def test_mvpoly_ring_ops():
     assert (x * y) ** 3 == MvPoly(f, 2, {(3, 3): 1})
     assert p.degree() == 2 and p.is_homogeneous()
     assert not (p + MvPoly.constant(f, 2, 1)).is_homogeneous()
+
+
+def test_constructor_merges_pairs_and_drops_zero_sums():
+    f = p2.field(4)
+    pairs = [((1, 0), 3), ((0, 1), 5), ((1, 0), 3), ((0, 1), f.fe(6)), ((2, 2), 0)]
+    assert MvPoly(f, 2, pairs).terms == {(0, 1): 3}
+    assert MvPoly(f, 2, iter(pairs)) == MvPoly(f, 2, {(0, 1): 3})
+    assert MvPoly(f, 2).is_zero()
+
+
+def test_linear_builds_sum_of_coefficient_times_variable():
+    f = p2.field(4)
+    assert MvPoly.linear(f, [3, 0, 1]).terms == {(1, 0, 0): 3, (0, 0, 1): 1}
+    assert MvPoly.linear(f, [0, 1, 0]) == MvPoly.variable(f, 3, 1)
+    assert LinearForm(f, [0, 2, 4]).to_mvpoly() == MvPoly.linear(f, [0, 1, 2])
+
+
+@pytest.mark.parametrize("c", [-1, 99])
+def test_mvpoly_coefficient_range_checked(c):
+    with pytest.raises(ValueError):
+        MvPoly(p2.field(4), 2, {(1, 0): c})
+
+
+@pytest.mark.parametrize("c", [-1, 99])
+def test_linear_form_coefficient_range_checked(c):
+    with pytest.raises(ValueError):
+        LinearForm(p2.field(4), [c, 1])
 
 
 def test_mvpoly_substitute_and_evaluate():
@@ -86,6 +113,34 @@ def test_evaluate_vec_matches_the_scalar_reference(case):
     for idx in np.ndindex(shape):
         point = [int(g[idx]) for g in grid]
         assert vals[idx] == _scalar_reference(P, point) == P.evaluate(point)
+
+
+def _polys(spec, nvars, exp, max_size=6):
+    terms = st.dictionaries(st.tuples(*[exp] * nvars), st.integers(0, spec.order - 1),
+                            max_size=max_size)
+    return terms.map(lambda t: MvPoly(spec, nvars, t))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(polys_and_columns(), st.data())
+def test_sum_product_and_substitution_match_evaluation(case, data):
+    """P + Q, P * Q and P.substitute({i: Q_i}) against evaluate_vec of
+    their parts. The substituted polynomials keep exponents at most 3 and
+    the Q_i at most 3 terms, so the expansion stays small; variables left
+    out of the mapping stay themselves."""
+    P, cols = case
+    spec, nvars = P.spec, P.nvars
+    at = lambda poly: poly.evaluate_vec(cols)
+    Q = data.draw(_polys(spec, nvars, st.integers(0, 2 * spec.order + 1)))
+    assert np.array_equal(at(P + Q), at(P) ^ at(Q))
+    assert np.array_equal(at(P * Q), vec_mul(spec, at(P), at(Q)))
+    small = st.integers(0, 3)
+    R = data.draw(_polys(spec, nvars, small))
+    mapped = data.draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars))
+    subs = {i: data.draw(_polys(spec, nvars, small, max_size=3))
+            for i in range(nvars) if mapped[i]}
+    values = [at(subs[i]) if i in subs else cols[i] for i in range(nvars)]
+    assert np.array_equal(at(R.substitute(subs)), R.evaluate_vec(values))
 
 
 def test_evaluation_needs_one_value_per_variable():
