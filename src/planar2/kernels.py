@@ -41,7 +41,7 @@ import numpy as np
 
 from .fields import lex_chunks
 
-_CHECK_ELEMS = 1 << 18  # the oracle gathers at most this many values D_a(x) at once
+_CHECK_ELEMS = 1 << 16  # the oracle gathers at most this many values D_a(x) at once
 _FIRST_ELEMS = 1 << 15  # ... and at most this many in its first, cached gather
 _BLOCK_BITS = 14        # the sweep's rank test takes at most 2^14 matrices M_a at once
 _ORBIT_ROWS = 1 << 18   # planar_orbit_sweep lists and sweeps normal forms in batches this large

@@ -8,7 +8,9 @@ orbit". The family registry holds G as one generator term per Frobenius
 orbit (Family.companion), and build_G adds the conjugates of each.
 Reducibility of G explains which coefficients can be planar:
 the relevant factorizations are products of Frobenius-conjugate linear
-forms, which linear_factor_search recovers by exact division.
+forms. linear_factor_search recovers them by exact division, trying only
+the forms whose coefficients are roots of G on the axis lines
+c e_p + e_j: about k^2 q^k evaluations, not q^(2k) candidate forms.
 
 MvPoly is the algebra under all of it: its constructor is the one place
 that XOR-merges terms (sums, products and substitutions hand it their
@@ -405,78 +407,95 @@ def divmod_linear(P: MvPoly, form: LinearForm) -> tuple[MvPoly, MvPoly]:
     return MvPoly(spec, P.nvars, quot), carry + MvPoly(spec, P.nvars, bydeg.get(0, {}))
 
 
-def _candidate_matrix(spec: FieldSpec, nvars: int, pivot: int, support: int) -> np.ndarray:
-    """Normalized candidate coefficient rows for one pivot, sorted: pivot
-    coefficient 1, nonzero coefficients on up to support - 1 later variables."""
-    units = spec.order - 1
-    blocks = []
-    for size in range(support):
-        vals = lex_rows(units, size) + 1
-        for positions in itertools.combinations(range(pivot + 1, nvars), size):
-            block = np.zeros((len(vals), nvars), dtype=np.int64)
-            block[:, pivot] = 1
-            block[:, list(positions)] = vals
-            blocks.append(block)
-    return np.concatenate(blocks)
-
-
 _PROBE_SEEDS = (1, 2, 3, 5, 7, 11, 13, 19)
 
 
 def _probe_points(spec: FieldSpec, width: int) -> list[tuple[int, ...]]:
-    """Deterministic assignments for the non-pivot coordinates."""
-    pts = []
-    for i in range(width):
-        pts.append(tuple(1 if j == i else 0 for j in range(width)))
+    """Deterministic assignments for the non-pivot coordinates, all nonzero."""
     mask = spec.order - 1
-    for s in _PROBE_SEEDS:
-        pts.append(tuple(((s * (j + 1) ** 2 + j) % mask) + 1 for j in range(width)))
-    return pts
+    return [tuple(((s * (j + 1) ** 2 + j) % mask) + 1 for j in range(width))
+            for s in _PROBE_SEEDS]
 
 
 def linear_factor_search(G: MvPoly,
                          budget: int = 1 << 19) -> tuple[list[tuple[LinearForm, int]], MvPoly]:
     """Split off homogeneous linear factors with coefficients in G's field.
 
-    For up to 3 variables every normalized form is tried. With 4 variables
-    the candidates are the forms supported on at most two variables, which
-    covers every linear factor the supported quartic companion polynomials
-    can acquire from planar coefficients (their split types force two zero
-    coefficients). Candidates are first screened by exact evaluation at
-    deterministic points of their hyperplane (a true factor vanishes there
-    identically, so no factor is ever screened out), then divided out
-    exactly: the product of the returned factors times the remainder
-    equals G.
+    For up to 3 variables every normalized form is a candidate. With 4
+    variables the candidates are the forms supported on at most two
+    variables, which covers every linear factor the supported quartic
+    companion polynomials can acquire from planar coefficients (their
+    split types force two zero coefficients). The budget counts that whole
+    candidate space, but only a small part of it is tried:
+
+    - X_i divides G exactly min_t e_t[i] times (the least exponent of x_i
+      over G's terms); shifting those exponents out leaves G', which has
+      no coordinate factor.
+    - If L = X_p + sum c_j X_j divides G', the point c_j e_p + e_j lies on
+      L = 0, so G' vanishes there; for c_j = 0 that point is e_j. One
+      evaluation of G' on the axis lines c e_p + e_j, c over the whole
+      field, gives for each pivot p the root sets that hold the c_j, and
+      the candidates are their products.
+    - Candidates are screened by exact evaluation at deterministic points
+      of their hyperplane (a true factor vanishes there identically, so no
+      factor is ever screened out), then divided out exactly.
+
+    That is about k^2 q^k evaluations on the axis lines, against q^(2k)
+    candidates in the whole space for k = 3 over GF(q^k); a G' vanishing
+    on a whole axis line falls back to every value there. Factors are
+    listed by pivot, then support size, support positions and coefficients
+    in lexicographic order. The product of the returned factors times the
+    remainder equals G.
     """
-    spec = G.spec
-    support = G.nvars if G.nvars <= 3 else 2
+    spec, v = G.spec, G.nvars
+    support = v if v <= 3 else 2
     total = sum(
-        sum(math.comb(G.nvars - 1 - piv, s) * (spec.order - 1) ** s
-            for s in range(0, support))
-        for piv in range(G.nvars))
+        sum(math.comb(v - 1 - piv, s) * (spec.order - 1) ** s for s in range(0, support))
+        for piv in range(v))
     if total > budget:
         raise BudgetError(f"{total} candidate forms exceed the factor-search budget {budget}")
-    factors: list[tuple[LinearForm, int]] = []
-    work = G
     if G.is_zero() or G.degree() < 1:
-        return factors, work
-    for pivot in range(G.nvars):
-        if work.degree() < 1:
-            break
-        cand = _candidate_matrix(spec, G.nvars, pivot, support)
+        return [], G
+    coord = [min(e[i] for e in G.terms) for i in range(v)]
+    work = MvPoly(spec, v, ((tuple(map(operator.sub, e, coord)), c) for e, c in G.terms.items()))
+    factors: list[tuple[LinearForm, int]] = []
+    for pivot in range(v):
+        if coord[pivot]:
+            factors.append((LinearForm(spec, [int(i == pivot) for i in range(v)]), coord[pivot]))
+        if work.degree() < 1 or pivot == v - 1:
+            continue
+        free = [i for i in range(v) if i != pivot]
+        lines = list(np.eye(len(free), dtype=np.int64)[:, :, None])
+        lines.insert(pivot, np.arange(spec.order, dtype=np.int64))
+        zero = work.evaluate_vec(lines) == 0  # zero[r, c]: G'(c e_pivot + e_free[r]) = 0
+        # nonzero roots on the line of each later j, which is free[j - 1]
+        roots = {j: np.flatnonzero(zero[j - 1, 1:]) + 1 for j in free[pivot:]}
+        blocks = []
+        for size in range(1, support):
+            for positions in itertools.combinations(free[pivot:], size):
+                if not all(zero[r, 0] for r, i in enumerate(free) if i not in positions):
+                    continue
+                # every tuple of the positions' roots, in lexicographic order
+                grids = np.meshgrid(*(roots[j] for j in positions), indexing="ij")
+                vals = np.stack(grids, axis=-1).reshape(-1, size)
+                block = np.zeros((len(vals), v), dtype=np.int64)
+                block[:, pivot] = 1
+                block[:, list(positions)] = vals
+                blocks.append(block)
+        if not blocks:
+            continue
+        cand = np.concatenate(blocks)
         alive = np.ones(cand.shape[0], dtype=bool)
-        free = [i for i in range(G.nvars) if i != pivot]
         for pt in _probe_points(spec, len(free)):
             if not alive.any():
                 break
             idx = np.nonzero(alive)[0]
             piv_col = np.zeros(idx.size, dtype=np.int64)
             for pos, val in zip(free, pt):
-                if val:
-                    piv_col ^= vec_mul(spec, cand[idx, pos], val)
+                piv_col ^= vec_mul(spec, cand[idx, pos], val)
             point = list(pt)
             point.insert(pivot, piv_col)
-            vals = G.evaluate_vec(point)
+            vals = work.evaluate_vec(point)
             alive[idx[vals != 0]] = False
         for row in cand[alive]:
             if work.degree() < 1:

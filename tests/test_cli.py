@@ -234,13 +234,21 @@ def test_report_writer_matches_json_dumps_on_tables():
 
 
 # sha256 of surface report bytes without the "version" line, recorded at
-# 0.10.0, when build_G still spelled out every companion term by hand.
+# 0.10.0, when build_G still spelled out every companion term by hand. The
+# m=3 entries were recorded at 0.17.0, when linear_factor_search screened
+# every form of its candidate space: coordinate factors (P3), three
+# full-support forms on one pivot (P2 1f,3d), two-term forms on three pivots
+# (P2 7b,0) and quartic two-term forms (P4b).
 GOLDEN_SURFACES = {
     ("P1", "3", "5"): "bbfe1daffe09ae0390053186cf12b10319378e6c1b564d080ae45aa9462cea65",
     ("P2", "2", "1f,3d"): "e79d05fe3015cbf0c0b81926138504a0e2a2114a89ad3d290aec838616e75232",
     ("P3", "2", "b"): "3cd82e508a050da837af91b86d449f433bae01b097f2f7220699a5babcf5b93e",
     ("P4a", "2", "89"): "02b7abac3f17b123d8a3042270c2c847cdb721e2616a0f4adf206b752d73a6c2",
     ("P4b", "2", "8e"): "17cfe249cf84f3e0588bb262a7aae6913a61082c7c2bd73625563d6672192791",
+    ("P3", "3", "5"): "86bc8186c31096b696d159e6aa3dcd1099c194e0be83d781cea2a47de62511f6",
+    ("P2", "3", "1f,3d"): "e199961528e5b1fedb73154d0a63e03ed36bd58e24c5c8b092b95072a7f0908b",
+    ("P2", "3", "7b,0"): "e8a3d661fc3b0d6ded2f921eae6ff8bdaa76c4d77bf8f5b5d419d9f9bec4ad85",
+    ("P4b", "3", "8e"): "3156b9811af14cbdb53576a2fe16249806ada13fa491dda4005e8e3469deb2d2",
 }
 
 
@@ -272,6 +280,16 @@ def test_specialized_companion_matches_the_recorded_digest(family, m, coeffs):
     psi = surfaces.specialize_normal(surfaces.build_G(f, t, shape=family), t)
     digest = hashlib.sha256(json.dumps(psi.to_json(), sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_SPECIALIZED[family, m, coeffs]
+
+
+def test_surface_factor_search_budget_counts_the_whole_candidate_space(tmp_path, capsys):
+    # P3 over GF(2^12) has 16,781,313 normalized candidate forms: past the
+    # default --budget 2^22, within 2^25, however few the search tries
+    argv = ["surface", "--family", "P3", "--m", "4", "--coeffs", "5",
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 3
+    assert "factor-search budget" in capsys.readouterr().err
+    assert main(argv + ["--budget", "33554432"]) == 0
 
 
 def test_surface_p1_factor_recovery(capsys):

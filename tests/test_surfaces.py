@@ -1,5 +1,7 @@
 """Companion hypersurfaces: orbit consistency, factors, specialization, counts."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,6 +360,84 @@ def test_factor_search_budget():
     g = MvPoly(f, 4, {(1, 1, 1, 1): 1})
     with pytest.raises(BudgetError):
         linear_factor_search(g, budget=100)
+
+
+def _factor_reference(G: MvPoly):
+    """Every normalized form of the candidate space, in report order, divided
+    out exactly: the search without axis-line root sets or probe screen."""
+    spec, v = G.spec, G.nvars
+    support = v if v <= 3 else 2
+    factors, work = [], G
+    if G.is_zero() or G.degree() < 1:
+        return factors, work
+    for pivot in range(v):
+        for size in range(support):
+            for positions in itertools.combinations(range(pivot + 1, v), size):
+                for vals in itertools.product(range(1, spec.order), repeat=size):
+                    coeffs = [0] * v
+                    coeffs[pivot] = 1
+                    for pos, c in zip(positions, vals):
+                        coeffs[pos] = c
+                    form, mult = LinearForm(spec, coeffs), 0
+                    while work.degree() >= 1:
+                        q, r = divmod_linear(work, form)
+                        if not r.is_zero():
+                            break
+                        work, mult = q, mult + 1
+                    if mult:
+                        factors.append((form, mult))
+    return factors, work
+
+
+@st.composite
+def split_polys(draw):
+    """G = a few linear forms, with multiplicities, times a nonzero cofactor,
+    over GF(2^2)..GF(2^4) in 2-4 variables. Coefficients are often 0 or 1,
+    so coordinate forms, repeated forms and forms beyond the 4-variable
+    support limit all occur."""
+    spec = p2.field(draw(st.integers(2, 4)))
+    nvars = draw(st.integers(2, 4))
+    coeff = st.one_of(st.just(0), st.just(1), st.integers(0, spec.order - 1))
+    forms = draw(st.lists(st.tuples(st.lists(coeff, min_size=nvars, max_size=nvars),
+                                    st.integers(1, 2)), max_size=3))
+    G = MvPoly(spec, nvars, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 1)] * nvars), st.integers(1, spec.order - 1),
+        min_size=1, max_size=3)))
+    for coeffs, mult in forms:
+        if any(coeffs):
+            G = G * MvPoly.linear(spec, coeffs) ** mult
+    return G
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(split_polys())
+def test_factor_search_matches_the_candidate_space_reference(G):
+    factors, rem = linear_factor_search(G)
+    assert (factors, rem) == _factor_reference(G)
+
+
+def test_factor_search_splits_the_gf4_line_product():
+    # (X0^4 X1 + X0 X1^4) X2 = X0 X1 X2 (X0 + X1)(X0 + 2 X1)(X0 + 3 X1) over
+    # GF(4); G' = X0^3 + X1^3 vanishes at c e0 + e1 for every c != 0
+    G = MvPoly(p2.field(2), 3, {(4, 1, 1): 1, (1, 4, 1): 1})
+    factors, rem = linear_factor_search(G)
+    assert [(fm.coeffs, mu) for fm, mu in factors] == [
+        ((1, 0, 0), 1), ((1, 1, 0), 1), ((1, 2, 0), 1), ((1, 3, 0), 1),
+        ((0, 1, 0), 1), ((0, 0, 1), 1)]
+    assert rem == MvPoly.constant(p2.field(2), 3, 1)
+    assert (factors, rem) == _factor_reference(G)
+
+
+def test_factor_search_where_every_root_set_is_the_whole_field():
+    # the sum of x^4 y + x y^4 over the variable pairs vanishes on all of
+    # GF(4)^3, so every root set is the whole field and their products are
+    # the whole candidate space
+    G = MvPoly(p2.field(2), 3, {(4, 1, 0): 1, (1, 4, 0): 1, (0, 4, 1): 1,
+                                (0, 1, 4): 1, (1, 0, 4): 1, (4, 0, 1): 1})
+    factors, rem = linear_factor_search(G)
+    assert (factors, rem) == _factor_reference(G)
+    assert [(fm.coeffs, mu) for fm, mu in factors] == [
+        ((1, 1, 0), 1), ((1, 0, 1), 1), ((1, 2, 3), 1), ((1, 3, 2), 1), ((0, 1, 1), 1)]
 
 
 # -- specialization --------------------------------------------------------------
