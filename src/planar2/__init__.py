@@ -12,7 +12,7 @@ test, and a definition check on full value tables as the independent
 oracle.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .fields import (BudgetError, Fe, FieldSpec, TowerView, field, fe_from_hex,
                      smallest_irreducible, tower)

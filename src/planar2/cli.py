@@ -13,7 +13,10 @@ flags included), 2 = internal disagreement between planarity criteria,
 on stderr instead of a traceback); a negative count (--budget, --support,
 --max-n) or fewer than one thread is bad arguments. check and surface run
 the definition oracle up to GF(2^CHECK_ORACLE_N_MAX) and take the rank
-verdict beyond, where check reports "bruteforce": null.
+verdict beyond, where check reports "bruteforce": null. --threads N on
+audit and problem27 means "at most N worker threads": it is checked and
+echoed in the report, but every sweep runs on the calling thread, so any
+N >= 1 gives the same rows.
 """
 
 from __future__ import annotations
@@ -137,8 +140,7 @@ def cmd_check(args) -> int:
 
 def cmd_audit(args) -> int:
     t = tower(args.m, args.k)
-    report = planar.family_audit(args.family, t, args.mode,
-                                 budget=args.budget, threads=args.threads)
+    report = planar.family_audit(args.family, t, args.mode, budget=args.budget)
     if args.format == "csv":
         _emit(args, report.to_csv())
     else:
@@ -189,8 +191,7 @@ def cmd_semifield(args) -> int:
 
 def cmd_problem27(args) -> int:
     t = tower(args.m, 2)
-    rep = planar.offdiagonal_search(t, args.support,
-                                    budget=args.budget, threads=args.threads)
+    rep = planar.offdiagonal_search(t, args.support, budget=args.budget)
     rows = hex_bits(rep["planar"])  # formatted once, split by the candidate mask
     split = {key: list(itertools.compress(rows, mask.tolist()))
              for key, mask in (("candidates", rep["off"]), ("in_shape", ~rep["off"]))}
@@ -226,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=int, default=1 << 22)
         if threads:
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1,
+                           help="at most N worker threads (the sweep uses one)")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("check", help="planarity of an explicit polynomial")

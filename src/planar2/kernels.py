@@ -445,7 +445,7 @@ def _batches(blocks, cap: int):
         yield held
 
 
-def planar_orbit_sweep(spec, exponents, patterns, sweep) -> np.ndarray:
+def planar_orbit_sweep(spec, exponents, patterns) -> np.ndarray:
     """The planar rows, sorted, among every coefficient row of the shape
     x^exponents[t] whose support is one of patterns (tuples of column
     indices, ascending), found by sweeping one row per scaling orbit.
@@ -455,13 +455,13 @@ def planar_orbit_sweep(spec, exponents, patterns, sweep) -> np.ndarray:
     a*x cancel), so g is planar iff f is. With mu = gamma^j for a generator
     gamma this adds j*d_t to log c_t (_scaling_shifts) and keeps the
     support. The normal forms of each pattern (_normal_form_box) go through
-    sweep(rows) -> bool mask (planar_sweep on exponents, or a split of it)
-    in batches of about _ORBIT_ROWS rows, and each planar one is expanded
-    into its orbit, which lists every planar row once."""
+    planar_sweep in batches of about _ORBIT_ROWS rows, one call per batch
+    on the calling thread, and each planar one is expanded into its orbit,
+    which lists every planar row once."""
     shifts = _scaling_shifts(spec.n, exponents)
     found = [np.empty((0, shifts.size), dtype=np.int64)]
     for batch in _batches(_normal_forms(spec, shifts, patterns), _ORBIT_ROWS):
-        mask = sweep(np.concatenate([rows for rows, _ in batch]))
+        mask = planar_sweep(spec, exponents, np.concatenate([rows for rows, _ in batch]))
         ends = np.cumsum([len(rows) for rows, _ in batch])
         for (rows, orbit), ok in zip(batch, np.split(mask, ends[:-1])):
             found.append(_scaled_images(spec, shifts, rows[ok], orbit))

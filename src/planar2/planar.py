@@ -38,7 +38,6 @@ import functools
 import itertools
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -651,21 +650,11 @@ class AuditReport:
         return "\n".join([",".join(f"c{i}" for i in range(width))] + rows) + "\n"
 
 
-def _sweep_mask(spec, exponents, rows: np.ndarray, threads: int) -> np.ndarray:
-    if threads <= 1 or rows.shape[0] < 2048:
-        return kernels.planar_sweep(spec, exponents, rows)
-    chunks = np.array_split(rows, threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: kernels.planar_sweep(spec, exponents, c), chunks))
-    return np.concatenate(parts)
-
-
-def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
-                 threads: int = 1) -> AuditReport:
+def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22) -> AuditReport:
     """Sufficiency: every admissible parameter must give a planar function.
     Converse: find every planar tuple of the family's shape, one sweep row
-    per scaling orbit of each support pattern (_planar_rows), and report
-    those outside the family image (never assert absence).
+    per scaling orbit of each support pattern (kernels.planar_orbit_sweep),
+    and report those outside the family image (never assert absence).
 
     Both read the family through arrays: the admissible parameter rows of
     family_param_rows and the term columns of the record. Sufficiency
@@ -685,7 +674,7 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
                             kernels.reduced_exponent(spec.n, (1 << uv[0]) + (1 << uv[1])))
         coeffs = _layout_rows(fam, layout, terms, len(params))
         exponents = [(1 << u) + (1 << v) for u, v in layout]
-        mask = _sweep_mask(spec, exponents, coeffs, threads)
+        mask = kernels.planar_sweep(spec, exponents, coeffs)
         return AuditReport(fam, t.q, t.k, mode, len(params), coeffs[mask], coeffs[:0],
                            coeffs[~mask])
 
@@ -698,7 +687,7 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22,
     params = family_param_rows(fam, t)
     image = _layout_rows(fam, shape, _term_columns(rec, t, params), len(params))
     patterns = [p for r in range(width + 1) for p in itertools.combinations(range(width), r)]
-    rows = _planar_rows(spec, exponents, patterns, threads)
+    rows = kernels.planar_orbit_sweep(spec, exponents, patterns)
     return AuditReport(fam, t.q, t.k, mode, total, rows, rows[~_rows_in(rows, image)],
                        rows[:0])
 
@@ -709,25 +698,16 @@ def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.isin(keys(rows), keys(table))
 
 
-def _planar_rows(spec, exponents, patterns, threads: int) -> np.ndarray:
-    """Every planar coefficient row on exponents whose support is one of
-    patterns, sorted, as int64 rows: kernels.planar_orbit_sweep, one row
-    per scaling orbit through _sweep_mask."""
-    return kernels.planar_orbit_sweep(
-        spec, exponents, patterns, lambda batch: _sweep_mask(spec, exponents, batch, threads))
-
-
-def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
-                       threads: int = 1) -> dict:
+def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22) -> dict:
     """Sweep sparse coefficient vectors of the k=2 gapped shape
     f = sum_i c_i x^(2^(m+i)+2^i) and collect every planar vector whose
     support reaches past index 0 (candidate violations of the conjectured
     single-coefficient shape). Every support of at most support_size
-    positions is covered, one row per scaling orbit (_planar_rows); the
-    budget counts every vector. planar, candidates and in_shape are int64
-    rows of the m coefficients; off marks the planar rows that are
-    candidates. An empty candidate list at this scale is evidence, not
-    proof."""
+    positions is covered, one row per scaling orbit
+    (kernels.planar_orbit_sweep); the budget counts every vector. planar,
+    candidates and in_shape are int64 rows of the m coefficients; off marks
+    the planar rows that are candidates. An empty candidate list at this
+    scale is evidence, not proof."""
     if t.k != 2:
         raise ValueError("the sparse-shape search needs a k=2 tower")
     if support_size > 3:
@@ -741,7 +721,7 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22,
 
     exponents = [(1 << (m + i)) + (1 << i) for i in range(m)]
     patterns = [p for s in range(support_size + 1) for p in itertools.combinations(range(m), s)]
-    rows = _planar_rows(spec, exponents, patterns, threads)
+    rows = kernels.planar_orbit_sweep(spec, exponents, patterns)
     off = rows[:, 1:].any(axis=1)
     return {
         "m": m, "q": t.q, "support": support_size, "tested": total,

@@ -35,7 +35,7 @@ import operator
 
 import numpy as np
 
-from .fields import BudgetError, Fe, FieldSpec, TowerView, lex_rows, vec_frob, vec_mul
+from .fields import BudgetError, Fe, FieldSpec, TowerView, lex_chunks, vec_frob, vec_mul
 from .planar import REGISTRY, DOPoly, family_record, family_shape, family_tuple
 
 COUNT_LIMIT = 1 << 24  # affine/projective enumeration budget (points)
@@ -362,17 +362,18 @@ def specialize_normal(G: MvPoly, t: TowerView) -> MvPoly:
 # ---------------------------------------------------------------------------
 
 def count_points_affine(P: MvPoly, budget: int = COUNT_LIMIT) -> int:
-    """Exact number of affine zeros over the coefficient field."""
+    """Exact number of affine zeros over the coefficient field, counted over
+    fields.lex_chunks blocks of points."""
     total = P.spec.order ** P.nvars
     if total > budget:
         raise BudgetError(f"affine enumeration of {total} points exceeds the budget")
-    vals = P.evaluate_vec(lex_rows(P.spec.order, P.nvars).T)
-    return int(np.count_nonzero(vals == 0))
+    return sum(int(np.count_nonzero(P.evaluate_vec(block.T) == 0))
+               for block in lex_chunks((P.spec.order,) * P.nvars))
 
 
 def count_points_projective(P: MvPoly, budget: int = COUNT_LIMIT) -> int:
     """Projective zeros of a homogeneous P, by normalized representatives
-    (first nonzero coordinate = 1)."""
+    (first nonzero coordinate = 1), counted over fields.lex_chunks blocks."""
     if not P.is_homogeneous() or P.is_zero():
         raise ValueError("projective count needs a nonzero homogeneous polynomial")
     spec = P.spec
@@ -380,11 +381,8 @@ def count_points_projective(P: MvPoly, budget: int = COUNT_LIMIT) -> int:
     total = sum(spec.order ** (v - 1 - p) for p in range(v))
     if total > budget:
         raise BudgetError(f"projective enumeration of {total} points exceeds the budget")
-    count = 0
-    for p in range(v):
-        vals = P.evaluate_vec([0] * p + [1] + list(lex_rows(spec.order, v - 1 - p).T))
-        count += int(np.count_nonzero(vals == 0))
-    return count
+    return sum(int(np.count_nonzero(P.evaluate_vec([0] * p + [1] + list(block.T)) == 0))
+               for p in range(v) for block in lex_chunks((spec.order,) * (v - 1 - p)))
 
 
 # ---------------------------------------------------------------------------

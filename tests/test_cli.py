@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 import time
 
 import numpy as np
@@ -370,16 +371,25 @@ def test_internal_invariant_failure_exits_4(monkeypatch, capsys, module, name, a
     assert "internal invariant failed: planted invariant failure" in captured.err
 
 
-def test_audit_threads_do_not_change_the_report(tmp_path):
-    outs = []
-    for threads in ("1", "2"):
-        path = tmp_path / f"t{threads}.json"
-        assert main(["audit", "--family", "P1", "--m", "3", "--mode", "converse",
-                     "--threads", threads, "--out", str(path)]) == 0
-        lines = path.read_bytes().splitlines(keepends=True)
-        outs.append(b"".join(line for line in lines if not line.lstrip().startswith(b'"threads"')))
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["tested"] == 4096
+def test_audit_threads_do_not_change_the_report(tmp_path, monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a sweep started a thread")
+
+    # --threads N allows at most N worker threads; the sweep runs on the calling one
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for argv, tested in [
+            (["audit", "--family", "P1", "--m", "3", "--mode", "converse"], 4096),
+            (["audit", "--family", "P3", "--m", "2", "--mode", "converse"], 64 ** 3),
+            (["problem27", "--m", "3", "--support", "3"], 64 ** 3)]:
+        outs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"t{threads}.json"
+            assert main(argv + ["--threads", threads, "--out", str(path)]) == 0
+            lines = path.read_bytes().splitlines(keepends=True)
+            outs.append(b"".join(line for line in lines
+                                 if not line.lstrip().startswith(b'"threads"')))
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["tested"] == tested
 
 
 def test_semifield_table_dump(tmp_path, capsys):

@@ -6,7 +6,6 @@ the one-form rank test must agree with a product table's injectivity; and
 the sweep of one row per scaling orbit must find what a full sweep finds."""
 
 import contextlib
-import functools
 import itertools
 import math
 
@@ -210,12 +209,11 @@ def test_orbit_sweep_matches_the_full_sweep_and_lists_each_orbit_once(shape, row
     spec, exps, patterns = shape
     full = pattern_rows(spec, len(exps), patterns)
     want = np.unique(full[kernels.planar_sweep(spec, exps, full)], axis=0)
-    sweep = functools.partial(kernels.planar_sweep, spec, exps)
     if rows_cap is None:
-        got = kernels.planar_orbit_sweep(spec, exps, patterns, sweep)
+        got = kernels.planar_orbit_sweep(spec, exps, patterns)
     else:
         with kernel_constant("_ORBIT_ROWS", rows_cap):  # small batches, across patterns
-            got = kernels.planar_orbit_sweep(spec, exps, patterns, sweep)
+            got = kernels.planar_orbit_sweep(spec, exps, patterns)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     # the orbits of the listed normal forms cover every row exactly once
     shifts = kernels._scaling_shifts(spec.n, exps)
@@ -286,25 +284,12 @@ def test_nonsingular_form_is_injectivity_of_every_product_map(case, bits):
     event(f"{kind} nonsingular={want}")
 
 
-@settings(max_examples=3, deadline=None, database=None, derandomize=True)
-@given(st.lists(_do_exponents(4), min_size=3, max_size=3))
-def test_threaded_sweep_mask_matches_the_oracle(exps):
-    spec = p2.field(4)
-    idx = np.arange(0, 16 ** 3, 2)  # 2048 rows: the smallest batch _sweep_mask splits
-    rows = np.stack([idx >> 8, (idx >> 4) & 15, idx & 15], axis=1).astype(np.int64)
-    want = [row_oracle(spec, exps, row) for row in rows]
-    with block_bits(3):
-        threaded = planar._sweep_mask(spec, exps, rows, threads=2)
-    assert threaded.tolist() == want
-    assert planar._sweep_mask(spec, exps, rows, threads=1).tolist() == want
-
-
 @pytest.mark.parametrize("fam,m,k", [
     ("P1", 2, 2), ("P1", 3, 2), ("P1", 4, 2), ("P3", 2, 3), ("P3", 3, 3), ("P2", 2, 3),
     ("P4a", 2, 4), ("P4b", 2, 4), ("SZ-generalized", 3, 2), ("Hu3", 3, 3)])
 def test_sufficiency_spaces_are_planar_in_every_test(fam, m, k):
     t = p2.tower(m, k)
-    rep = planar.family_audit(fam, t, "sufficiency", threads=2)
+    rep = planar.family_audit(fam, t, "sufficiency")
     assert len(rep.failures) == 0 and len(rep.planar) == rep.tested > 0
     space = planar.family_param_space(fam, t)
     for i in np.random.default_rng(m * k).choice(len(space), min(4, len(space)), replace=False):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import planar2 as p2
-from planar2 import planar
+from planar2 import kernels, planar
 from planar2.fields import BudgetError, lex_rows
 from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_lists,
                             family_audit, family_coeffs, family_param_rows,
@@ -527,11 +527,11 @@ def test_sufficiency_splits_planar_and_failures_in_row_order(monkeypatch):
     t = p2.tower(2, 2)
     swept = []
 
-    def every_third_fails(spec, exponents, rows, threads):
+    def every_third_fails(spec, exponents, rows):
         swept.append(rows)
         return np.arange(len(rows)) % 3 != 0
 
-    monkeypatch.setattr(planar, "_sweep_mask", every_third_fails)
+    monkeypatch.setattr(kernels, "planar_sweep", every_third_fails)
     rep = family_audit("P1", t, "sufficiency")
     (rows,) = swept
     assert [tuple(r) for r in rows.tolist()] == [
@@ -544,26 +544,12 @@ def test_sufficiency_splits_planar_and_failures_in_row_order(monkeypatch):
 
 
 def test_audit_csv_without_planar_rows_is_one_newline(monkeypatch):
-    monkeypatch.setattr(planar, "_sweep_mask",
-                        lambda spec, exponents, rows, threads: np.zeros(len(rows), dtype=bool))
+    monkeypatch.setattr(kernels, "planar_sweep",
+                        lambda spec, exponents, rows: np.zeros(len(rows), dtype=bool))
     rep = family_audit("P1", p2.tower(2, 2), "sufficiency")
     assert rep.planar.shape == (0, 2) and len(rep.failures) == rep.tested > 0
     assert rep.to_csv() == "\n"
     assert rep.to_json()["planar"] == [] and rep.to_json()["extras"] == []
-
-
-def test_audit_threads_match_serial():
-    t = p2.tower(2, 3)
-    a = family_audit("P3", t, "sufficiency", threads=1)
-    b = family_audit("P3", t, "sufficiency", threads=4)
-    assert np.array_equal(a.planar, b.planar) and np.array_equal(a.extras, b.extras)
-
-
-def test_converse_audit_threads_match_serial():
-    t = p2.tower(2, 2)
-    a = family_audit("P1", t, "converse", threads=1)
-    b = family_audit("P1", t, "converse", threads=3)
-    assert np.array_equal(a.planar, b.planar) and np.array_equal(a.extras, b.extras)
 
 
 def test_audit_of_parameter_free_family():
@@ -592,13 +578,13 @@ def test_offdiagonal_search_support2_m2_full_space():
 def test_offdiagonal_search_is_one_sweep_of_the_whole_shape(monkeypatch):
     t = p2.tower(3, 2)
     calls = []
-    real = planar._sweep_mask
+    real = kernels.planar_sweep
 
-    def counted(spec, exponents, rows, threads):
+    def counted(spec, exponents, rows):
         calls.append((list(exponents), rows.shape))
-        return real(spec, exponents, rows, threads)
+        return real(spec, exponents, rows)
 
-    monkeypatch.setattr(planar, "_sweep_mask", counted)
+    monkeypatch.setattr(kernels, "planar_sweep", counted)
     rep = offdiagonal_search(t, 2)
     # one call on the scaling normal forms of every support of size <= 2:
     # d_i = 9*2^i - 2 = 7, 16, 34 mod 63 gives 1 (empty) + 7 + 1 + 1 (one

@@ -1,5 +1,6 @@
 """Companion hypersurfaces: orbit consistency, factors, specialization, counts."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import planar2 as p2
 from planar2 import surfaces
-from planar2.fields import BudgetError, vec_mul
+from planar2.fields import BudgetError, lex_chunks, vec_mul
 from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_table_k2,
                             criterion_table_k3, criterion_table_k4, criterion_lists,
                             family_coeffs, family_param_space, family_shape)
@@ -518,6 +519,21 @@ def test_affine_projective_scaling():
         aff = count_points_affine(poly)
         proj = count_points_projective(poly)
         assert aff - 1 == (f.order - 1) * proj
+
+
+@pytest.mark.parametrize("fam, cs, affine, projective", [
+    ("P3", [1, 2, 3], 400, 57), ("P2", [1, 2, 3], 344, 49), ("P2", [2, 3, 4], 680, 97)])
+def test_counts_over_several_blocks_match_one_block(monkeypatch, fam, cs, affine, projective):
+    # homogenized specializations over GF(8) in 4 variables, as surface
+    # reports count them, of non-planar polynomials (so with points to count)
+    t = p2.tower(3, REGISTRY[fam].k)
+    f = DOPoly(t, [(c, u, v) for c, (u, v) in zip(cs, family_shape(fam, t))])
+    poly = specialize_normal(build_G(f, t, shape=fam), t).homogenize()
+    assert (count_points_affine(poly), count_points_projective(poly)) == (affine, projective)
+    for rows in (7, 100):  # 586 blocks of at most 7 points, 64 blocks of 64
+        monkeypatch.setattr(surfaces, "lex_chunks", functools.partial(lex_chunks, rows=rows))
+        assert count_points_affine(poly) == affine
+        assert count_points_projective(poly) == projective
 
 
 def test_count_budget():
