@@ -12,10 +12,9 @@ test, and a definition check on full value tables as the independent
 oracle.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.21.0"
 
-from .fields import (BudgetError, Fe, FieldSpec, TowerView, field, fe_from_hex,
-                     smallest_irreducible, tower)
+from .fields import BudgetError, Fe, FieldSpec, TowerView, field, smallest_irreducible, tower
 from .linearized import (LinearizedPoly, dickson_det, inverse_map, is_permutation,
                          kernel)
 from .planar import (FAMILIES, AuditReport, DOPoly, FamilyParams, family_audit,
@@ -28,6 +27,5 @@ from .semifields import (NucleiReport, Presemifield, TraceChain, kantor_presemif
                          knuth_presemifield, nuclei, presemifield_from_planar,
                          quartic_example_check, to_semifield)
 from .surfaces import (LinearForm, MvPoly, build_G, count_points_affine,
-                       count_points_projective, eval_orbit, langweil_check,
-                       langweil_rhs, linear_factor_search, orbit_has_zero,
-                       specialize_normal)
+                       count_points_projective, langweil_check, langweil_rhs,
+                       linear_factor_search, orbit_has_zero, specialize_normal)

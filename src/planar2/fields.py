@@ -16,6 +16,12 @@ Frobenius) still treats zero apart. The tables fix
 the one field ceiling: FieldSpec refuses n > N_MAX = 20 with BudgetError,
 so every layer above may tabulate the field and list its tuples (lex_rows).
 
+vec_eval is the one evaluator of polynomial value tables: sum c * prod
+x_i^e_i on int64 columns, one log-domain gather per monomial. The value
+tables of planar, linearized and surfaces, the criterion tables, the
+tower's column norm and base trace, and the embedding's root search all
+call it; nothing caches a table of powers.
+
 A TowerView reads GF(2^{mk}) as the degree-k extension of GF(q), q = 2^m.
 The q-Frobenius x -> x^q is m squarings, the relative trace and norm land
 in the subfield {x : x^q = x}, and a normal basis {xi, xi^q, ...} is
@@ -136,7 +142,6 @@ class FieldSpec:
         self.modulus = smallest_irreducible(n)
         self.order = 1 << n
         self.dtype = np.uint16 if n <= 16 else np.uint32  # narrowest that holds an element
-        self._pow_tables: dict[int, np.ndarray] = {}
         self._build_tables()
 
     # -- table construction --------------------------------------------
@@ -232,20 +237,6 @@ class FieldSpec:
 
     def elements(self):
         return (Fe(b, self) for b in range(self.order))
-
-    def pow_table(self, e: int) -> np.ndarray:
-        """x^e for every x, as an int64 array indexed by element bits."""
-        t = self._pow_tables.get(e)
-        if t is None:
-            p1 = self.order - 1
-            t = np.zeros(self.order, dtype=np.int64)
-            er = e % p1
-            t[1:] = self.exp[(self.log[1:] * er) % p1]
-            if e == 0:
-                t[0] = 1
-            t.setflags(write=False)
-            self._pow_tables[e] = t
-        return t
 
     # -- identity & serialization ----------------------------------------
 
@@ -345,10 +336,6 @@ class Fe:
         return f"{self.bits:x}"
 
 
-def fe_from_hex(s: str, spec: FieldSpec) -> Fe:
-    return Fe(int(s, 16), spec)
-
-
 # ---------------------------------------------------------------------------
 # Vectorized helpers (int64 arrays of element bits)
 # ---------------------------------------------------------------------------
@@ -412,12 +399,40 @@ def vec_div(spec: FieldSpec, a, b) -> np.ndarray:
 
 def vec_frob(spec: FieldSpec, a, j: int) -> np.ndarray:
     """Elementwise a^(2^j), as int64; zero stays zero by a product with
-    (a != 0), as in surfaces.MvPoly.evaluate_vec."""
+    (a != 0), as in vec_eval."""
     j %= spec.n
     a = np.asarray(a, dtype=np.int64)
     if j == 0:
         return a.copy()
     return np.multiply(spec.exp[(spec.log[a] << j) % (spec.order - 1)], a != 0, dtype=np.int64)
+
+
+def vec_eval(spec: FieldSpec, terms, columns) -> np.ndarray:
+    """sum c * prod_i x_i^(e_i) over the terms, pairs (exponent tuple e, c),
+    as int64: the one evaluator of polynomial value tables. columns[i]
+    holds x_i as a scalar or an array; the columns broadcast against each
+    other.
+
+    Each monomial is one gather in the log domain,
+    exp[(log c + sum e_i log x_i) mod (2^n - 1)], zeroed wherever a
+    variable with e_i > 0 is zero (so 0^0 = 1); zero coefficients are
+    skipped.
+    """
+    cols = [np.asarray(c, dtype=np.int64) for c in columns]
+    logs = [spec.log[c] for c in cols]
+    nonzero = [c != 0 for c in cols]
+    p1 = spec.order - 1
+    acc = np.zeros(np.broadcast(*cols).shape, dtype=np.int64)
+    for exps, cb in terms:
+        if not cb:
+            continue
+        lg, live = spec.log[cb], True
+        for i, e in enumerate(exps):
+            if e:
+                lg = lg + (e % p1) * logs[i]
+                live = nonzero[i] if live is True else live & nonzero[i]
+        acc ^= spec.exp[lg % p1] * live
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -526,19 +541,13 @@ class TowerView:
         return vec_frob(self.spec, a, (j % self.k) * self.m)
 
     def vec_rel_norm(self, a) -> np.ndarray:
-        """a^(1 + q + ... + q^(k-1)), elementwise."""
-        acc = np.asarray(a, dtype=np.int64)
-        for j in range(1, self.k):
-            acc = vec_mul(self.spec, acc, self.vec_frobq(a, j))
-        return acc
+        """a^(1 + q + ... + q^(k-1)) = a^((q^k - 1)/(q - 1)), elementwise."""
+        return vec_eval(self.spec, [(((self.spec.order - 1) // (self.q - 1),), 1)], [a])
 
     def vec_abs_trace_base(self, a) -> np.ndarray:
         """a + a^2 + ... + a^(2^(m-1)), elementwise: the absolute trace of
         GF(q) for elements of the q-subfield (unchecked; see in_base)."""
-        acc = np.asarray(a, dtype=np.int64)
-        for j in range(1, self.m):
-            acc = acc ^ vec_frob(self.spec, a, j)
-        return acc
+        return vec_eval(self.spec, [((1 << j,), 1) for j in range(self.m)], [a])
 
     # -- subsets -----------------------------------------------------------
 
@@ -591,9 +600,8 @@ class TowerView:
     def _embedding(self):
         if self._embed is None:
             cands, modulus = self.subfield_bits(), self.base_field().modulus
-            value = np.zeros_like(cands)  # the base modulus at every candidate, by Horner
-            for i in range(modulus.bit_length() - 1, -1, -1):
-                value = vec_mul(self.spec, value, cands) ^ (modulus >> i & 1)
+            value = vec_eval(self.spec, [((i,), modulus >> i & 1)
+                                         for i in range(modulus.bit_length())], [cands])
             roots = cands[value == 0]
             if not roots.size:
                 raise RuntimeError("base modulus must split in its own subfield")
@@ -641,10 +649,3 @@ class TowerView:
     def to_json(self) -> dict:
         return {"n": self.spec.n, "modulus": f"{self.spec.modulus:x}",
                 "m": self.m, "k": self.k}
-
-
-def tower_from_json(d: dict) -> TowerView:
-    t = tower(d["m"], d["k"])
-    if t.spec.n != d["n"] or f"{t.spec.modulus:x}" != d["modulus"]:
-        raise ValueError("serialized field does not match the canonical modulus")
-    return t

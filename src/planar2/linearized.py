@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Fe, TowerView, mat_det, mat_solve, vec_frob, vec_mul
+from .fields import Fe, TowerView, mat_det, mat_solve, vec_eval
 
 
 class LinearizedPoly:
@@ -36,15 +36,14 @@ class LinearizedPoly:
             acc ^= spec.mul(c.bits, spec.frob(x.bits, i * t.m))
         return Fe(acc, spec)
 
+    def evaluate_vec(self, a) -> np.ndarray:
+        """L(a), elementwise on an int64 array of element bits."""
+        t = self.tower
+        return vec_eval(t.spec, [((t.q ** i,), c.bits) for i, c in enumerate(self.coeffs)], [a])
+
     def value_table(self) -> np.ndarray:
         """L(x) for every x, indexed by bits."""
-        t = self.tower
-        xs = np.arange(t.spec.order, dtype=np.int64)
-        acc = np.zeros_like(xs)
-        for i, c in enumerate(self.coeffs):
-            if c.bits:
-                acc ^= vec_mul(t.spec, c.bits, vec_frob(t.spec, xs, i * t.m))
-        return acc
+        return self.evaluate_vec(np.arange(self.tower.spec.order, dtype=np.int64))
 
     def dickson_rows(self) -> list[list[int]]:
         t = self.tower

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import kernels
 from .fields import (N_MAX, BudgetError, Fe, TowerView, hex_bits, lex_chunks, vec_div,
-                     vec_frob, vec_mul)
+                     vec_eval, vec_frob, vec_mul)
 
 # ---------------------------------------------------------------------------
 # Dembowski-Ostrom polynomials
@@ -107,11 +107,9 @@ class DOPoly:
         return Fe(acc, spec)
 
     def value_table(self) -> np.ndarray:
-        spec = self.spec
-        acc = np.zeros(spec.order, dtype=np.int64)
-        for e, cb, _, _ in self.terms:
-            acc ^= vec_mul(spec, cb, spec.pow_table(e))
-        return acc
+        """f(x) for every x, indexed by bits."""
+        return vec_eval(self.spec, [((e,), cb) for e, cb, _, _ in self.terms],
+                        [np.arange(self.spec.order, dtype=np.int64)])
 
     def __eq__(self, other):
         return (isinstance(other, DOPoly) and other.tower == self.tower
@@ -185,22 +183,22 @@ def _coeff_bits(c, t: TowerView, length: int, what: str) -> list[int]:
     return out
 
 
+def _shifted(spec, coeffs, *offsets) -> list:
+    """The vec_eval terms of sum_i (c_i x)^(2^j) = sum_i c_i^(2^j) x^(2^j),
+    with j = offset - i mod n, once for each offset."""
+    return [((1 << j,), spec.frob(ci, j))
+            for i, ci in enumerate(coeffs) for j in ((o - i) % spec.n for o in offsets)]
+
+
 def criterion_table_k2(c, t: TowerView) -> np.ndarray:
     """Values (per x) whose nonvanishing on x != 0 is planarity for the
     shape f = sum_i c_i x^(2^(m+i) + 2^i) over GF(q^2)."""
     if t.k != 2:
         raise ValueError("degree-2 criterion needs a tower with k=2")
-    m, n, spec = t.m, t.spec.n, t.spec
+    m, spec = t.m, t.spec
     cb = _coeff_bits(c, t, m, "criterion_table_k2")
-    xs = np.arange(spec.order, dtype=np.int64)
-    acc = spec.pow_table((1 << m) + 1).copy()
-    for i, ci in enumerate(cb):
-        if ci == 0:
-            continue
-        cx = vec_mul(spec, ci, xs)
-        acc ^= vec_frob(spec, cx, (m - i + 1) % n)
-        acc ^= vec_frob(spec, cx, (2 * m - i + 1) % n)
-    return acc
+    terms = [(((1 << m) + 1,), 1)] + _shifted(spec, cb, m + 1, 2 * m + 1)
+    return vec_eval(spec, terms, [np.arange(spec.order, dtype=np.int64)])
 
 
 def planar_criterion_k2(c, t: TowerView) -> bool:
@@ -213,20 +211,15 @@ def criterion_table_k3(c1, c2, t: TowerView) -> np.ndarray:
     over GF(q^3)."""
     if t.k != 3:
         raise ValueError("degree-3 criterion needs a tower with k=3")
-    m, n, spec = t.m, t.spec.n, t.spec
+    m, spec = t.m, t.spec
     c1b = _coeff_bits(c1, t, 2 * m, "criterion_table_k3 first block")
     c2b = _coeff_bits(c2, t, m, "criterion_table_k3 second block")
-    xs = np.arange(spec.order, dtype=np.int64)
-    a2 = np.zeros(spec.order, dtype=np.int64)
-    for i, ci in enumerate(c2b):
-        if ci:
-            a2 ^= vec_frob(spec, vec_mul(spec, ci, xs), (3 * m - i) % n)
-    for i, ci in enumerate(c1b):
-        if ci:
-            a2 ^= vec_frob(spec, vec_mul(spec, ci, xs), (2 * m - i) % n)
-    inner = vec_mul(spec, vec_frob(spec, xs, m), vec_mul(spec, a2, a2))
+    xs = [np.arange(spec.order, dtype=np.int64)]
+    power = lambda e: vec_eval(spec, [((e,), 1)], xs)
+    a2 = vec_eval(spec, _shifted(spec, c2b, 3 * m) + _shifted(spec, c1b, 2 * m), xs)
+    inner = vec_mul(spec, power(1 << m), vec_mul(spec, a2, a2))
     tr = inner ^ vec_frob(spec, inner, m) ^ vec_frob(spec, inner, 2 * m)
-    return spec.pow_table((1 << (2 * m)) + (1 << m) + 1) ^ tr
+    return power((1 << (2 * m)) + (1 << m) + 1) ^ tr
 
 
 def planar_criterion_k3(c1, c2, t: TowerView) -> bool:
@@ -239,37 +232,26 @@ def criterion_table_k4(c1, c2, c3, t: TowerView) -> np.ndarray:
     sum c3_i x^(2^i(q^3+1)) over GF(q^4)."""
     if t.k != 4:
         raise ValueError("degree-4 criterion needs a tower with k=4")
-    m, n, spec = t.m, t.spec.n, t.spec
+    m, spec = t.m, t.spec
     c1b = _coeff_bits(c1, t, 3 * m, "criterion_table_k4 first block")
     c2b = _coeff_bits(c2, t, 2 * m, "criterion_table_k4 second block")
     c3b = _coeff_bits(c3, t, m, "criterion_table_k4 third block")
-    xs = np.arange(spec.order, dtype=np.int64)
-
-    a2 = np.zeros(spec.order, dtype=np.int64)
-    for i, ci in enumerate(c2b):
-        if ci:
-            cx = vec_mul(spec, ci, xs)
-            a2 ^= vec_frob(spec, cx, (4 * m - i) % n)
-            a2 ^= vec_frob(spec, cx, (2 * m - i) % n)
-    a3 = np.zeros(spec.order, dtype=np.int64)
-    for i, ci in enumerate(c3b):
-        if ci:
-            a3 ^= vec_frob(spec, vec_mul(spec, ci, xs), (4 * m - i) % n)
-    for i, ci in enumerate(c1b):
-        if ci:
-            a3 ^= vec_frob(spec, vec_mul(spec, ci, xs), (3 * m - i) % n)
+    xs = [np.arange(spec.order, dtype=np.int64)]
+    power = lambda e: vec_eval(spec, [((e,), 1)], xs)
+    a2 = vec_eval(spec, _shifted(spec, c2b, 4 * m, 2 * m), xs)
+    a3 = vec_eval(spec, _shifted(spec, c3b, 4 * m) + _shifted(spec, c1b, 3 * m), xs)
 
     sq = lambda v: vec_frob(spec, v, 1)
     a2q = vec_frob(spec, a2, m)
     a2sq = vec_mul(spec, a2, a2)
-    acc = spec.pow_table((1 << 3 * m) + (1 << 2 * m) + (1 << m) + 1).copy()
+    acc = power((1 << 3 * m) + (1 << 2 * m) + (1 << m) + 1)
     acc ^= sq(vec_mul(spec, a2, a2q))                                   # A2^(2q+2)
     t3 = sq(vec_mul(spec, a3, vec_frob(spec, a3, 2 * m)))               # A3^(2q^2+2)
     acc ^= t3
     acc ^= vec_frob(spec, t3, m)                                        # A3^(2q^3+2q)
-    acc ^= vec_mul(spec, spec.pow_table((1 << 2 * m) + 1), vec_frob(spec, a2sq, m))
-    acc ^= vec_mul(spec, spec.pow_table((1 << 3 * m) + (1 << m)), a2sq)
-    trv = vec_mul(spec, spec.pow_table((1 << 2 * m) + (1 << m)), vec_mul(spec, a3, a3))
+    acc ^= vec_mul(spec, power((1 << 2 * m) + 1), vec_frob(spec, a2sq, m))
+    acc ^= vec_mul(spec, power((1 << 3 * m) + (1 << m)), a2sq)
+    trv = vec_mul(spec, power((1 << 2 * m) + (1 << m)), vec_mul(spec, a3, a3))
     acc ^= trv ^ vec_frob(spec, trv, m) ^ vec_frob(spec, trv, 2 * m) ^ vec_frob(spec, trv, 3 * m)
     return acc
 
@@ -409,7 +391,8 @@ def _p4b_terms(t, s2):
 
 def _scherr_zieve_admits(t, c):
     e = (1 << 2 * t.m) + (1 << t.m) + 1
-    return (t.spec.pow_table(e)[c] == 1) & (t.spec.pow_table(e // 3)[c] != 1)
+    power = lambda d: vec_eval(t.spec, [((d,), 1)], [c])
+    return (power(e) == 1) & (power(e // 3) != 1)
 
 
 def _k4_shape(m):

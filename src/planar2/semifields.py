@@ -323,13 +323,7 @@ def quartic_example_check(m: int, rng_triples: int = 1000, seed: int = 0) -> dic
     frq = lambda arr, j: vec_frob(spec, arr, j * t.m)
     pre = presemifield_from_planar(h)
 
-    def linv(arr):
-        out = np.zeros(arr.shape, dtype=np.int64)
-        for i, c in enumerate(ell_inv.coeffs):
-            if c.bits:
-                out ^= vec_mul(spec, c.bits, frq(arr, i))
-        return out
-
+    linv = ell_inv.evaluate_vec
     circ = linv(pre._mul(xg, yg))
 
     # coordinate functions of a o (x o y)

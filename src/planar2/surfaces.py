@@ -14,7 +14,9 @@ c e_p + e_j: about k^2 q^k evaluations, not q^(2k) candidate forms.
 
 MvPoly is the algebra under all of it: its constructor is the one place
 that XOR-merges terms (sums, products and substitutions hand it their
-term lists), and MvPoly.linear is the one builder of sum_i c_i x_i.
+term lists), MvPoly.linear is the one builder of sum_i c_i x_i, and
+MvPoly.evaluate_vec hands its terms to fields.vec_eval, the one
+polynomial evaluator. Orbit values are read from orbit_value_table.
 
 Via a normal basis the orbit substitution turns G into a polynomial over
 GF(q) in k affine coordinates (specialize_normal); homogenizing and
@@ -35,7 +37,8 @@ import operator
 
 import numpy as np
 
-from .fields import BudgetError, Fe, FieldSpec, TowerView, lex_chunks, vec_frob, vec_mul
+from .fields import (BudgetError, Fe, FieldSpec, TowerView, lex_chunks, vec_eval, vec_frob,
+                     vec_mul)
 from .planar import REGISTRY, DOPoly, family_record, family_shape, family_tuple
 
 COUNT_LIMIT = 1 << 24  # affine/projective enumeration budget (points)
@@ -161,29 +164,12 @@ class MvPoly:
         return int(self.evaluate_vec([p.bits if isinstance(p, Fe) else int(p) for p in point]))
 
     def evaluate_vec(self, columns) -> np.ndarray:
-        """Evaluate on many points at once. columns[i] holds variable i as
-        a scalar or an array; the columns broadcast against each other.
-
-        Each monomial is one gather in the log domain,
-        exp[(log c + sum e_i log x_i) mod (2^n - 1)], zeroed wherever a
-        variable with e_i > 0 is zero.
-        """
-        spec = self.spec
+        """Evaluate on many points at once (fields.vec_eval). columns[i]
+        holds variable i as a scalar or an array; the columns broadcast
+        against each other."""
         if len(columns) != self.nvars:
             raise ValueError("point arity does not match the variable count")
-        cols = [np.asarray(c, dtype=np.int64) for c in columns]
-        logs = [spec.log[c] for c in cols]
-        nonzero = [c != 0 for c in cols]
-        p1 = spec.order - 1
-        acc = np.zeros(np.broadcast_shapes(*(c.shape for c in cols)), dtype=np.int64)
-        for exps, cb in self.terms.items():
-            lg, live = spec.log[cb], True
-            for i, e in enumerate(exps):
-                if e:
-                    lg = lg + (e % p1) * logs[i]
-                    live = live & nonzero[i]
-            acc ^= spec.exp[lg % p1] * live
-        return acc
+        return vec_eval(self.spec, self.terms.items(), columns)
 
     # -- homogenization ---------------------------------------------------------
 
@@ -304,14 +290,6 @@ def build_G(f: DOPoly, t: TowerView, shape: str | None = None) -> MvPoly:
 # ---------------------------------------------------------------------------
 # Orbit evaluation
 # ---------------------------------------------------------------------------
-
-def eval_orbit(G: MvPoly, t: TowerView, eps: Fe) -> Fe:
-    """G(eps, eps^q, ..., eps^(q^(k-1)))."""
-    if G.nvars != t.k:
-        raise ValueError("orbit evaluation needs one variable per Frobenius power")
-    point = [t.frobq(eps, j).bits for j in range(t.k)]
-    return Fe(G.evaluate(point), t.spec)
-
 
 def orbit_value_table(G: MvPoly, t: TowerView) -> np.ndarray:
     """Orbit values of G for every eps, indexed by bits."""
@@ -564,11 +542,3 @@ def langweil_check(Phom: MvPoly, certified_irreducible: bool,
         raise RuntimeError(
             f"certified-irreducible hypersurface violates the point-count bound: {report}")
     return report
-
-
-def langweil_csv(reports: list[dict]) -> str:
-    header = "q,k,d,count,rhs,certified"
-    lines = [header] + [
-        f"{r['q']},{r['k']},{r['d']},{r['count']},{r['rhs']},{int(r['certified_irreducible'])}"
-        for r in reports]
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import pytest
 
 import planar2 as p2
 from planar2.fields import (N_MAX, hex_bits, is_irreducible, lex_chunks, lex_rows, mat_det,
-                            mat_solve, vec_div, vec_frob, vec_mul)
+                            mat_solve, vec_div, vec_eval, vec_frob, vec_mul)
 
 
 def _divides(d: int, p: int) -> bool:
@@ -261,12 +261,6 @@ def test_fe_operators():
         x + p2.field(5).fe(1)
 
 
-def test_fe_hex_roundtrip():
-    f = p2.field(12)
-    x = f.fe(0xABC)
-    assert p2.fe_from_hex(x.to_hex(), f) == x
-
-
 # -- towers ---------------------------------------------------------------
 
 
@@ -385,12 +379,8 @@ def test_base_embedding_is_field_homomorphism():
 
 
 def test_tower_json_roundtrip():
-    from planar2.fields import tower_from_json
-
     t = p2.tower(2, 3)
-    assert tower_from_json(t.to_json()) == t
-    d = t.to_json()
-    assert d == {"n": 6, "modulus": "43", "m": 2, "k": 3}
+    assert t.to_json() == {"n": 6, "modulus": "43", "m": 2, "k": 3}
 
 
 # -- vector helpers ---------------------------------------------------------
@@ -431,10 +421,12 @@ def test_tower_column_ops_match_scalar_ops():
 
 def test_pow_table_matches_scalar():
     f = p2.field(5)
-    for e in (0, 1, 3, 9, 40):
-        tbl = f.pow_table(e)
-        for x in range(32):
-            assert tbl[x] == f.pow(x, e)
+    xs = np.arange(32, dtype=np.int64)
+    for e in (0, 1, 3, 9, 31, 40):  # x^0 = 1 at x = 0 too
+        assert vec_eval(f, [((e,), 1)], [xs]).tolist() == [f.pow(x, e) for x in range(32)]
+        # a zero coefficient adds nothing: log 0 reduced mod 2^n - 1 would read as a unit
+        assert vec_eval(f, [((e,), 7), ((e + 1,), 0)], [xs]).tolist() == [
+            f.mul(7, f.pow(x, e)) for x in range(32)]
 
 
 def test_fe_hash_agrees_with_int_equality():

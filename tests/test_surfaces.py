@@ -15,7 +15,7 @@ from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_table_k2,
                             criterion_table_k3, criterion_table_k4, criterion_lists,
                             family_coeffs, family_param_space, family_shape)
 from planar2.surfaces import (LinearForm, MvPoly, build_G, count_points_affine,
-                              count_points_projective, divmod_linear, eval_orbit,
+                              count_points_projective, divmod_linear,
                               langweil_check, langweil_rhs, linear_factor_search,
                               orbit_has_zero, orbit_value_table, specialize_normal)
 
@@ -237,7 +237,7 @@ def test_eval_orbit_at_zero_is_zero():
     t3 = p2.tower(2, 3)
     f = DOPoly(t3, [(9, 0, 2), (3, 2, 4), (1, 0, 4)])
     g = build_G(f, t3, shape="P2")
-    assert eval_orbit(g, t3, t3.spec.zero).bits == 0
+    assert orbit_value_table(g, t3)[0] == 0
 
 
 def test_orbit_zero_iff_not_planar():
@@ -475,11 +475,12 @@ def test_specialize_p1_matches_orbit_pointwise():
         f = DOPoly(t, [(a, 0, 2), (b, 1, 3)])
         g = build_G(f, t, shape="P1")
         psi = specialize_normal(g, t)
+        orbit = orbit_value_table(g, t)
         for x0 in range(4):
             for x1 in range(4):
                 eps = (t.embed_base(base.fe(x0)) * xi
                        + t.embed_base(base.fe(x1)) * t.frobq(xi))
-                assert psi.evaluate([x0, x1]) == t.project_base(eval_orbit(g, t, eps)).bits
+                assert psi.evaluate([x0, x1]) == t.project_base(t.fe(int(orbit[eps.bits]))).bits
 
 
 def test_specialize_rejects_asymmetric_input():
@@ -591,14 +592,3 @@ def test_uncertified_check_reports_without_asserting():
     xyt = MvPoly(spec, 3, {(1, 1, 1): 1})
     rep = langweil_check(xyt, certified_irreducible=False)
     assert rep["count"] == 12 and rep["certified_irreducible"] is False
-
-
-def test_langweil_csv():
-    from planar2.surfaces import langweil_csv
-
-    spec = p2.field(2)
-    rep = langweil_check(MvPoly(spec, 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}),
-                         certified_irreducible=True)
-    out = langweil_csv([rep])
-    assert out.splitlines()[0] == "q,k,d,count,rhs,certified"
-    assert out.splitlines()[1] == "4,2,1,5,5,1"
