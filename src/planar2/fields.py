@@ -486,8 +486,8 @@ def tower(m: int, k: int) -> "TowerView":
 class TowerView:
     """GF(q^k) with q = 2^m, laid flat inside GF(2^{mk}).
 
-    Immutable after construction; the normal element is computed once on
-    first access and then frozen.
+    Immutable after construction; the normal element and the base-field
+    embedding are computed once on first access and then frozen.
     """
 
     def __init__(self, m: int, k: int):
@@ -497,8 +497,6 @@ class TowerView:
         self.k = k
         self.q = 1 << m
         self.spec = field(m * k)
-        self._normal = None
-        self._embed = None
 
     # -- q-Frobenius, trace, norm ----------------------------------------
 
@@ -574,14 +572,9 @@ class TowerView:
 
     # -- normal basis --------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def normal_element(self) -> Fe:
         """Smallest xi (by bit encoding) whose Frobenius orbit is a q-basis."""
-        if self._normal is None:
-            self._normal = self._find_normal()
-        return self._normal
-
-    def _find_normal(self) -> Fe:
         if self.k == 1:
             return Fe(1, self.spec)
         for bits in range(2, self.spec.order):
@@ -597,33 +590,31 @@ class TowerView:
     def base_field(self) -> FieldSpec:
         return field(self.m)
 
+    @functools.cached_property
     def _embedding(self):
-        if self._embed is None:
-            cands, modulus = self.subfield_bits(), self.base_field().modulus
-            value = vec_eval(self.spec, [((i,), modulus >> i & 1)
-                                         for i in range(modulus.bit_length())], [cands])
-            roots = cands[value == 0]
-            if not roots.size:
-                raise RuntimeError("base modulus must split in its own subfield")
-            root = int(roots[0])
-            fwd = np.zeros(1, dtype=np.int64)
-            for i in range(self.m):  # fwd[b] = sum of root^i over the bits i of b
-                fwd = np.concatenate([fwd, fwd ^ self.spec.pow(root, i)])
-            back = {int(v): i for i, v in enumerate(fwd)}
-            self._embed = (fwd, back)
-        return self._embed
+        cands, modulus = self.subfield_bits(), self.base_field().modulus
+        value = vec_eval(self.spec, [((i,), modulus >> i & 1)
+                                     for i in range(modulus.bit_length())], [cands])
+        roots = cands[value == 0]
+        if not roots.size:
+            raise RuntimeError("base modulus must split in its own subfield")
+        root = int(roots[0])
+        fwd = np.zeros(1, dtype=np.int64)
+        for i in range(self.m):  # fwd[b] = sum of root^i over the bits i of b
+            fwd = np.concatenate([fwd, fwd ^ self.spec.pow(root, i)])
+        return fwd, {int(v): i for i, v in enumerate(fwd)}
 
     def embed_base(self, x: Fe) -> Fe:
         """Map an element of the standalone GF(q) into the q-subfield here."""
         if x.spec != self.base_field():
             raise ValueError("embed_base expects an element of the standalone base field")
-        fwd, _ = self._embedding()
+        fwd, _ = self._embedding
         return Fe(int(fwd[x.bits]), self.spec)
 
     def project_base(self, x: Fe) -> Fe:
         """Inverse of embed_base; requires x in the q-subfield."""
         self._own(x)
-        _, back = self._embedding()
+        _, back = self._embedding
         if x.bits not in back:
             raise ValueError("element is not in the q-subfield")
         return Fe(back[x.bits], self.base_field())

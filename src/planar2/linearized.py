@@ -62,10 +62,6 @@ class LinearizedPoly:
     def to_json(self) -> list[str]:
         return [c.to_hex() for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, tower: TowerView, data) -> "LinearizedPoly":
-        return cls(tower, [int(s, 16) for s in data])
-
 
 def dickson_det(L: LinearizedPoly) -> Fe:
     """Determinant of the Dickson matrix of L."""

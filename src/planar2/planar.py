@@ -26,10 +26,13 @@ one-row and list views of the same code. Exhaustive audits sweep
 parameter or coefficient spaces; converse sweeps report extras instead of
 asserting their absence, since the necessity direction of the family
 characterizations is asymptotic in m. Converse audits and the sparse
-problem27 search cover their coefficient spaces with one row per scaling
+problem27 search are one search, _support_sweep: every coefficient row of
+bounded support on a list of exponent pairs, one sweep row per scaling
 orbit (kernels.planar_orbit_sweep), while tested and the budget count
-every row. Reports carry their coefficient rows as the sweep's int64
-arrays, split by boolean masks, up to the writer (fields.hex_bits).
+every row. _gapped_layout is the one list of the gapped pairs (i, i + jm):
+the criteria's coefficient blocks and problem27's k=2 shape. Reports carry
+their coefficient rows as the sweep's int64 arrays, split by boolean
+masks, up to the writer (fields.hex_bits).
 """
 
 from __future__ import annotations
@@ -53,34 +56,27 @@ from .fields import (N_MAX, BudgetError, Fe, TowerView, hex_bits, lex_chunks, ve
 class DOPoly:
     """sum c * x^(2^u + 2^v) with 0 <= u, v < n (u = v gives c * x^(2^(u+1))).
 
-    Terms are normalized: exponents read as functions on the field
-    (kernels.reduced_exponent: modulo 2^n - 1, a zero residue kept at
-    2^n - 1, never x^0), duplicates merged by coefficient addition, zero
-    coefficients dropped.
+    Terms are normalized: duplicates of the pair (min(u, v), max(u, v))
+    merged by coefficient addition, zero coefficients dropped, sorted by
+    the exponent read as a function on the field (kernels.reduced_exponent:
+    modulo 2^n - 1, a zero residue kept at 2^n - 1, never x^0). For
+    u <= v < n the pair and that exponent determine each other.
     """
 
     __slots__ = ("tower", "terms")
 
     def __init__(self, tower: TowerView, terms):
         n = tower.spec.n
-        merged: dict[int, tuple[int, int, int]] = {}
-        prepared = []
+        merged: dict[tuple[int, int], int] = {}
         for coeff, u, v in terms:
             cb = _coeff_bits([coeff], tower, 1, "a term")[0]
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"exponent pair ({u},{v}) out of range for n={n}")
-            u, v = min(u, v), max(u, v)
-            prepared.append((cb, u, v))
-        for cb, u, v in sorted(prepared, key=lambda t: (t[1], t[2])):
-            e = kernels.reduced_exponent(n, (1 << u) + (1 << v))
-            if e in merged:
-                old, ou, ov = merged[e]
-                merged[e] = (old ^ cb, ou, ov)
-            else:
-                merged[e] = (cb, u, v)
+            pair = (min(u, v), max(u, v))
+            merged[pair] = merged.get(pair, 0) ^ cb
         self.tower = tower
-        self.terms = tuple((e, cb, u, v) for e, (cb, u, v) in sorted(merged.items())
-                           if cb != 0)
+        self.terms = tuple(sorted((kernels.reduced_exponent(n, (1 << u) + (1 << v)), cb, u, v)
+                                  for (u, v), cb in merged.items() if cb != 0))
 
     @property
     def spec(self):
@@ -249,8 +245,8 @@ def criterion_table_k4(c1, c2, c3, t: TowerView) -> np.ndarray:
     t3 = sq(vec_mul(spec, a3, vec_frob(spec, a3, 2 * m)))               # A3^(2q^2+2)
     acc ^= t3
     acc ^= vec_frob(spec, t3, m)                                        # A3^(2q^3+2q)
-    acc ^= vec_mul(spec, power((1 << 2 * m) + 1), vec_frob(spec, a2sq, m))
-    acc ^= vec_mul(spec, power((1 << 3 * m) + (1 << m)), a2sq)
+    w = vec_mul(spec, power((1 << 3 * m) + (1 << m)), a2sq)
+    acc ^= w ^ vec_frob(spec, w, m)        # x^(q^2+1) A2^(2q) + x^(q^3+q) A2^2, x^(q^4) = x
     trv = vec_mul(spec, power((1 << 2 * m) + (1 << m)), vec_mul(spec, a3, a3))
     acc ^= trv ^ vec_frob(spec, trv, m) ^ vec_frob(spec, trv, 2 * m) ^ vec_frob(spec, trv, 3 * m)
     return acc
@@ -261,29 +257,32 @@ def planar_criterion_k4(c1, c2, c3, t: TowerView) -> bool:
     return not bool(np.any(vals[1:] == 0))
 
 
+def _gapped_layout(t: TowerView) -> list[tuple[int, int]]:
+    """The exponent pairs (i, i + jm) of the gapped shape over GF(q^k), for
+    j = 1..k-1 and i < (k-j)m, in one block per j: the coefficient positions
+    of the no-root criteria, and at k = 2 those of the problem27 search."""
+    m, k = t.m, t.k
+    return [(i, i + j * m) for j in range(1, k) for i in range((k - j) * m)]
+
+
 def criterion_lists(f: DOPoly):
     """Map a DOPoly onto the criterion coefficient blocks, if its shape fits.
 
     Terms where both exponents coincide are additive and never change
-    planarity, so they are skipped. Returns None when some term's exponent
-    gap is not a multiple of m (the criteria do not cover that shape).
+    planarity, so they are skipped. Returns None when another term lies
+    off the gapped layout (its exponent gap is not a multiple of m): the
+    criteria do not cover that shape.
     """
     t = f.tower
-    m, k = t.m, t.k
-    if k not in (2, 3, 4):
+    if t.k not in (2, 3, 4):
         return None
-    blocks = {j: [0] * ((k - j) * m) for j in range(1, k)}
-    for _, cb, u, v in f.terms:
-        if u == v:
-            continue
-        gap = v - u
-        if gap % m != 0:
-            return None
-        j = gap // m
-        if not (1 <= j <= k - 1) or u >= (k - j) * m:
-            return None
-        blocks[j][u] ^= cb
-    return [blocks[j] for j in range(1, k)]
+    terms = [(cb, u, v) for _, cb, u, v in f.terms if u != v]
+    try:
+        row = _layout_rows("gapped", _gapped_layout(t), terms, 1)[0].tolist()
+    except ValueError:
+        return None
+    ends = list(itertools.accumulate((t.k - j) * t.m for j in range(1, t.k)))
+    return [row[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def planar_by_criterion(f: DOPoly):
@@ -635,9 +634,9 @@ class AuditReport:
 
 def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22) -> AuditReport:
     """Sufficiency: every admissible parameter must give a planar function.
-    Converse: find every planar tuple of the family's shape, one sweep row
-    per scaling orbit of each support pattern (kernels.planar_orbit_sweep),
-    and report those outside the family image (never assert absence).
+    Converse: find every planar tuple of the family's shape (_support_sweep
+    over its full support), and report those outside the family image
+    (never assert absence).
 
     Both read the family through arrays: the admissible parameter rows of
     family_param_rows and the term columns of the record. Sufficiency
@@ -662,17 +661,27 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22) -> Au
                            coeffs[~mask])
 
     shape = family_shape(fam, t)
-    exponents = [((1 << u) + (1 << v)) for u, v in shape]
-    width = len(shape)
-    total = spec.order ** width
-    if total > budget:
-        raise BudgetError(f"coefficient space of size {total} exceeds the audit budget {budget}")
+    tested, rows = _support_sweep(spec, shape, len(shape), budget)
     params = family_param_rows(fam, t)
     image = _layout_rows(fam, shape, _term_columns(rec, t, params), len(params))
-    patterns = [p for r in range(width + 1) for p in itertools.combinations(range(width), r)]
-    rows = kernels.planar_orbit_sweep(spec, exponents, patterns)
-    return AuditReport(fam, t.q, t.k, mode, total, rows, rows[~_rows_in(rows, image)],
+    return AuditReport(fam, t.q, t.k, mode, tested, rows, rows[~_rows_in(rows, image)],
                        rows[:0])
+
+
+def _support_sweep(spec, pairs, support: int, budget: int) -> tuple[int, np.ndarray]:
+    """(tested, rows): the planar coefficient rows on the exponent pairs
+    (u, v) whose support has at most support columns, found with one sweep
+    row per scaling orbit of each support pattern
+    (kernels.planar_orbit_sweep). tested counts every such row,
+    sum_(s <= support) C(w, s) (2^n - 1)^s for w pairs, which is order^w at
+    support = w; BudgetError when it exceeds budget, before any sweep."""
+    width = len(pairs)
+    tested = sum(math.comb(width, s) * (spec.order - 1) ** s for s in range(support + 1))
+    if tested > budget:
+        raise BudgetError(f"coefficient space of size {tested} exceeds the budget {budget}")
+    patterns = [p for s in range(support + 1) for p in itertools.combinations(range(width), s)]
+    exponents = [(1 << u) + (1 << v) for u, v in pairs]
+    return tested, kernels.planar_orbit_sweep(spec, exponents, patterns)
 
 
 def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -686,8 +695,8 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22) -
     f = sum_i c_i x^(2^(m+i)+2^i) and collect every planar vector whose
     support reaches past index 0 (candidate violations of the conjectured
     single-coefficient shape). Every support of at most support_size
-    positions is covered, one row per scaling orbit
-    (kernels.planar_orbit_sweep); the budget counts every vector. planar,
+    positions of the k=2 _gapped_layout is covered (_support_sweep); the
+    budget counts every vector. planar,
     candidates and in_shape are int64 rows of the m coefficients; off marks
     the planar rows that are candidates. An empty candidate list at this
     scale is evidence, not proof."""
@@ -695,18 +704,10 @@ def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22) -
         raise ValueError("the sparse-shape search needs a k=2 tower")
     if support_size > 3:
         raise ValueError("support_size is capped at 3")
-    m, spec = t.m, t.spec
-    support_size = min(support_size, m)
-    nz = spec.order - 1
-    total = sum(math.comb(m, s) * nz ** s for s in range(support_size + 1))
-    if total > budget:
-        raise BudgetError(f"{total} candidate vectors exceed the budget {budget}")
-
-    exponents = [(1 << (m + i)) + (1 << i) for i in range(m)]
-    patterns = [p for s in range(support_size + 1) for p in itertools.combinations(range(m), s)]
-    rows = kernels.planar_orbit_sweep(spec, exponents, patterns)
+    support_size = min(support_size, t.m)
+    tested, rows = _support_sweep(t.spec, _gapped_layout(t), support_size, budget)
     off = rows[:, 1:].any(axis=1)
     return {
-        "m": m, "q": t.q, "support": support_size, "tested": total,
+        "m": t.m, "q": t.q, "support": support_size, "tested": tested,
         "planar": rows, "candidates": rows[off], "in_shape": rows[~off], "off": off,
     }

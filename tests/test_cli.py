@@ -120,6 +120,19 @@ def test_audit_budget_exit3(capsys):
                  "--budget", "10"]) == 3
 
 
+@pytest.mark.parametrize("argv, tested", [
+    (["audit", "--family", "P1", "--m", "2", "--mode", "converse"], 256),
+    (["problem27", "--m", "3", "--support", "2"], 12_097),
+])
+def test_support_sweep_budget_boundary_exit3(tmp_path, capsys, argv, tested):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--budget", str(tested), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tested"] == tested
+    out.unlink()
+    assert main(argv + ["--budget", str(tested - 1), "--out", str(out)]) == 3
+    assert "budget exceeded" in capsys.readouterr().err and not out.exists()
+
+
 def test_sufficiency_budget_stops_the_parameter_listing(tmp_path, capsys, monkeypatch):
     # P2 at m=4 has 4096^2 parameter pairs, nearly all admissible: the
     # listing stops at the first block past the 2^22 budget

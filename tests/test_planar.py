@@ -62,6 +62,37 @@ def test_square_exponent_term_is_additive():
         assert p2.is_planar_bruteforce(f) == p2.is_planar_bruteforce(g)
 
 
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_terms_merge_by_pair_and_sort_by_reduced_exponent(data):
+    # raw terms with swapped pairs, and repeats that cancel; (n-1, n-1) is
+    # x^(2^n) = x, the least reduced exponent
+    n = data.draw(st.integers(1, 8))
+    t = p2.tower(n, 1)
+    spec = t.spec
+    coeff, index = st.integers(0, spec.order - 1), st.integers(0, n - 1)
+    raw = data.draw(st.lists(st.tuples(coeff, index, index), max_size=6))
+    if raw:
+        raw += [(c, v, u) for c, u, v in data.draw(st.lists(st.sampled_from(raw), max_size=4))]
+    raw = data.draw(st.permutations(raw + [(data.draw(coeff), n - 1, n - 1)]))
+    f = DOPoly(t, raw)
+    want = [0] * spec.order
+    for c, u, v in raw:
+        for x in range(spec.order):
+            want[x] ^= spec.mul(c, spec.pow(x, (1 << u) + (1 << v)))
+    assert f.value_table().tolist() == want
+    exps = [e for e, _, _, _ in f.terms]
+    assert all(a < b for a, b in zip(exps, exps[1:]))
+    top = 0
+    for c, u, v in raw:
+        if u == v == n - 1:
+            top ^= c
+    if top:
+        assert f.terms[0][:2] == (1, top)
+    else:
+        assert 1 not in exps
+
+
 def test_parse_roundtrip():
     t = p2.tower(2, 3)
     f = DOPoly(t, [(0x2A, 0, 2), (1, 2, 4)])
@@ -154,6 +185,12 @@ def test_criterion_lists_mapping():
     # additive square terms are ignored
     g = DOPoly(t, [(7, 0, 2), (9, 1, 1)])
     assert criterion_lists(g) == [[7, 0, 0, 0], [0, 0]]
+    # k=2: one block; k=4: blocks of 3m, 2m and m, pairs read either way round
+    assert criterion_lists(DOPoly(p2.tower(2, 2), [(5, 0, 2), (9, 3, 1), (2, 1, 1)])) == [[5, 9]]
+    t4 = p2.tower(2, 4)
+    h = DOPoly(t4, [(3, 5, 7), (4, 0, 4), (6, 7, 1), (1, 3, 3)])
+    assert criterion_lists(h) == [[0, 0, 0, 0, 0, 3], [4, 0, 0, 0], [0, 6]]
+    assert criterion_lists(DOPoly(t4, [(4, 0, 4), (1, 2, 5)])) is None
 
 
 def test_criterion_matches_bruteforce_random_p2_p3_shapes():
@@ -511,6 +548,17 @@ def test_converse_audit_reports_rather_than_asserts():
 def test_audit_budget():
     with pytest.raises(BudgetError):
         family_audit("P2", p2.tower(2, 3), "converse", budget=10)
+
+
+@pytest.mark.parametrize("search, tested", [
+    (lambda budget: family_audit("P1", p2.tower(2, 2), "converse", budget).tested, 256),
+    (lambda budget: offdiagonal_search(p2.tower(3, 2), 2, budget)["tested"], 12_097),
+], ids=["converse-P1-m2", "problem27-m3-support2"])
+def test_support_sweep_budget_boundary(search, tested):
+    # tested = sum over s <= support of C(w, s) (2^n - 1)^s rows
+    assert search(tested) == tested
+    with pytest.raises(BudgetError):
+        search(tested - 1)
 
 
 def test_audit_json_and_csv_deterministic():
