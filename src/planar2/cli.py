@@ -32,7 +32,7 @@ from .fields import BudgetError, hex_bits, tower
 from .planar import DOPoly, FamilyParams
 
 # check and surface run the 4^n definition oracle only up to this degree
-# (about 1 s for a planar input over GF(2^14)); beyond it the rank verdict decides.
+# (about 0.44 s for a planar input over GF(2^14)); beyond it the rank verdict decides.
 CHECK_ORACLE_N_MAX = 14
 # the smallest value each count takes
 _LEAST = {"budget": 0, "support": 0, "threads": 1, "max_n": 0}

@@ -25,9 +25,13 @@ bijection for every nonzero a. Two independent implementations decide it:
     D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2, so D_a
     is a bijection iff min(v, v + a^2) takes distinct values on a
     transversal of the pairs {x, x+a}: 2^(n-1) values per a, tested by a
-    scatter into a `seen` row instead of a sort, about 4^n/2 work. It
-    assumes no DO form, shares no code with the sweep and serves as the
-    independent oracle.
+    scatter into a `seen` row instead of a sort, about 4^n/2 work. The
+    scatter keys are built in the field's dtype: each row's offset
+    r*2^n sits in the x-side tables (a*x, or f(x) + b*x per stage), so
+    the XORs that make D_a make the keys, one intp cast per chunk feeds
+    the scatter, and a chunk holds at most as many rows as keep r*2^n in
+    the dtype. It assumes no DO form, shares no code with the sweep and
+    serves as the independent oracle.
 
 Both are vectorized numpy; there is no other backend.
 """
@@ -62,13 +66,15 @@ def _transversal(xs: np.ndarray, k: int) -> np.ndarray:
 
 
 def _pairs_distinct(v: np.ndarray, sq: np.ndarray, order: int) -> bool:
-    """v[r] holds D_a on a transversal of the pairs {x, x+a} and sq[r] = a^2,
-    for the a of row r: True iff, in every row, the pair representatives
-    min(v, v ^ a^2) are distinct. One scatter into a `seen` row per a."""
+    """v[r] holds D_a on a transversal of the pairs {x, x+a}, XORed with the
+    row offset r*order, and sq[r] = a^2, for the a of row r: True iff, in
+    every row, the pair representatives min(v, v ^ a^2) are distinct.
+    a^2 < order leaves the offset alone, so min(v, v ^ a^2) is already each
+    representative's key in a `seen` array of v.shape[0] x order: one intp
+    cast and one scatter test every row."""
     np.minimum(v, v ^ sq, out=v)
-    seen = np.zeros((v.shape[0], order), dtype=bool)
-    offsets = np.arange(0, seen.size, order, dtype=np.intp)[:, None]
-    seen.reshape(-1)[v + offsets] = True
+    seen = np.zeros(v.shape[0] * order, dtype=bool)
+    seen[v.astype(np.intp)] = True
     return np.count_nonzero(seen) == v.size
 
 
@@ -76,21 +82,26 @@ def _pairs_distinct(v: np.ndarray, sq: np.ndarray, order: int) -> bool:
 def _oracle_tables(spec, fold: int):
     """The part of the oracle over spec's field that does not depend on f:
     an int32 copy of the field's zero-safe log table (narrower gathers;
-    exp[log y + log 0] = 0 holds as in spec), and the blocks for a = 1 and
-    for 2 <= a < 2^fold. A block holds, for each of its a, the indices
-    x + a and x for x on the transversal of a's top bit, a*x, and a^2. It
-    holds at most _FIRST_ELEMS values, so the cache stays small.
-    Everything is read-only."""
-    logt, expt = spec.log.astype(np.int32), spec.exp
-    xs = np.arange(spec.order, dtype=np.int32)
+    exp[log y + log 0] = 0 holds as in spec), the inputs as intp, and the
+    blocks for a = 1 and for 2 <= a < 2^fold. A block holds, for each of
+    its a, the indices x + a and x for x on the transversal of a's top bit,
+    a*x XORed with the row offset of a in the block (see _pairs_distinct),
+    and a^2; a*x is in the narrowest dtype, at least spec's, that holds the
+    block's rows * 2^n keys. A block holds at most _FIRST_ELEMS values, so
+    the cache stays small. Everything is read-only."""
+    n, logt, expt = spec.n, spec.log.astype(np.int32), spec.exp
+    xs = np.arange(spec.order, dtype=np.intp)
     transversals = np.stack([_transversal(xs, k) for k in range(fold)])
     blocks = []
     for lo, hi in ((1, 2), (2, 1 << fold)):
         if lo < hi:
-            aa = np.arange(lo, hi, dtype=np.int32)[:, None]
+            aa = np.arange(lo, hi, dtype=np.intp)[:, None]
             tx = transversals[[a.bit_length() - 1 for a in range(lo, hi)]]
             la = logt[aa]
-            blocks.append((tx ^ aa, tx, expt.take(logt.take(tx) + la), expt[2 * la]))
+            key_dtype = np.promote_types(spec.dtype, np.min_scalar_type(((hi - lo) << n) - 1))
+            ax = expt.take(logt.take(tx) + la).astype(key_dtype)
+            ax ^= (np.arange(hi - lo, dtype=key_dtype) << n)[:, None]
+            blocks.append((tx ^ aa, tx, ax, expt[2 * la]))
     for arr in (logt, xs, *(a for block in blocks for a in block)):
         arr.setflags(write=False)
     return logt, xs, blocks
@@ -113,36 +124,49 @@ def planar_check_table(spec, fvals: np.ndarray) -> bool:
     allows (s = n up to GF(2^8)); then one stage per top bit k >= s, in
     chunks of rows a = a0 + b, b < c, that share one transversal. Both
     terms of D_a are additive in b there: f(x + a) = g(x + b) for
-    g(x) = f(x + a0), and a*x = a0*x + b*x, so a chunk costs one gather
-    from g and XORs with the stage's table of b*x.
+    g(x) = f(x + a0), and a*x = a0*x + b*x. The stage lays its transversal
+    x_0 < x_1 < ... out as tx[j, i] = x_(ic+j), where x + b for b < c
+    swaps row j with row j ^ b. So a chunk costs one gather of g on the
+    transversal, c^2 row copies of it, and XORs with the stage's table of
+    f(x) + b*x and with a0*x.
+
+    Row r of a gather is scattered at r*2^n + min(v, v ^ a^2), and that
+    row offset r*2^n is XORed into the x-side tables (a*x of the cached
+    blocks, f(x) + b*x of a stage) when they are built, so the XORs that
+    make D_a make the keys too, and each chunk casts them to intp once.
+    A chunk's keys stay in spec's dtype: c is capped so that c*2^n fits
+    in it (16 rows over GF(2^12)).
     """
     n, order = spec.n, spec.order
     fvals = np.asarray(fvals)
-    if fvals.shape != (order,) or fvals.min() < 0 or fvals.max() >= order:
+    if (not np.issubdtype(fvals.dtype, np.integer) or fvals.shape != (order,)
+            or fvals.min() < 0 or fvals.max() >= order):
         raise ValueError(f"expected a table of {order} elements of GF(2^{n})")
     fold = max(1, min(n, (_FIRST_ELEMS >> (n - 1)).bit_length() - 1))
     logt, xs, blocks = _oracle_tables(spec, fold)
     expt, fv = spec.exp, fvals.astype(spec.dtype)
-    rows = max(1, _CHECK_ELEMS >> (n - 1))
+    rows = max(1, min(_CHECK_ELEMS >> (n - 1), (np.iinfo(spec.dtype).max + 1) >> n))
     for txa, tx, ax, sq in blocks:
-        v = fv.take(txa)
+        v = fv.take(txa).astype(ax.dtype, copy=False)
         v ^= fv.take(tx)
         v ^= ax
         if not _pairs_distinct(v, sq, order):
             return False
     for k in range(fold, n):  # a in [2^k, 2^(k+1)) as a0 + b, b < c
-        tx = _transversal(xs, k)[None, :]
+        c = min(rows, 1 << k)
+        # tx[j, i] = x_(ic+j) on the transversal, and x_(ic+j) + b = x_(ic+(j^b))
+        tx = np.ascontiguousarray(_transversal(xs, k).reshape(-1, c).T)
         ltx = logt.take(tx)
-        ftx = fv.take(tx)
-        b = np.arange(min(rows, 1 << k), dtype=np.int32)[:, None]
-        idx = tx ^ b
-        bx = expt.take(ltx + logt[b])
-        bsq = expt[2 * logt[b]]
-        for a0 in range(1 << k, 2 << k, b.shape[0]):
-            v = fv.take(xs ^ a0).take(idx)  # f(x + a0 + b)
-            v ^= bx
-            v ^= ftx ^ expt.take(ltx + logt[a0])
-            if not _pairs_distinct(v, bsq ^ expt[2 * logt[a0]], order):
+        b = np.arange(c)
+        fbx = expt.take(ltx + logt[b][:, None, None])  # f(x) + b*x, with the row offsets
+        fbx ^= fv.take(tx) ^ (b.astype(fbx.dtype) << n)[:, None, None]
+        bsq = expt[2 * logt[b]][:, None]
+        swap = b ^ b[:, None]
+        for a0 in range(1 << k, 2 << k, c):
+            v = fv.take(tx ^ a0).take(swap, axis=0)  # f(x + a0 + b), as v[b, j, i]
+            v ^= fbx
+            v ^= expt.take(ltx + logt[a0])
+            if not _pairs_distinct(v.reshape(c, -1), bsq ^ expt[2 * logt[a0]], order):
                 return False
     return True
 

@@ -8,7 +8,6 @@ session fixture. Converse sweeps report findings and never fail on them.
 import time
 
 import numpy as np
-import pytest
 
 import planar2 as p2
 from planar2 import semifields as sf
@@ -75,7 +74,6 @@ def test_c03_family3_sufficiency():
             f"failures={failures}, {dt:.2f}s (< 30s)")
 
 
-@pytest.mark.slow
 def test_c03_family3_converse_sweep():
     t = p2.tower(2, 3)
     rep = family_audit("P3", t, "converse")

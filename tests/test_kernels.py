@@ -48,7 +48,9 @@ def test_check_agrees_with_reference_oracle():
 
 def test_check_rejects_tables_that_are_not_field_valued():
     spec = p2.field(3)
-    for bad in (np.zeros(7, dtype=np.int64), np.full(8, 8), np.full(8, -1)):
+    for bad in (np.zeros(7, dtype=np.int64), np.full(8, 8), np.full(8, -1),
+                np.full(8, 0.5), np.zeros(8), np.arange(8, dtype=np.float32),
+                np.zeros(8, dtype=bool)):  # a cast would read 0.5 as f = 0
         with pytest.raises(ValueError, match="elements of GF"):
             kernels.planar_check_table(spec, bad)
 
@@ -81,6 +83,39 @@ def test_check_tests_every_difference_once(monkeypatch, n, bits):
     with check_elems(bits):
         assert kernels.planar_check_table(spec, np.zeros(spec.order, dtype=np.int64))
     assert sorted(squares) == list(range(1, spec.order))
+
+
+def _first_failure_np(spec, fvals):
+    # numpy reference, no shared code with the kernels: the smallest a
+    # whose D_a repeats a value, or None; one sorted row per a, 64 at a time
+    xs = np.arange(spec.order)
+    for a0 in range(0, spec.order, 64):
+        a = np.arange(max(a0, 1), min(a0 + 64, spec.order))[:, None]
+        d = np.sort(fvals[xs ^ a] ^ fvals ^ spec.exp[spec.log[a] + spec.log[xs]], axis=1)
+        repeats = (d[:, 1:] == d[:, :-1]).any(axis=1)
+        if repeats.any():
+            return int(a[repeats.argmax(), 0])
+    return None
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_check_agrees_with_reference_on_large_fields(n):
+    # the chunks of the late stages carry the largest row offsets in their
+    # keys; check_elems(18) makes the cached first block hold more rows
+    # than 2^16 keys allow in the field's dtype ((2^9 - 2) x 2^10 and
+    # (2^7 - 2) x 2^12), and check_elems(8) one row per chunk
+    spec = p2.field(n)
+    t = p2.tower(n // 2, 2)
+    fv = planar.family_coeffs(FamilyParams("P1", (t.fe(2),), t)).value_table()
+    perturbed = fv.copy()
+    perturbed[3 * spec.order // 4:] ^= 1  # D_a unchanged for a < 2^(n-2)
+    fail = _first_failure_np(spec, perturbed)
+    assert _first_failure_np(spec, fv) is None
+    assert fail is not None and fail >= 1 << (n - 2)
+    for bits in (None, 18, 8):
+        with check_elems(bits) if bits else contextlib.nullcontext():
+            assert kernels.planar_check_table(spec, fv)
+            assert not kernels.planar_check_table(spec, perturbed)
 
 
 # planar DO families by field degree n: (family, m, k)
