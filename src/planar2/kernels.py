@@ -13,14 +13,17 @@ bijection for every nonzero a. Two independent implementations decide it:
     each monomial from the log tables, for any a-side basis b; one stage
     loop, _stage_sweep, builds the M_a from the rows B(b_i, .) by
     doubling and tests them by batched elimination, stage by stage with
-    early exit. planar_sweep runs it on many coefficient rows and tests
-    one a per coset of GF(2^s)* (see there), at most (q^k - 1)/(q - 1)
-    matrices for the families of the paper; nonsingular_form runs it on
-    one form's basis values (bilinear_form), such as a presemifield's
-    structure constants, over every a. planar_orbit_sweep finds every
-    planar row of a coefficient space with a sweep of one row per orbit
-    of the scaling f -> mu^-2 f(mu x), which keeps planarity, and expands
-    the planar ones into their orbits.
+    early exit. The elimination (_full_rank) goes one bit at a time from
+    the top: the largest column of each matrix is its pivot for that bit
+    and is XORed into every column that has the bit, three numpy calls
+    per bit over the whole batch. planar_sweep runs it on many
+    coefficient rows and tests one a per coset of GF(2^s)* (see there),
+    at most (q^k - 1)/(q - 1) matrices for the families of the paper;
+    nonsingular_form runs it on one form's basis values (bilinear_form),
+    such as a presemifield's structure constants, over every a.
+    planar_orbit_sweep finds every planar row of a coefficient space with
+    a sweep of one row per orbit of the scaling f -> mu^-2 f(mu x), which
+    keeps planarity, and expands the planar ones into their orbits.
   * planar_check_table, the definition on a full value table, for any f.
     D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2, so D_a
     is a bijection iff min(v, v + a^2) takes distinct values on a
@@ -276,32 +279,36 @@ def bilinear_form(spec, exponents, coeffs) -> np.ndarray:
 
 def _full_rank(cols: np.ndarray) -> np.ndarray:
     """cols[j, s] is column j of matrix s as an n-bit integer: True for each
-    matrix whose n columns are linearly independent over GF(2).
+    matrix whose n columns are linearly independent over GF(2). Consumes
+    cols: the elimination runs in place.
 
-    Branch-free XOR-basis insertion over the whole batch: each column is
-    reduced from its top bit down by the pivot stored at that bit, and
-    stored there itself when the slot is empty (which clears it). The
-    matrix is nonsingular iff every one of the n slots ends up filled.
-    Selections are products with 0/1 arrays; masked ufuncs (where=) are
-    several times slower.
+    Elimination from the top bit down, over the whole batch at once, in n
+    steps. At each step the pivot p of a matrix is its largest column, and
+    every column w becomes min(w, w ^ p). If the top bit of p is t, no
+    column has a bit above t, so w ^ p < w exactly when w has bit t: the
+    step XORs p into the columns with bit t, as w ^ (w >> t) * p would,
+    and clears bit t everywhere, the pivot itself included. So each pivot
+    has a lower top bit than the one before, and the pivots together with
+    the columns still span the column space of the matrix.
+
+    If every step finds a pivot p != 0, the n pivots have the distinct top
+    bits n-1 .. 0 and lie in the column span, so the matrix is nonsingular.
+    If the matrix is nonsingular, the b+1 pivots still to come before step
+    b (b = n-1 .. 0) must add b+1 dimensions, so the columns are not all
+    zero and the step finds one, with top bit b. A zero or duplicate column
+    is used up without adding a pivot (a duplicate of the pivot is cleared
+    with it), so some step of a singular matrix finds p = 0. Step 0 needs
+    only its pivot: 3n - 2 numpy calls over the n x nb columns per batch,
+    and one `all` for the verdict.
     """
-    n, nb = cols.shape
-    pivots = np.zeros((n, nb), dtype=cols.dtype)
-    v = np.empty(nb, dtype=cols.dtype)
-    top = np.empty(nb, dtype=cols.dtype)
-    ins = np.empty(nb, dtype=cols.dtype)
-    tmp = np.empty(nb, dtype=cols.dtype)
-    for j in range(n):
-        v[:] = cols[j]
-        for b in range(n - 1, -1, -1):
-            p = pivots[b]
-            np.right_shift(v, b, out=top)  # bits above b are clear: top is bit b of v
-            np.less(p, top, out=ins)       # 1 where bit b is set and the slot is empty
-            np.multiply(v, ins, out=tmp)
-            np.bitwise_or(p, tmp, out=p)
-            np.multiply(top, p, out=tmp)
-            np.bitwise_xor(v, tmp, out=v)
-    return (pivots != 0).all(axis=0)
+    pivots = np.empty_like(cols)
+    tmp = np.empty_like(cols)
+    for b in range(cols.shape[0] - 1, -1, -1):
+        pivot = cols.max(axis=0, out=pivots[b])
+        if b:
+            np.bitwise_xor(cols, pivot, out=tmp)
+            np.minimum(cols, tmp, out=cols)
+    return pivots.all(axis=0)
 
 
 def _nonsingular(brows: np.ndarray, a0: int, bits: int, s: int) -> np.ndarray:
@@ -325,7 +332,7 @@ def _nonsingular(brows: np.ndarray, a0: int, bits: int, s: int) -> np.ndarray:
     if a0 == 0:  # a' = 0 is no difference; nor, for s > 1, is a' outside the tops
         cols = cols[:, :, 1:] if s == 1 else cols[:, :, np.concatenate(
             [np.arange(1 << k, 2 << k) for k in tops])]
-    ok = _full_rank(cols.reshape(n, -1))
+    ok = _full_rank(cols.reshape(n, -1))  # cols is this call's own buffer: consumed
     return ok.reshape(nrows, -1).all(axis=1)
 
 

@@ -319,3 +319,27 @@ def test_gf2_16_single_row_blocks_over_a():
     for c in (1, 2, 0x1234):  # a second criterion-shape term, c*x^(2^(m+1)+2)
         g = DOPoly(t, [(cb, u, v) for _, cb, u, v in f.terms] + [(c, 1, 9)])
         assert p2.is_planar_linearized(g) == p2.planar_by_criterion(g)
+
+
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, (1 << 18) - 1),
+       st.lists(st.tuples(st.integers(0, (1 << 18) - 1), st.integers(0, (1 << 18) - 1)),
+                min_size=1, max_size=5))
+def test_uint32_sweep_agrees_with_the_criterion_over_gf2_18(param, randoms):
+    # the rank kernel's uint32 path, out of the oracle's reach (4^18): a
+    # planted P1 row and random rows on P1's shape, each against the criterion
+    t = p2.tower(9, 2)
+    assert t.spec.dtype == np.uint32
+    try:
+        planted = [planar.family_tuple("P1", planar.family_coeffs(
+            FamilyParams("P1", (t.fe(param),), t)), t)]
+    except ValueError:  # the few excluded parameters
+        planted = []
+    shape = planar.family_shape("P1", t)
+    rows = np.array(planted + randoms, dtype=np.int64)
+    mask = kernels.planar_sweep(t.spec, [(1 << u) + (1 << v) for u, v in shape], rows)
+    want = [p2.planar_by_criterion(DOPoly(t, [(int(c), u, v) for c, (u, v) in zip(row, shape)]))
+            for row in rows]
+    assert mask.tolist() == want
+    assert mask[:len(planted)].all()
+    event(f"planted={len(planted)} planar={int(mask.sum())}")

@@ -1,5 +1,6 @@
 """The definition oracle must agree with a set-based reference on arbitrary
-tables, and the rank kernel with the oracle on identical inputs."""
+tables, the rank test alone with a scalar GF(2) rank, and the rank kernel
+with the oracle on identical inputs."""
 
 import ast
 import contextlib
@@ -175,6 +176,74 @@ def test_check_agrees_with_reference_on_arbitrary_tables(case, bits):
     if kind == "perturbed" and n > 1:
         assert fail is None or fail >= 1 << (n - 2)
     event(f"{kind} planar={got}")
+
+
+def _gf2_rank(columns) -> int:
+    # scalar reference on Python ints, no shared code with the kernels: an
+    # XOR basis keyed by leading bit
+    basis = {}
+    for v in columns:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
+
+
+_RANK_KINDS = ("random", "nonsingular", "zero", "duplicate", "dependent")
+
+
+@st.composite
+def rank_batches(draw):
+    """(n, kinds, cols) for the rank kernel: nb matrices over GF(2) as n
+    column integers each, cols[j, s] column j of matrix s, in uint16 up to
+    n = 16 and uint32 above. Each matrix is uniform, or a product of
+    elementary column operations on a permuted identity (nonsingular), or
+    that with one column made zero, a copy of another column, or the XOR
+    of a nonempty set of the others (singular)."""
+    n = draw(st.integers(1, 20))
+    nb = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=5, max_size=5))) + 0.1
+    kinds = [str(k) for k in rng.choice(_RANK_KINDS, nb, p=weights / weights.sum())]
+    mats = []
+    for kind in kinds:
+        if kind == "random":
+            mats.append([int(c) for c in rng.integers(0, 1 << n, n)])
+            continue
+        cols = [1 << int(j) for j in rng.permutation(n)]
+        for _ in range(3 * n):
+            i, j = (int(x) for x in rng.integers(0, n, 2))
+            if i != j:
+                cols[i] ^= cols[j]
+        i = int(rng.integers(0, n))
+        others = [j for j in range(n) if j != i]
+        if kind == "zero" or (kind != "nonsingular" and not others):
+            cols[i] = 0
+        elif kind == "duplicate":
+            cols[i] = cols[int(rng.choice(others))]
+        elif kind == "dependent":
+            picked = rng.choice(others, int(rng.integers(1, len(others) + 1)), replace=False)
+            cols[i] = 0
+            for j in picked:
+                cols[i] ^= cols[int(j)]
+        mats.append(cols)
+    dtype = np.uint16 if n <= 16 else np.uint32
+    return n, kinds, np.array(mats, dtype=dtype).T.copy()
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(rank_batches())
+def test_full_rank_agrees_with_a_scalar_gf2_rank(case):
+    n, kinds, cols = case
+    want = [_gf2_rank(int(c) for c in cols[:, s]) == n for s in range(cols.shape[1])]
+    for kind, full in zip(kinds, want):  # the batch holds the verdicts its kinds promise
+        assert kind == "random" or full == (kind == "nonsingular")
+    got = kernels._full_rank(cols.copy())
+    assert got.dtype == bool and got.tolist() == want
+    event(f"{'uint16' if n <= 16 else 'uint32'} verdicts={sorted(set(want))}")
 
 
 def test_rank_kernel_agrees_with_oracle_on_random_do_polys():
