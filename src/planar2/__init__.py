@@ -12,7 +12,7 @@ test, and a definition check on full value tables as the independent
 oracle.
 """
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 from .fields import BudgetError, Fe, FieldSpec, TowerView, field, smallest_irreducible, tower
 from .linearized import (LinearizedPoly, dickson_det, inverse_map, is_permutation,
@@ -21,8 +21,7 @@ from .planar import (FAMILIES, AuditReport, DOPoly, FamilyParams, family_audit,
                      family_coeffs, family_param_rows, family_param_space,
                      fraction_image_set, fraction_map_two_to_one, is_planar_bruteforce,
                      is_planar_linearized, norm_trace_zero_set, offdiagonal_search,
-                     planar_by_criterion, planar_criterion_k2, planar_criterion_k3,
-                     planar_criterion_k4)
+                     planar_by_criterion)
 from .semifields import (NucleiReport, Presemifield, TraceChain, kantor_presemifield,
                          knuth_presemifield, nuclei, presemifield_from_planar,
                          quartic_example_check, to_semifield)

@@ -62,19 +62,17 @@ _SCALARS = {str, int, float, bool, type(None)}
 _quote = json.encoder.encode_basestring_ascii  # a key as json writes it; a non-str key raises
 _LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
            type(None): lambda _: "null"}
-_INDENTED = json.JSONEncoder(sort_keys=True, indent=2).encode
 
 
 def _json(obj, pad: str = "\n") -> str:
     """json.dumps(obj, sort_keys=True, indent=2) for str-keyed objects, at
     the indentation that pad (a newline and spaces) gives, in the same
     bytes. With indent, json runs its pure-Python encoder, slow on a
-    report's rows; here dicts are walked, and a nonempty list of scalars or
-    a table (a nonempty list of nonempty lists of scalars) is one call of
-    the C encoder: the table with _SEP between items, which then become
-    the row boundaries "]" _SEP "[" and the cell separators. Anything else
-    goes to json's indenting encoder, whose literal newlines are all
-    structural."""
+    report's rows; here nonempty dicts and lists are walked, and a nonempty
+    list of scalars or a table (a nonempty list of nonempty lists of
+    scalars) is one call of the C encoder: the table with _SEP between
+    items, which then become the row boundaries "]" _SEP "[" and the cell
+    separators. json.dumps writes floats and empty containers."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
@@ -92,7 +90,8 @@ def _json(obj, pad: str = "\n") -> str:
             body = json.dumps(obj, separators=(_SEP, ": "))[2:-2]
             body = body.replace(f"]{_SEP}[", f"{inner}],{inner}[{cell}").replace(_SEP, "," + cell)
             return f"[{inner}[{cell}{body}{inner}]{pad}]"
-    return _INDENTED(obj).replace("\n", pad)
+        return "[" + ",".join(inner + _json(v, inner) for v in obj) + pad + "]"
+    return json.dumps(obj)
 
 
 def _emit_json(args, obj: dict):

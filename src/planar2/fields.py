@@ -6,6 +6,12 @@ syntax. Reduction is modulo a fixed degree-n irreducible polynomial over
 GF(2); for each n we take the smallest irreducible by integer encoding,
 so every run (and every serialized fixture) agrees on the representation.
 
+FieldSpec.bits is the one gate for field values: every entry point that
+takes an element, an Fe or its int bit pattern, reads it through the bits
+of the field it computes in. An int outside range(2^n) and an Fe of
+another field are a ValueError, so no layer computes with a value of a
+different field.
+
 Every field carries log/antilog tables taken with respect to the
 smallest generator of the multiplicative group, and all arithmetic, scalar
 or vectorized, reads them. They are zero-safe: log 0 = 2(2^n - 1) points
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -224,8 +231,23 @@ class FieldSpec:
 
     # -- element/iteration helpers ---------------------------------------
 
-    def fe(self, bits: int) -> "Fe":
-        return Fe(bits, self)
+    def bits(self, x) -> int:
+        """The bits of x as an element of this field: the one gate every
+        field value passes. An Fe of this field gives its bits, an Fe of
+        another field raises ValueError, and an integer is its own bit
+        pattern, ValueError when outside range(order)."""
+        if type(x) is not int:  # the common int costs one type test
+            if isinstance(x, Fe):
+                if x.spec != self:
+                    raise ValueError(f"{x!r} is an element of another field than {self!r}")
+                return x.bits
+            x = operator.index(x)
+        if 0 <= x < self.order:
+            return x
+        raise ValueError(f"bits {x:#x} out of range for {self!r}")
+
+    def fe(self, x) -> "Fe":
+        return Fe(x, self)
 
     @property
     def zero(self) -> "Fe":
@@ -256,32 +278,28 @@ class FieldSpec:
 class Fe:
     """One element of a FieldSpec, addition = xor of bit patterns.
 
-    Operators accept ints (interpreted as bit patterns of the same field)
-    so formulas like 1 + s**(q + 1) read naturally.
+    The constructor and the operators take their values through
+    FieldSpec.bits, so ints read as bit patterns of the same field and
+    formulas like 1 + s**(q + 1) read naturally.
     """
 
     __slots__ = ("bits", "spec")
 
-    def __init__(self, bits: int, spec: FieldSpec):
-        if not 0 <= bits < spec.order:
-            raise ValueError(f"bits {bits:#x} out of range for {spec!r}")
-        self.bits = bits
+    def __init__(self, bits, spec: FieldSpec):
+        self.bits = spec.bits(bits)
         self.spec = spec
 
-    def _coerce(self, other) -> "Fe":
-        if isinstance(other, Fe):
-            if other.spec != self.spec:
-                raise ValueError("mixed-field arithmetic: operands belong to different FieldSpecs")
-            return other
-        if isinstance(other, int):
-            return Fe(other, self.spec)
+    def _coerce(self, other):
+        """other's bits in this field, or NotImplemented for a non-element."""
+        if isinstance(other, (Fe, int)):
+            return self.spec.bits(other)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Fe(self.bits ^ o.bits, self.spec)
+        return Fe(self.bits ^ o, self.spec)
 
     __radd__ = __add__
     __sub__ = __add__
@@ -291,7 +309,7 @@ class Fe:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Fe(self.spec.mul(self.bits, o.bits), self.spec)
+        return Fe(self.spec.mul(self.bits, o), self.spec)
 
     __rmul__ = __mul__
 
@@ -299,11 +317,13 @@ class Fe:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Fe(self.spec.mul(self.bits, self.spec.inv(o.bits)), self.spec)
+        return Fe(self.spec.mul(self.bits, self.spec.inv(o)), self.spec)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return o.__truediv__(self)
+        if o is NotImplemented:
+            return o
+        return Fe(self.spec.mul(o, self.spec.inv(self.bits)), self.spec)
 
     def __pow__(self, e: int):
         return Fe(self.spec.pow(self.bits, e), self.spec)
@@ -500,37 +520,37 @@ class TowerView:
 
     # -- q-Frobenius, trace, norm ----------------------------------------
 
-    def frobq(self, x: Fe, j: int = 1) -> Fe:
+    def frobq(self, x, j: int = 1) -> Fe:
         """x^(q^j)."""
-        self._own(x)
-        return x.frob((j % self.k) * self.m)
+        return Fe(self.spec.frob(self.spec.bits(x), (j % self.k) * self.m), self.spec)
 
-    def rel_trace(self, x: Fe) -> Fe:
-        self._own(x)
+    def rel_trace(self, x) -> Fe:
+        b = self.spec.bits(x)
         acc = 0
         for j in range(self.k):
-            acc ^= self.spec.frob(x.bits, j * self.m)
+            acc ^= self.spec.frob(b, j * self.m)
         return Fe(acc, self.spec)
 
-    def rel_norm(self, x: Fe) -> Fe:
-        self._own(x)
+    def rel_norm(self, x) -> Fe:
+        b = self.spec.bits(x)
         acc = 1
         for j in range(self.k):
-            acc = self.spec.mul(acc, self.spec.frob(x.bits, j * self.m))
+            acc = self.spec.mul(acc, self.spec.frob(b, j * self.m))
         return Fe(acc, self.spec)
 
-    def abs_trace_base(self, x: Fe) -> Fe:
+    def abs_trace_base(self, x) -> Fe:
         """Absolute trace GF(q) -> GF(2) of a subfield element, as 0 or 1."""
-        self._own(x)
-        if not self.in_base(x):
+        b = self.spec.bits(x)
+        if not self.in_base(b):
             raise ValueError("absolute base trace needs an element of the q-subfield")
         acc = 0
         for j in range(self.m):
-            acc ^= self.spec.frob(x.bits, j)
+            acc ^= self.spec.frob(b, j)
         return Fe(acc, self.spec)
 
-    def in_base(self, x: Fe) -> bool:
-        return self.spec.frob(x.bits, self.m) == x.bits
+    def in_base(self, x) -> bool:
+        b = self.spec.bits(x)
+        return self.spec.frob(b, self.m) == b
 
     # -- the same on int64 columns of element bits ---------------------------
 
@@ -604,29 +624,24 @@ class TowerView:
             fwd = np.concatenate([fwd, fwd ^ self.spec.pow(root, i)])
         return fwd, {int(v): i for i, v in enumerate(fwd)}
 
-    def embed_base(self, x: Fe) -> Fe:
+    def embed_base(self, x) -> Fe:
         """Map an element of the standalone GF(q) into the q-subfield here."""
-        if x.spec != self.base_field():
-            raise ValueError("embed_base expects an element of the standalone base field")
+        b = self.base_field().bits(x)
         fwd, _ = self._embedding
-        return Fe(int(fwd[x.bits]), self.spec)
+        return Fe(int(fwd[b]), self.spec)
 
-    def project_base(self, x: Fe) -> Fe:
+    def project_base(self, x) -> Fe:
         """Inverse of embed_base; requires x in the q-subfield."""
-        self._own(x)
+        b = self.spec.bits(x)
         _, back = self._embedding
-        if x.bits not in back:
+        if b not in back:
             raise ValueError("element is not in the q-subfield")
-        return Fe(back[x.bits], self.base_field())
+        return Fe(back[b], self.base_field())
 
     # -- misc -----------------------------------------------------------------
 
-    def _own(self, x: Fe):
-        if x.spec != self.spec:
-            raise ValueError("element does not belong to this tower's field")
-
-    def fe(self, bits: int) -> Fe:
-        return Fe(bits, self.spec)
+    def fe(self, x) -> Fe:
+        return Fe(x, self.spec)
 
     def __repr__(self):
         return f"GF(({1 << self.m})^{self.k}) in GF(2^{self.spec.n})"

@@ -5,6 +5,8 @@ matrix (coefficients twisted by Frobenius along each row) is nonsingular,
 which we decide by exact Gaussian elimination. Inverses of permutations
 are again linearized and come out of a k x k linear solve; an
 interpolation route is kept alongside as an independent cross-check.
+Coefficients and arguments, Fe or int, are elements of the tower's field
+(fields.FieldSpec.bits); anything else is a ValueError.
 """
 
 from __future__ import annotations
@@ -20,20 +22,19 @@ class LinearizedPoly:
     __slots__ = ("tower", "coeffs")
 
     def __init__(self, tower: TowerView, coeffs):
-        coeffs = tuple(c if isinstance(c, Fe) else tower.fe(c) for c in coeffs)
+        coeffs = tuple(map(tower.fe, coeffs))
         if len(coeffs) != tower.k:
             raise ValueError(f"need exactly k={tower.k} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            tower._own(c)
         self.tower = tower
         self.coeffs = coeffs
 
-    def __call__(self, x: Fe) -> Fe:
+    def __call__(self, x) -> Fe:
         t = self.tower
         spec = t.spec
+        xb = spec.bits(x)
         acc = 0
         for i, c in enumerate(self.coeffs):
-            acc ^= spec.mul(c.bits, spec.frob(x.bits, i * t.m))
+            acc ^= spec.mul(c.bits, spec.frob(xb, i * t.m))
         return Fe(acc, spec)
 
     def evaluate_vec(self, a) -> np.ndarray:
@@ -103,7 +104,7 @@ def inverse_by_interpolation(L: LinearizedPoly) -> LinearizedPoly:
     k = t.k
     xi = t.normal_element
     basis = [spec.frob(xi.bits, j * t.m) for j in range(k)]
-    ys = [L(Fe(b, spec)).bits for b in basis]
+    ys = [L(b).bits for b in basis]
     rows = [[spec.frob(y, j * t.m) for j in range(k)] for y in ys]
     sol = mat_solve(spec, rows, basis)
     return LinearizedPoly(t, sol)

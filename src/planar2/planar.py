@@ -13,8 +13,9 @@ two independent tests:
     exponents and coefficient rows (DOPoly.as_row, the audit layouts).
 
 For coefficient families with exponents 2^(jm+i) + 2^i there is a third,
-equivalent test: a single equation having no nonzero root, implemented by
-planar_criterion_k2/k3/k4 for towers of degree 2, 3 and 4.
+equivalent test: a single equation having no nonzero root, whose value
+tables are criterion_table_k2/k3/k4 for towers of degree 2, 3 and 4 and
+whose verdict is planar_by_criterion.
 
 The family registry covers the four parameterized families over GF(q^2),
 GF(q^3), GF(q^4) plus the known monomial/binomial families and the
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import (N_MAX, BudgetError, Fe, TowerView, hex_bits, lex_chunks, vec_div,
+from .fields import (BudgetError, Fe, TowerView, hex_bits, lex_chunks, vec_div,
                      vec_eval, vec_frob, vec_mul)
 
 # ---------------------------------------------------------------------------
@@ -66,10 +67,10 @@ class DOPoly:
     __slots__ = ("tower", "terms")
 
     def __init__(self, tower: TowerView, terms):
-        n = tower.spec.n
+        spec, n = tower.spec, tower.spec.n
         merged: dict[tuple[int, int], int] = {}
         for coeff, u, v in terms:
-            cb = _coeff_bits([coeff], tower, 1, "a term")[0]
+            cb = spec.bits(coeff)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"exponent pair ({u},{v}) out of range for n={n}")
             pair = (min(u, v), max(u, v))
@@ -94,12 +95,12 @@ class DOPoly:
     def exponent_pairs(self) -> set[tuple[int, int]]:
         return {(u, v) for _, _, u, v in self.terms}
 
-    def eval(self, x: Fe) -> Fe:
-        self.tower._own(x)
+    def eval(self, x) -> Fe:
         spec = self.spec
+        xb = spec.bits(x)
         acc = 0
         for e, cb, _, _ in self.terms:
-            acc ^= spec.mul(cb, spec.pow(x.bits, e))
+            acc ^= spec.mul(cb, spec.pow(xb, e))
         return Fe(acc, spec)
 
     def value_table(self) -> np.ndarray:
@@ -144,17 +145,14 @@ class DOPoly:
 # Planarity predicates
 # ---------------------------------------------------------------------------
 
-def is_planar_bruteforce(f: DOPoly, budget: int = 1 << N_MAX) -> bool:
+def is_planar_bruteforce(f: DOPoly) -> bool:
     """Definition test: every difference map hits every value exactly once.
 
     Runs kernels.planar_check_table on f's value table: per a, the pair
     representatives min(v, v + a^2) on half the inputs must be distinct,
     about 4^n/2 table lookups in all (about 0.44 s for a planar f over
     GF(2^14)). No Dembowski-Ostrom structure is used."""
-    spec = f.spec
-    if spec.order > budget:
-        raise BudgetError(f"field of size 2^{spec.n} exceeds the planarity budget {budget}")
-    return kernels.planar_check_table(spec, f.value_table())
+    return kernels.planar_check_table(f.spec, f.value_table())
 
 
 def is_planar_linearized(f: DOPoly) -> bool:
@@ -167,13 +165,10 @@ def is_planar_linearized(f: DOPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 def _coeff_bits(c, t: TowerView, length: int, what: str) -> list[int]:
-    """The element bits of the coefficients c, Fe or int: an int goes
-    through t.fe, so one out of range raises ValueError like any Fe."""
-    out = []
-    for x in c:
-        x = x if isinstance(x, Fe) else t.fe(int(x))
-        t._own(x)
-        out.append(x.bits)
+    """The element bits of the coefficients c, each read by
+    t.spec.bits (an Fe of t's field or an int in range, else ValueError),
+    and ValueError unless there are length of them."""
+    out = list(map(t.spec.bits, c))
     if len(out) != length:
         raise ValueError(f"{what} expects {length} coefficients, got {len(out)}")
     return out
@@ -197,11 +192,6 @@ def criterion_table_k2(c, t: TowerView) -> np.ndarray:
     return vec_eval(spec, terms, [np.arange(spec.order, dtype=np.int64)])
 
 
-def planar_criterion_k2(c, t: TowerView) -> bool:
-    vals = criterion_table_k2(c, t)
-    return not bool(np.any(vals[1:] == 0))
-
-
 def criterion_table_k3(c1, c2, t: TowerView) -> np.ndarray:
     """Same for f = sum c1_i x^(2^(m+i)+2^i) + sum c2_i x^(2^(2m+i)+2^i)
     over GF(q^3)."""
@@ -216,11 +206,6 @@ def criterion_table_k3(c1, c2, t: TowerView) -> np.ndarray:
     inner = vec_mul(spec, power(1 << m), vec_mul(spec, a2, a2))
     tr = inner ^ vec_frob(spec, inner, m) ^ vec_frob(spec, inner, 2 * m)
     return power((1 << (2 * m)) + (1 << m) + 1) ^ tr
-
-
-def planar_criterion_k3(c1, c2, t: TowerView) -> bool:
-    vals = criterion_table_k3(c1, c2, t)
-    return not bool(np.any(vals[1:] == 0))
 
 
 def criterion_table_k4(c1, c2, c3, t: TowerView) -> np.ndarray:
@@ -252,11 +237,6 @@ def criterion_table_k4(c1, c2, c3, t: TowerView) -> np.ndarray:
     return acc
 
 
-def planar_criterion_k4(c1, c2, c3, t: TowerView) -> bool:
-    vals = criterion_table_k4(c1, c2, c3, t)
-    return not bool(np.any(vals[1:] == 0))
-
-
 def _gapped_layout(t: TowerView) -> list[tuple[int, int]]:
     """The exponent pairs (i, i + jm) of the gapped shape over GF(q^k), for
     j = 1..k-1 and i < (k-j)m, in one block per j: the coefficient positions
@@ -286,16 +266,13 @@ def criterion_lists(f: DOPoly):
 
 
 def planar_by_criterion(f: DOPoly):
-    """Criterion verdict for f, or None when the shape is not covered."""
+    """Criterion verdict for f: no zero of its criterion table (k = 2, 3
+    or 4) at x != 0. None when the shape is not covered."""
     lists = criterion_lists(f)
     if lists is None:
         return None
-    t = f.tower
-    if t.k == 2:
-        return planar_criterion_k2(lists[0], t)
-    if t.k == 3:
-        return planar_criterion_k3(lists[0], lists[1], t)
-    return planar_criterion_k4(lists[0], lists[1], lists[2], t)
+    table = (criterion_table_k2, criterion_table_k3, criterion_table_k4)[f.tower.k - 2]
+    return not bool(np.any(table(*lists, f.tower)[1:] == 0))
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,8 @@ class Presemifield:
 
     # -- product access ------------------------------------------------------
 
-    def mul(self, x: Fe, y: Fe) -> Fe:
-        if x.spec != self.spec or y.spec != self.spec:
-            raise ValueError("operands belong to a different field")
-        return Fe(int(self._mul(x.bits, y.bits)), self.spec)
+    def mul(self, x, y) -> Fe:
+        return Fe(int(self._mul(self.spec.bits(x), self.spec.bits(y))), self.spec)
 
     def _mul(self, x, y) -> np.ndarray:
         """x*y for arrays of element bits (broadcasting): the sum of the
@@ -186,7 +184,7 @@ def knuth_presemifield(n: int) -> Presemifield:
 # Unital isotopes
 # ---------------------------------------------------------------------------
 
-def to_semifield(P: Presemifield, e: Fe | None = None,
+def to_semifield(P: Presemifield, e: Fe | int = 1,
                  construction: str = "isotope") -> Presemifield:
     """Unital semifield from a presemifield.
 
@@ -196,24 +194,23 @@ def to_semifield(P: Presemifield, e: Fe | None = None,
                                   identity e; constants Le^{-1}(e_i * e_j).
     """
     spec = P.spec
-    if e is None:
-        e = spec.one
+    e = spec.bits(e)
     if not e:
         raise ValueError("isotopes need a nonzero base point e")
     xs = np.arange(spec.order)
-    col = P._mul(xs, e.bits)  # Re = Le: x -> x*e
+    col = P._mul(xs, e)  # Re = Le: x -> x*e
     inv = np.zeros_like(col)
     inv[col] = xs
     if not np.array_equal(col[inv], xs):
         raise RuntimeError("x -> x*e is not a bijection; input is not a presemifield")
     if construction == "isotope":
         u = inv[1 << np.arange(spec.n)]
-        consts, ident = P._mul(u[:, None], u[None, :]), int(P._mul(e.bits, e.bits))
+        consts, ident = P._mul(u[:, None], u[None, :]), int(P._mul(e, e))
     elif construction == "left-division":
-        consts, ident = inv[P.consts], e.bits
+        consts, ident = inv[P.consts], e
     else:
         raise ValueError("construction must be 'isotope' or 'left-division'")
-    out = Presemifield(spec, f"{P.label}/{construction}[e=0x{e.bits:x}]",
+    out = Presemifield(spec, f"{P.label}/{construction}[e=0x{e:x}]",
                        consts, identity=ident)
     if not out.is_unital():
         raise RuntimeError("isotope failed to produce an identity element")

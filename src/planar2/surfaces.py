@@ -14,7 +14,9 @@ c e_p + e_j: about k^2 q^k evaluations, not q^(2k) candidate forms.
 
 MvPoly is the algebra under all of it: its constructor is the one place
 that XOR-merges terms (sums, products and substitutions hand it their
-term lists), MvPoly.linear is the one builder of sum_i c_i x_i, and
+term lists) and reads every coefficient through fields.FieldSpec.bits, as
+LinearForm and MvPoly.evaluate do, so an element of another field is a
+ValueError; MvPoly.linear is the one builder of sum_i c_i x_i, and
 MvPoly.evaluate_vec hands its terms to fields.vec_eval, the one
 polynomial evaluator. Orbit values are read from orbit_value_table.
 
@@ -37,8 +39,7 @@ import operator
 
 import numpy as np
 
-from .fields import (BudgetError, Fe, FieldSpec, TowerView, lex_chunks, vec_eval, vec_frob,
-                     vec_mul)
+from .fields import BudgetError, FieldSpec, TowerView, lex_chunks, vec_eval, vec_frob, vec_mul
 from .planar import REGISTRY, DOPoly, family_record, family_shape, family_tuple
 
 COUNT_LIMIT = 1 << 24  # affine/projective enumeration budget (points)
@@ -53,26 +54,26 @@ class MvPoly:
     to nonzero coefficient bits.
 
     The constructor is the one place that adds terms: it takes a mapping
-    or an iterable of (exponent tuple, coefficient) pairs, XOR-adds equal
-    tuples, drops zero sums, and only then checks each kept tuple and
-    coefficient. Sums, products and substitutions hand it their terms.
+    or an iterable of (exponent tuple, coefficient) pairs, reads each
+    coefficient as it arrives (FieldSpec.bits: an Fe of spec or an int in
+    range), XOR-adds equal tuples, drops zero sums, and only then checks
+    each kept tuple. Sums, products and substitutions hand it their terms.
     """
 
     __slots__ = ("spec", "nvars", "terms")
 
     def __init__(self, spec: FieldSpec, nvars: int, terms=()):
+        bits = spec.bits
         merged: dict[tuple[int, ...], int] = {}
         for exps, c in (terms.items() if hasattr(terms, "items") else terms):
-            merged[exps] = merged.get(exps, 0) ^ (c.bits if isinstance(c, Fe) else c)
+            merged[exps] = merged.get(exps, 0) ^ bits(c)
         clean = {}
         for exps, c in merged.items():
             if not c:
                 continue
             if len(exps) != nvars or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
-            if not 0 < c < spec.order:
-                raise ValueError(f"coefficient {c:#x} out of range for {spec!r}")
-            clean[tuple(map(int, exps))] = int(c)
+            clean[tuple(map(int, exps))] = c
         self.spec = spec
         self.nvars = nvars
         self.terms = clean
@@ -161,7 +162,7 @@ class MvPoly:
         return MvPoly(self.spec, self.nvars, products)
 
     def evaluate(self, point) -> int:
-        return int(self.evaluate_vec([p.bits if isinstance(p, Fe) else int(p) for p in point]))
+        return int(self.evaluate_vec([self.spec.bits(p) for p in point]))
 
     def evaluate_vec(self, columns) -> np.ndarray:
         """Evaluate on many points at once (fields.vec_eval). columns[i]
@@ -213,7 +214,7 @@ class LinearForm:
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        cb = [spec.fe(c.bits if isinstance(c, Fe) else int(c)).bits for c in coeffs]
+        cb = [spec.bits(c) for c in coeffs]
         lead = next((i for i, c in enumerate(cb) if c), None)
         if lead is None:
             raise ValueError("linear form must not be identically zero")
@@ -331,7 +332,7 @@ def specialize_normal(G: MvPoly, t: TowerView) -> MvPoly:
                            "Frobenius-symmetric like build_G's companions")
 
     base = t.base_field()
-    out = {e: t.project_base(Fe(c, spec)).bits for e, c in h.terms.items()}
+    out = {e: t.project_base(c).bits for e, c in h.terms.items()}
     return MvPoly(base, t.k, out)
 
 

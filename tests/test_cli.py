@@ -55,6 +55,13 @@ def test_check_rejects_a_coefficient_outside_the_field(capsys, terms):
     assert "Traceback" not in captured.err
 
 
+def test_check_budget_below_the_field_size_exit3(capsys):
+    # GF(2^4) has 16 elements: a budget of 8 refuses the planarity test
+    assert main(["check", "--terms", "(1,0,2)", "--m", "2", "--k", "2", "--budget", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget exceeded" in captured.err
+
+
 def test_check_beyond_the_oracle_bound_takes_the_rank_verdict(capsys, monkeypatch):
     # planted P1 over GF(2^16): the 4^n oracle must not run there
     def no_oracle(*args):

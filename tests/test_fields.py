@@ -460,3 +460,64 @@ def test_embedding_failure_is_a_runtime_error(monkeypatch):
     monkeypatch.setattr(t, "subfield_bits", lambda: np.zeros(0, dtype=np.int64))
     with pytest.raises(RuntimeError, match="must split"):
         t.embed_base(t.base_field().fe(1))
+
+
+# -- one element policy: FieldSpec.bits ------------------------------------
+
+def _entry_points():
+    """(name, field, call) for each entry point that takes a field value:
+    call(x) hands it x where it expects an element of that field."""
+    from planar2 import linearized, planar, semifields, surfaces
+
+    t, t3, t4 = p2.tower(4, 2), p2.tower(2, 3), p2.tower(2, 4)
+    spec = t.spec
+    L = linearized.LinearizedPoly(t, [1, 0])
+    P = semifields.field_presemifield(spec)
+    out = [
+        ("MvPoly", spec, lambda x: surfaces.MvPoly(spec, 2, {(1, 0): x})),
+        ("MvPoly.evaluate", spec,
+         lambda x: surfaces.MvPoly(spec, 2, {(1, 0): 1}).evaluate([x, 0])),
+        ("LinearForm", spec, lambda x: surfaces.LinearForm(spec, [1, x])),
+        ("LinearizedPoly", spec, lambda x: linearized.LinearizedPoly(t, [1, x])),
+        ("LinearizedPoly.__call__", spec, L),
+        ("DOPoly", spec, lambda x: planar.DOPoly(t, [(x, 0, 4)])),
+        ("DOPoly.eval", spec, planar.DOPoly(t, [(1, 0, 4)]).eval),
+        ("criterion_table_k2", spec, lambda x: planar.criterion_table_k2([x, 0, 0, 0], t)),
+        ("criterion_table_k3", t3.spec,
+         lambda x: planar.criterion_table_k3([0] * 4, [0, x], t3)),
+        ("criterion_table_k4", t4.spec,
+         lambda x: planar.criterion_table_k4([0] * 6, [0] * 4, [x, 0], t4)),
+        ("family_coeffs", spec,
+         lambda x: planar.family_coeffs(planar.FamilyParams("P1", (x,), t))),
+        ("Presemifield.mul", spec, lambda x: P.mul(x, 1)),
+        ("to_semifield", spec, lambda x: semifields.to_semifield(P, x)),
+    ]
+    for name in ("frobq", "rel_trace", "rel_norm", "in_base", "abs_trace_base",
+                 "project_base"):
+        out.append((f"TowerView.{name}", spec, getattr(t, name)))
+    return out
+
+
+_ENTRY_POINTS = _entry_points()
+
+
+@pytest.mark.parametrize("spec, call", [e[1:] for e in _ENTRY_POINTS],
+                         ids=[e[0] for e in _ENTRY_POINTS])
+def test_every_entry_point_rejects_a_foreign_element(spec, call):
+    # 3 is an element of GF(2^4) and, as bits, of every larger field too
+    with pytest.raises(ValueError):
+        call(p2.field(4).fe(3))
+    with pytest.raises(ValueError, match="out of range"):
+        call(spec.order)
+
+
+def test_bits_is_the_element_gate():
+    f = p2.field(4)
+    assert f.bits(f.fe(9)) == 9 and f.bits(np.int64(9)) == 9 and f.bits(15) == 15
+    for bad in (-1, 16):
+        with pytest.raises(ValueError, match="out of range"):
+            f.bits(bad)
+    with pytest.raises(ValueError, match="another field"):
+        f.bits(p2.field(5).fe(9))
+    with pytest.raises(TypeError):
+        f.bits(1.0)

@@ -8,6 +8,7 @@ import planar2 as p2
 from planar2 import kernels, planar
 from planar2.fields import BudgetError, lex_rows
 from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_lists,
+                            criterion_table_k2, criterion_table_k3, criterion_table_k4,
                             family_audit, family_coeffs, family_param_rows,
                             family_param_space, family_shape, family_tuple,
                             offdiagonal_search, planar_by_criterion)
@@ -132,19 +133,17 @@ def test_predicates_agree_with_reference_on_random_polys():
         assert p2.is_planar_linearized(f) == want
 
 
-def test_bruteforce_budget_guard():
-    t = p2.tower(2, 2)
-    with pytest.raises(BudgetError):
-        p2.is_planar_bruteforce(DOPoly(t, []), budget=8)
-
-
 # -- no-root criteria ----------------------------------------------------------
 
 
+def _no_nonzero_root(table) -> bool:
+    return not np.any(table[1:] == 0)
+
+
 def test_criteria_zero_coefficients_give_planar():
-    assert p2.planar_criterion_k2([0, 0], p2.tower(2, 2))
-    assert p2.planar_criterion_k3([0] * 4, [0] * 2, p2.tower(2, 3))
-    assert p2.planar_criterion_k4([0] * 6, [0] * 4, [0] * 2, p2.tower(2, 4))
+    assert _no_nonzero_root(criterion_table_k2([0, 0], p2.tower(2, 2)))
+    assert _no_nonzero_root(criterion_table_k3([0] * 4, [0] * 2, p2.tower(2, 3)))
+    assert _no_nonzero_root(criterion_table_k4([0] * 6, [0] * 4, [0] * 2, p2.tower(2, 4)))
 
 
 def test_criterion_k2_exhaustive_binomials_m2():
@@ -152,27 +151,27 @@ def test_criterion_k2_exhaustive_binomials_m2():
     for c0 in range(16):
         for c1 in range(16):
             f = DOPoly(t, [(c0, 0, 2), (c1, 1, 3)])
-            assert p2.planar_criterion_k2([c0, c1], t) == p2.is_planar_bruteforce(f)
+            assert planar_by_criterion(f) == p2.is_planar_bruteforce(f)
 
 
 def test_criterion_k2_on_gf4_cube():
     # m = 1: the single-coefficient shape covers x^3 over GF(4)
     t = p2.tower(1, 2)
-    assert not p2.planar_criterion_k2([1], t)
-    assert p2.planar_criterion_k2([0], t)
+    assert not planar_by_criterion(DOPoly(t, [(1, 0, 1)]))
+    assert planar_by_criterion(DOPoly(t, []))
 
 
 def test_criterion_wrong_arity_raises():
     with pytest.raises(ValueError):
-        p2.planar_criterion_k2([0], p2.tower(2, 2))
+        criterion_table_k2([0], p2.tower(2, 2))
     with pytest.raises(ValueError):
-        p2.planar_criterion_k3([0] * 4, [0] * 2, p2.tower(2, 2))
+        criterion_table_k3([0] * 4, [0] * 2, p2.tower(2, 2))
 
 
 @pytest.mark.parametrize("coeff", [-1, 16])
 def test_criterion_coefficient_range_checked(coeff):
     with pytest.raises(ValueError, match="out of range"):
-        p2.planar_criterion_k2([coeff, 0], p2.tower(2, 2))
+        criterion_table_k2([coeff, 0], p2.tower(2, 2))
 
 
 def test_criterion_lists_mapping():
