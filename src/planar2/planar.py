@@ -67,10 +67,10 @@ class DOPoly:
     __slots__ = ("tower", "terms")
 
     def __init__(self, tower: TowerView, terms):
-        spec, n = tower.spec, tower.spec.n
+        bits, n = tower.spec.bits, tower.spec.n
         merged: dict[tuple[int, int], int] = {}
         for coeff, u, v in terms:
-            cb = spec.bits(coeff)
+            cb = bits(coeff)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"exponent pair ({u},{v}) out of range for n={n}")
             pair = (min(u, v), max(u, v))

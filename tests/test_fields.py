@@ -1,4 +1,5 @@
-"""Field layer: moduli, arithmetic, towers, embeddings."""
+"""Field layer: moduli, arithmetic, towers, embeddings, and the one element
+policy (FieldSpec.bits) at every entry point that takes a field value."""
 
 import hashlib
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import planar2 as p2
+from planar2 import linearized, planar, semifields, surfaces
 from planar2.fields import (N_MAX, hex_bits, is_irreducible, lex_chunks, lex_rows, mat_det,
                             mat_solve, vec_div, vec_eval, vec_frob, vec_mul)
 
@@ -467,8 +469,6 @@ def test_embedding_failure_is_a_runtime_error(monkeypatch):
 def _entry_points():
     """(name, field, call) for each entry point that takes a field value:
     call(x) hands it x where it expects an element of that field."""
-    from planar2 import linearized, planar, semifields, surfaces
-
     t, t3, t4 = p2.tower(4, 2), p2.tower(2, 3), p2.tower(2, 4)
     spec = t.spec
     L = linearized.LinearizedPoly(t, [1, 0])
