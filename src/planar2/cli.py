@@ -11,9 +11,10 @@ flags included), 2 = internal disagreement between planarity criteria,
 3 = budget exceeded (a field beyond GF(2^fields.N_MAX) included),
 4 = internal invariant failed (a RuntimeError or AssertionError, reported
 on stderr instead of a traceback); a negative count (--budget, --support,
---max-n) or fewer than one thread is bad arguments. check and surface run
-the definition oracle up to GF(2^CHECK_ORACLE_N_MAX) and take the rank
-verdict beyond, where check reports "bruteforce": null. --threads N on
+--max-n) or fewer than one thread is bad arguments. check runs the
+definition oracle up to GF(2^CHECK_ORACLE_N_MAX) and the rank test always,
+reporting "bruteforce": null beyond; surface takes the rank verdict alone,
+and derives its affine zero count from the projective one. --threads N on
 audit and problem27 means "at most N worker threads": it is checked and
 echoed in the report, but every sweep runs on the calling thread, so any
 N >= 1 gives the same rows.
@@ -31,8 +32,8 @@ from . import __version__, kernels, planar, semifields, surfaces
 from .fields import BudgetError, hex_bits, tower
 from .planar import DOPoly, FamilyParams
 
-# check and surface run the 4^n definition oracle only up to this degree
-# (about 0.44 s for a planar input over GF(2^14)); beyond it the rank verdict decides.
+# check runs the 4^n definition oracle only up to this degree (about 0.44 s
+# for a planar input over GF(2^14)); beyond it the rank verdict decides.
 CHECK_ORACLE_N_MAX = 14
 # the smallest value each count takes
 _LEAST = {"budget": 0, "support": 0, "threads": 1, "max_n": 0}
@@ -103,28 +104,19 @@ def _family_poly(args, t) -> DOPoly:
     return planar.family_coeffs(FamilyParams(args.family, tuple(coeffs), t))
 
 
-def _planarity(f: DOPoly, budget: int, rank: bool = False):
-    """(planar, oracle verdict, rank verdict) for check and surface: the
-    oracle decides up to GF(2^CHECK_ORACLE_N_MAX) and is None beyond, where
-    the rank test decides; rank=True runs the rank test in any case."""
-    spec = f.spec
-    if spec.order > budget:
-        raise BudgetError(f"field of size 2^{spec.n} exceeds the planarity budget {budget}")
-    brute = planar.is_planar_bruteforce(f) if spec.n <= CHECK_ORACLE_N_MAX else None
-    linear = planar.is_planar_linearized(f) if rank or brute is None else None
-    return (linear if brute is None else brute), brute, linear
-
-
 def cmd_check(args) -> int:
     t = tower(args.m, args.k)
     f = DOPoly.parse(args.terms, t)
-    verdict, brute, linear = _planarity(f, args.budget, rank=True)
+    if t.spec.order > args.budget:
+        raise BudgetError(f"field of size 2^{t.spec.n} exceeds the planarity budget {args.budget}")
+    brute = planar.is_planar_bruteforce(f) if t.spec.n <= CHECK_ORACLE_N_MAX else None
+    linear = planar.is_planar_linearized(f)
     crit = planar.planar_by_criterion(f)
     verdicts = [v for v in (brute, linear, crit) if v is not None]
     agree = len(set(verdicts)) == 1
     report = {
         "poly": f.to_json(),
-        "planar": verdict,
+        "planar": linear if brute is None else brute,
         "criteria": {
             "bruteforce": brute,
             "linearized_rank": linear,
@@ -152,20 +144,19 @@ def cmd_surface(args) -> int:
     f = _family_poly(args, t)
     g = surfaces.build_G(f, t, shape=args.family)
     factors, remainder = surfaces.linear_factor_search(g, budget=args.budget)
-    psi = surfaces.specialize_normal(g, t)
-    psi_h = psi.homogenize()
-    affine = surfaces.count_points_affine(psi_h, budget=args.budget)
+    psi_h = surfaces.specialize_normal(g, t).homogenize()
     lw = surfaces.langweil_check(psi_h, certified_irreducible=False, budget=args.budget)
     report = {
         "family": args.family,
         "poly": f.to_json(),
         "companion": g.to_json(),
         "orbit_has_zero": surfaces.orbit_has_zero(g, t),
-        "planar": _planarity(f, args.budget)[0],
+        "planar": planar.is_planar_linearized(f),
         "factors": [{"coeffs": hex_bits(form.coeffs), "multiplicity": mult}
                     for form, mult in factors],
         "remainder": remainder.to_json(),
-        "specialized_affine_zeros": affine,
+        # a cone: psi_h is a degree-k form, as G's top term x_0...x_(k-1) survives the basis change
+        "specialized_affine_zeros": 1 + (t.q - 1) * lw["count"],
         "specialized_projective_zeros": lw["count"],
         "pointcount_bound": lw,
         **_meta(t, args),

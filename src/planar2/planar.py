@@ -615,34 +615,32 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22) -> Au
     over its full support), and report those outside the family image
     (never assert absence).
 
-    Both read the family through arrays: the admissible parameter rows of
-    family_param_rows and the term columns of the record. Sufficiency
-    sweeps one coefficient row per parameter on one layout: the family's
-    shape, or else its term pairs ordered by reduced exponent."""
+    Both build the family image through arrays: one coefficient row per
+    admissible parameter (family_param_rows, the record's term columns) on
+    one layout, the family's shape or else its term pairs ordered by
+    reduced exponent. Sufficiency sweeps the image; converse tests each
+    planar tuple for membership in it."""
     if mode not in ("sufficiency", "converse"):
         raise ValueError("mode must be 'sufficiency' or 'converse'")
     spec = t.spec
     rec = family_record(fam)
-    if mode == "sufficiency":
-        params = family_param_rows(fam, t, budget)
-        terms = _term_columns(rec, t, params)
-        if rec.shape is not None:
-            layout = family_shape(fam, t)
-        else:
-            layout = sorted({(min(u, v), max(u, v)) for _, u, v in terms}, key=lambda uv:
-                            kernels.reduced_exponent(spec.n, (1 << uv[0]) + (1 << uv[1])))
-        coeffs = _layout_rows(fam, layout, terms, len(params))
-        exponents = [(1 << u) + (1 << v) for u, v in layout]
-        mask = kernels.planar_sweep(spec, exponents, coeffs)
-        return AuditReport(fam, t.q, t.k, mode, len(params), coeffs[mask], coeffs[:0],
-                           coeffs[~mask])
-
-    shape = family_shape(fam, t)
-    tested, rows = _support_sweep(spec, shape, len(shape), budget)
-    params = family_param_rows(fam, t)
-    image = _layout_rows(fam, shape, _term_columns(rec, t, params), len(params))
-    return AuditReport(fam, t.q, t.k, mode, tested, rows, rows[~_rows_in(rows, image)],
-                       rows[:0])
+    converse = mode == "converse"
+    if converse:  # an over-budget sweep stops before the image is built
+        shape = family_shape(fam, t)
+        tested, rows = _support_sweep(spec, shape, len(shape), budget)
+    params = family_param_rows(fam, t, None if converse else budget)
+    terms = _term_columns(rec, t, params)
+    if rec.shape is not None:
+        layout = family_shape(fam, t)
+    else:
+        layout = sorted({(min(u, v), max(u, v)) for _, u, v in terms}, key=lambda uv:
+                        kernels.reduced_exponent(spec.n, (1 << uv[0]) + (1 << uv[1])))
+    image = _layout_rows(fam, layout, terms, len(params))
+    if converse:
+        return AuditReport(fam, t.q, t.k, mode, tested, rows, rows[~_rows_in(rows, image)],
+                           rows[:0])
+    mask = kernels.planar_sweep(spec, [(1 << u) + (1 << v) for u, v in layout], image)
+    return AuditReport(fam, t.q, t.k, mode, len(params), image[mask], image[:0], image[~mask])
 
 
 def _support_sweep(spec, pairs, support: int, budget: int) -> tuple[int, np.ndarray]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import threading
 import time
 
@@ -82,15 +83,18 @@ def test_check_beyond_the_oracle_bound_takes_the_rank_verdict(capsys, monkeypatc
                  "--budget", str(1 << 15)]) == 3
 
 
-def test_surface_takes_the_rank_verdict_beyond_the_oracle_bound(capsys, monkeypatch):
+@pytest.mark.parametrize("family, coeffs",
+                         [("P1", "2"), ("P2", "1f,3d"), ("P3", "b"), ("P4a", "89"), ("P4b", "8e")])
+def test_surface_takes_the_rank_verdict_beyond_the_oracle_bound(capsys, monkeypatch,
+                                                                family, coeffs):
+    # surface never runs the definition oracle, not even below CHECK_ORACLE_N_MAX
     def no_oracle(*args):
-        raise AssertionError("the definition oracle ran beyond CHECK_ORACLE_N_MAX")
+        raise AssertionError("surface ran the definition oracle")
 
-    monkeypatch.setattr(cli, "CHECK_ORACLE_N_MAX", 6)
     monkeypatch.setattr(kernels, "planar_check_table", no_oracle)
-    code, out = run(capsys, "surface", "--family", "P1", "--m", "4", "--coeffs", "3")
+    code, out = run(capsys, "surface", "--family", family, "--m", "2", "--coeffs", coeffs)
     rep = json.loads(out)
-    assert code == 0 and rep["n"] == 8
+    assert code == 0 and rep["n"] <= cli.CHECK_ORACLE_N_MAX
     assert rep["planar"] is True and rep["orbit_has_zero"] is False
 
 
@@ -270,6 +274,9 @@ GOLDEN_SURFACES = {
     ("P2", "3", "1f,3d"): "e199961528e5b1fedb73154d0a63e03ed36bd58e24c5c8b092b95072a7f0908b",
     ("P2", "3", "7b,0"): "e8a3d661fc3b0d6ded2f921eae6ff8bdaa76c4d77bf8f5b5d419d9f9bec4ad85",
     ("P4b", "3", "8e"): "3156b9811af14cbdb53576a2fe16249806ada13fa491dda4005e8e3469deb2d2",
+    # recorded at 0.25.0 under --budget 16777216 (the default budget stopped
+    # its affine enumeration then), with the echoed budget set to the default
+    ("P1", "8", "3"): "c379ca0a137ce1a244b1943168b7116f21290347f40b57d4eaed5f9b491ea83b",
 }
 
 
@@ -301,6 +308,28 @@ def test_specialized_companion_matches_the_recorded_digest(family, m, coeffs):
     psi = surfaces.specialize_normal(surfaces.build_G(f, t, shape=family), t)
     digest = hashlib.sha256(json.dumps(psi.to_json(), sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_SPECIALIZED[family, m, coeffs]
+
+
+@pytest.mark.parametrize("family, m", [("P1", 2), ("P1", 3), ("P1", 4), ("P1", 5),
+                                       ("P2", 2), ("P2", 3), ("P3", 2), ("P3", 3),
+                                       ("P4a", 2), ("P4a", 3), ("P4b", 2), ("P4b", 3)])
+def test_surface_affine_zeros_are_the_cone_over_the_projective_zeros(capsys, family, m):
+    # the report derives the affine count from the projective one; the
+    # affine enumeration over every point is the reference
+    t = tower(m, REGISTRY[family].k)
+    rng = random.Random(f"{family}-{m}")
+    while True:
+        params = tuple(t.fe(rng.randrange(t.spec.order)) for _ in range(REGISTRY[family].arity))
+        try:
+            f = planar.family_coeffs(planar.FamilyParams(family, params, t))
+            break
+        except ValueError:  # an excluded parameter
+            continue
+    coeffs = ",".join(f"{p.bits:x}" for p in params)
+    code, out = run(capsys, "surface", "--family", family, "--m", str(m), "--coeffs", coeffs)
+    assert code == 0
+    psi_h = surfaces.specialize_normal(surfaces.build_G(f, t, shape=family), t).homogenize()
+    assert json.loads(out)["specialized_affine_zeros"] == surfaces.count_points_affine(psi_h)
 
 
 def test_surface_factor_search_budget_counts_the_whole_candidate_space(tmp_path, capsys):
