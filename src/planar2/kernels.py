@@ -24,6 +24,10 @@ bijection for every nonzero a. Two independent implementations decide it:
     planar_orbit_sweep finds every planar row of a coefficient space with
     a sweep of one row per orbit of the scaling f -> mu^-2 f(mu x), which
     keeps planarity, and expands the planar ones into their orbits.
+    Both list the normal forms, one row per orbit, from one box per
+    support pattern (_normal_form_box); normal_form maps given rows to
+    them by the same walk, so a caller that holds the rows, such as a
+    sufficiency audit, sweeps only their distinct normal forms.
   * planar_check_table, the definition on a full value table, for any f.
     D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2, so D_a
     is a bijection iff min(v, v + a^2) takes distinct values on a
@@ -421,10 +425,11 @@ def _scaling_shifts(n: int, exponents) -> np.ndarray:
     return np.array([(reduced_exponent(n, e) - 2) % p1 for e in exponents], dtype=np.int64)
 
 
-def _normal_form_box(p1: int, shifts: np.ndarray, pattern) -> tuple[list[int], int]:
-    """(bounds, orbit) for the rows with support pattern (t_1 < ... < t_r):
-    the normal forms are the rows with log c_(t_i) in [0, bounds[i]), and
-    every orbit has orbit rows.
+def _normal_form_box(p1: int, shifts: np.ndarray, pattern) -> tuple[list[int], list[int], int]:
+    """(bounds, steps, orbit) for the rows with support pattern
+    (t_1 < ... < t_r): the normal forms are the rows with log c_(t_i) in
+    [0, bounds[i]), the j that keep log c_(t_1) .. log c_(t_(i-1)) are the
+    multiples of steps[i], and every orbit has orbit rows.
 
     j in Z/p1 adds j*d_t to log c_t. The shifts of the first coordinate
     are the multiples of g_1 = gcd(d_(t_1), p1), so log c_(t_1) has one
@@ -433,11 +438,12 @@ def _normal_form_box(p1: int, shifts: np.ndarray, pattern) -> tuple[list[int], i
     g_2 = gcd(step*d_(t_2), p1), and keep it for the multiples of
     step*p1/g_2; and so on. At the end the stabilizer is the multiples of
     step, which has p1/gcd(step, p1) elements, so orbit = gcd(step, p1)."""
-    step, bounds = 1, []
+    step, steps, bounds = 1, [], []
     for t in pattern:
+        steps.append(step)
         bounds.append(math.gcd(step * int(shifts[t]), p1))
         step *= p1 // bounds[-1]
-    return bounds, math.gcd(step, p1)
+    return bounds, steps, math.gcd(step, p1)
 
 
 def _normal_forms(spec, shifts: np.ndarray, patterns):
@@ -446,11 +452,46 @@ def _normal_forms(spec, shifts: np.ndarray, patterns):
     over their log box, and the orbit size they share."""
     p1, width = spec.order - 1, shifts.size
     for pattern in patterns:
-        bounds, orbit = _normal_form_box(p1, shifts, pattern)
+        bounds, _, orbit = _normal_form_box(p1, shifts, pattern)
         for logs in lex_chunks(bounds, _ORBIT_ROWS):
             rows = np.zeros((logs.shape[0], width), dtype=np.int64)
             rows[:, list(pattern)] = spec.exp[logs]
             yield rows, orbit
+
+
+def normal_form(spec, exponents, rows: np.ndarray) -> np.ndarray:
+    """The normal form of each coefficient row of the shape x^exponents[t]:
+    the one row of its orbit under the scaling f -> mu^-2 f(mu x), which
+    keeps planarity (planar_orbit_sweep), that lies in _normal_form_box's
+    box for its support pattern. Equal rows for rows of one orbit, the row
+    itself for a normal form, int64 like the rows.
+
+    The rows of one support pattern go together, through the box's walk:
+    at t_i the j that keep the coordinates before it are the multiples of
+    step, and j = step*y adds y*D to L = log c_(t_i), D = step*d_t mod p1.
+    That reaches L plus the multiples of g = gcd(D, p1), so the y with
+    y*(D/g) = (L mod g - L)/g (mod p1/g), one modular inverse per column,
+    takes L to L mod g in [0, g). Adding j*d_t to every coordinate of the
+    pattern leaves the earlier ones where they are."""
+    rows = np.asarray(rows, dtype=np.int64)
+    p1 = spec.order - 1
+    shifts = _scaling_shifts(spec.n, exponents)
+    out = np.zeros_like(rows)
+    support = (rows != 0) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
+    for key in np.unique(support).tolist():
+        pattern = [t for t in range(rows.shape[1]) if key >> t & 1]
+        at = np.ix_(np.flatnonzero(support == key), pattern)
+        logs = spec.log[rows[at]]
+        bounds, steps, _ = _normal_form_box(p1, shifts, pattern)
+        d = shifts[pattern]
+        for i, (g, step) in enumerate(zip(bounds, steps)):
+            if g < p1:  # else no j moves L
+                m = p1 // g
+                y = (logs[:, i] % g - logs[:, i]) // g * pow(step * int(d[i]) % p1 // g, -1, m) % m
+                logs += (step % p1 * y % p1)[:, None] * d
+                logs %= p1
+        out[at] = spec.exp[logs]
+    return out
 
 
 def _scaled_images(spec, shifts: np.ndarray, rows: np.ndarray, orbit: int) -> np.ndarray:

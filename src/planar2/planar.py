@@ -618,8 +618,11 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22) -> Au
     Both build the family image through arrays: one coefficient row per
     admissible parameter (family_param_rows, the record's term columns) on
     one layout, the family's shape or else its term pairs ordered by
-    reduced exponent. Sufficiency sweeps the image; converse tests each
-    planar tuple for membership in it."""
+    reduced exponent. Converse tests each planar tuple for membership in
+    the image. Sufficiency maps the image to its scaling normal forms
+    (kernels.normal_form; a row is planar iff its normal form is), sweeps
+    each distinct form once and reads the verdicts back onto the image
+    rows, so planar and failures list image rows in image order."""
     if mode not in ("sufficiency", "converse"):
         raise ValueError("mode must be 'sufficiency' or 'converse'")
     spec = t.spec
@@ -639,7 +642,10 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22) -> Au
     if converse:
         return AuditReport(fam, t.q, t.k, mode, tested, rows, rows[~_rows_in(rows, image)],
                            rows[:0])
-    mask = kernels.planar_sweep(spec, [(1 << u) + (1 << v) for u, v in layout], image)
+    exponents = [(1 << u) + (1 << v) for u, v in layout]
+    forms = kernels.normal_form(spec, exponents, image)
+    _, first, inverse = np.unique(_row_keys(forms), return_index=True, return_inverse=True)
+    mask = kernels.planar_sweep(spec, exponents, forms[first])[inverse]
     return AuditReport(fam, t.q, t.k, mode, len(params), image[mask], image[:0], image[~mask])
 
 
@@ -659,10 +665,15 @@ def _support_sweep(spec, pairs, support: int, budget: int) -> tuple[int, np.ndar
     return tested, kernels.planar_orbit_sweep(spec, exponents, patterns)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void scalar per int64 row, its bytes: rows as keys of np.isin
+    and np.unique."""
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
 def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Whether each int64 row of rows is a row of table (same width)."""
-    keys = lambda a: np.ascontiguousarray(a).view(np.dtype((np.void, 8 * a.shape[1]))).ravel()
-    return np.isin(keys(rows), keys(table))
+    return np.isin(_row_keys(rows), _row_keys(table))
 
 
 def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22) -> dict:

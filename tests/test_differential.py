@@ -3,7 +3,8 @@ is_planar_linearized), the no-root criterion and the companion orbit must
 agree on random Dembowski-Ostrom polynomials, on batches that straddle the
 kernel's blocks, through the threaded sweep and on whole sufficiency spaces;
 the one-form rank test must agree with a product table's injectivity; and
-the sweep of one row per scaling orbit must find what a full sweep finds."""
+the sweep of one row per scaling orbit must find what a full sweep finds,
+and each row's scaling normal form must have the row's verdict."""
 
 import contextlib
 import functools
@@ -236,6 +237,24 @@ def test_orbit_sweep_matches_the_full_sweep_and_lists_each_orbit_once(shape, row
     shared = any(math.gcd(d, p1) not in (1, p1) for d in shifts.tolist())
     event(f"d=0 {fixed} shared-factor d {shared} "
           f"multi-position {max(map(len, patterns)) > 1} planar {len(want) > 0}")
+
+
+@pytest.mark.parametrize("fam,m", [
+    ("P1", 2), ("P2", 2), ("P3", 2), ("P4a", 2), ("P4b", 2), ("SZ-generalized", 4)])
+def test_normal_forms_keep_every_verdict_of_random_rows(fam, m):
+    # sufficiency audits sweep the normal forms and read the verdicts back:
+    # on random rows, mostly not planar, each form must give its row's verdict
+    rec = planar.REGISTRY[fam]
+    t = p2.tower(m, rec.k)
+    spec = t.spec
+    pairs = planar.family_shape(fam, t) if rec.shape is not None else [(0, m)]  # c x^(1+q)
+    exps = [(1 << u) + (1 << v) for u, v in pairs]
+    rng = np.random.default_rng(m * rec.k)
+    rows = rng.integers(0, spec.order, (2000, len(exps)))
+    rows[rng.random(rows.shape) < 0.25] = 0
+    want = kernels.planar_sweep(spec, exps, rows)
+    got = kernels.planar_sweep(spec, exps, kernels.normal_form(spec, exps, rows))
+    assert got.tolist() == want.tolist() and 0 < want.sum() < len(rows)
 
 
 def _do_exponents(n):

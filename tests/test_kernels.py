@@ -315,6 +315,53 @@ def test_scaling_degree_reads_exponents_mod_the_group_order():
     assert kernels._scaling_degree(1, [3]) == 1
 
 
+_FAMILY_TOWERS = [(fam, m) for fam in ("P1", "P2", "P3", "P4a", "P4b")
+                  for m in range(1, 12 // planar.REGISTRY[fam].k + 1)
+                  if (fam, m) != ("P1", 1)]  # two P1 columns coincide at m = 1
+
+
+@st.composite
+def scaling_rows(draw):
+    """(spec, exponents, rows, j): coefficient rows on a P1-P4b shape with
+    n <= 12, or on random DO exponents over GF(2^n), n = 1..12; eight rows
+    of each support size 0..width, so the all-zero row among them, with
+    random patterns and nonzero coefficients; and a scaling exponent j per
+    row."""
+    if draw(st.booleans()):
+        fam, m = draw(st.sampled_from(_FAMILY_TOWERS))
+        t = p2.tower(m, planar.REGISTRY[fam].k)
+        spec, exps = t.spec, [(1 << u) + (1 << v) for u, v in planar.family_shape(fam, t)]
+    else:
+        n = draw(st.integers(1, 12))
+        spec, u = p2.field(n), st.integers(0, 2 * n - 1)
+        exps = draw(st.lists(st.tuples(u, u).map(lambda uv: (1 << uv[0]) + (1 << uv[1])),
+                             min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = np.repeat(np.arange(len(exps) + 1), 8)
+    support = rng.random((sizes.size, len(exps))).argsort(axis=1) < sizes[:, None]
+    rows = np.where(support, rng.integers(1, spec.order, support.shape), 0)
+    return spec, exps, rows, rng.integers(0, spec.order - 1, sizes.size)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(scaling_rows())
+def test_normal_form_is_one_row_per_scaling_orbit_inside_the_box(case):
+    spec, exps, rows, j = case
+    p1 = spec.order - 1
+    shifts = kernels._scaling_shifts(spec.n, exps)
+    nf = kernels.normal_form(spec, exps, rows)
+    assert nf.dtype == np.int64 and np.array_equal(nf != 0, rows != 0)
+    assert np.array_equal(kernels.normal_form(spec, exps, nf), nf)
+    # mu = gamma^j moves c_t to exp[log c_t + j*d_t]: the same orbit, the same form
+    scaled = np.where(rows != 0, spec.exp[(spec.log[rows] + j[:, None] * shifts) % p1], 0)
+    assert np.array_equal(kernels.normal_form(spec, exps, scaled), nf)
+    for row in nf.tolist():
+        pattern = [t for t, c in enumerate(row) if c]
+        bounds, _, _ = kernels._normal_form_box(p1, shifts, pattern)
+        assert all(spec.log[row[t]] < b for t, b in zip(pattern, bounds))
+    event(f"moved {not np.array_equal(nf, rows)} n {spec.n}")
+
+
 # The three readings of "e mod 2^n - 1" that kernels.reduced_exponent
 # replaced, as they stood at 0.12.0: planar._do_exponent (on e = 2^u + 2^v),
 # the Dembowski-Ostrom check of kernels._monomial_forms and the reading of

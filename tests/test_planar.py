@@ -580,14 +580,32 @@ def test_sufficiency_splits_planar_and_failures_in_row_order(monkeypatch):
 
     monkeypatch.setattr(kernels, "planar_sweep", every_third_fails)
     rep = family_audit("P1", t, "sufficiency")
-    (rows,) = swept
-    assert [tuple(r) for r in rows.tolist()] == [
-        family_tuple("P1", family_coeffs(p), t) for p in family_param_space("P1", t)]
-    ok = np.arange(len(rows)) % 3 != 0
-    assert rep.tested == len(rows) and len(rep.failures) > 0
-    assert np.array_equal(rep.planar, rows[ok]) and np.array_equal(rep.failures, rows[~ok])
+    (forms,) = swept
+    image = np.array([family_tuple("P1", family_coeffs(p), t) for p in family_param_space("P1", t)])
+    exponents = [(1 << u) + (1 << v) for u, v in family_shape("P1", t)]
+    normal = [tuple(r) for r in kernels.normal_form(t.spec, exponents, image).tolist()]
+    # the sweep sees each distinct normal form of the image once
+    assert sorted(map(tuple, forms.tolist())) == sorted(set(normal))
+    marked = {tuple(r) for r, ok in zip(forms.tolist(), np.arange(len(forms)) % 3 != 0) if ok}
+    ok = np.array([r in marked for r in normal])
+    assert rep.tested == len(image) and len(rep.failures) > 0 and ok.any()
+    assert np.array_equal(rep.planar, image[ok]) and np.array_equal(rep.failures, image[~ok])
     assert rep.extras.shape == (0, 2)
-    assert rep.to_json()["failures"] == [[f"{c:x}" for c in r] for r in rows[~ok].tolist()]
+    assert rep.to_json()["failures"] == [[f"{c:x}" for c in r] for r in image[~ok].tolist()]
+
+
+@pytest.mark.parametrize("fam, m, forms", [("P1", 4, 8), ("P2", 2, 48), ("P3", 3, 2), ("P4b", 2, 3)])
+def test_sufficiency_sweeps_one_row_per_scaling_orbit(monkeypatch, fam, m, forms):
+    sweep, swept = kernels.planar_sweep, []
+
+    def counted(spec, exponents, rows):
+        swept.append(len(rows))
+        return sweep(spec, exponents, rows)
+
+    monkeypatch.setattr(kernels, "planar_sweep", counted)
+    rep = family_audit(fam, p2.tower(m, REGISTRY[fam].k), "sufficiency")
+    assert swept == [forms] and rep.tested > forms
+    assert len(rep.planar) == rep.tested and len(rep.failures) == 0
 
 
 def test_audit_csv_without_planar_rows_is_one_newline(monkeypatch):
