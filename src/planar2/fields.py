@@ -335,13 +335,13 @@ class Fe:
         """Absolute Frobenius power: self^(2^j)."""
         return Fe(self.spec.frob(self.bits, j), self.spec)
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.bits == other
-        return isinstance(other, Fe) and other.spec == self.spec and other.bits == self.bits
+    def __eq__(self, other):  # an int lies in no one field, so Fe(3) != 3
+        if not isinstance(other, Fe):
+            return NotImplemented
+        return other.spec == self.spec and other.bits == self.bits
 
     def __hash__(self):
-        return hash(self.bits)  # equal to an equal int's hash, as __eq__ requires
+        return hash((self.spec.n, self.bits))
 
     def __bool__(self):
         return self.bits != 0
@@ -401,6 +401,17 @@ def lex_chunks(bases, rows: int = 1 << 18):
             axes = (1,) * (c + 1) + (base,) + (1,) * (j - c - 1)
             block[..., width - j + c] = np.arange(base, dtype=np.int64).reshape(axes)
         yield block.reshape(head.shape[0] * math.prod(tail), width)
+
+
+def span(vectors) -> np.ndarray:
+    """out[a] = the XOR of vectors[i] (integers or rows of them) over the
+    bits i of a, by doubling: out[2^i + a] = out[a] ^ vectors[i], a < 2^i."""
+    vectors = np.asarray(vectors)
+    out = np.zeros((1 << len(vectors),) + vectors.shape[1:], dtype=vectors.dtype)
+    for i, v in enumerate(vectors):
+        h = 1 << i
+        np.bitwise_xor(out[:h], v, out=out[h:2 * h])
+    return out
 
 
 def vec_mul(spec: FieldSpec, a, b) -> np.ndarray:
@@ -619,9 +630,7 @@ class TowerView:
         if not roots.size:
             raise RuntimeError("base modulus must split in its own subfield")
         root = int(roots[0])
-        fwd = np.zeros(1, dtype=np.int64)
-        for i in range(self.m):  # fwd[b] = sum of root^i over the bits i of b
-            fwd = np.concatenate([fwd, fwd ^ self.spec.pow(root, i)])
+        fwd = span([self.spec.pow(root, i) for i in range(self.m)])  # sum of root^i, bits i of b
         return fwd, {int(v): i for i, v in enumerate(fwd)}
 
     def embed_base(self, x) -> Fe:

@@ -19,8 +19,7 @@ bijection for every nonzero a. Two independent implementations decide it:
     per bit over the whole batch. planar_sweep runs it on many
     coefficient rows and tests one a per coset of GF(2^s)* (see there),
     at most (q^k - 1)/(q - 1) matrices for the families of the paper;
-    nonsingular_form runs it on one form's basis values (bilinear_form),
-    such as a presemifield's structure constants, over every a.
+    nonsingular_table runs the elimination alone on a stored table of M_a.
     planar_orbit_sweep finds every planar row of a coefficient space with
     a sweep of one row per orbit of the scaling f -> mu^-2 f(mu x), which
     keeps planarity, and expands the planar ones into their orbits.
@@ -272,15 +271,6 @@ def _basis_rows(spec, forms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def bilinear_form(spec, exponents, coeffs) -> np.ndarray:
-    """brows[i, j] = B(e_i, e_j) on the standard basis, in spec's dtype, for
-    f = sum_t coeffs[t] * x^exponents[t] (DO exponents, one coefficient
-    row): nonsingular_form's input, and the structure constants e_i * e_j
-    of the presemifield x*y = xy + f(x+y) + f(x) + f(y)."""
-    forms = _monomial_forms(spec, exponents, [1 << i for i in range(spec.n)])
-    return _basis_rows(spec, forms, np.asarray(coeffs, dtype=np.int64).reshape(1, -1))[0]
-
-
 def _full_rank(cols: np.ndarray) -> np.ndarray:
     """cols[j, s] is column j of matrix s as an n-bit integer: True for each
     matrix whose n columns are linearly independent over GF(2). Consumes
@@ -340,11 +330,11 @@ def _nonsingular(brows: np.ndarray, a0: int, bits: int, s: int) -> np.ndarray:
     return ok.reshape(nrows, -1).all(axis=1)
 
 
-def _stage_sweep(n: int, s: int, nrows: int, basis_rows) -> np.ndarray:
-    """The rank test's one stage loop: True for each of nrows forms on
-    GF(2^n) whose M_a is nonsingular for every a' in [2^k, 2^(k+1)) with s | k
-    (every a != 0 for s = 1). basis_rows(rows, lo, hi) gives the basis rows
-    B(b_i, .), lo <= i < hi, of the forms with the given indices.
+def _stage_sweep(spec, s: int, forms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The rank test's stage loop: True for each coefficient row whose form
+    has M_a nonsingular for every a' in [2^k, 2^(k+1)) with s | k (every
+    a != 0 for s = 1), with the basis rows B(b_i, .) from _basis_rows on
+    forms, the _sweep_forms of s.
 
     Rows go in blocks of 2^14. Each block tests the a' < 2^k0 first (a = 1
     first of all), then a' in [2^k, 2^(k+1)) for k = k0 .. n-1 with s | k,
@@ -356,16 +346,16 @@ def _stage_sweep(n: int, s: int, nrows: int, basis_rows) -> np.ndarray:
     The basis rows are asked for per stage, for the bits that stage adds.
     """
     cap = 1 << _BLOCK_BITS
-    out = np.zeros(nrows, dtype=bool)
-    for r0 in range(0, nrows, cap):
-        rows = np.arange(r0, min(r0 + cap, nrows))
-        k0 = min(n, max(1, _BLOCK_BITS - (rows.size - 1).bit_length()))
-        stages = [(0, 1 << k0)] + [(1 << k, 2 << k) for k in range(k0, n) if k % s == 0]
-        brows = basis_rows(rows, 0, k0)
+    out = np.zeros(len(coeffs), dtype=bool)
+    for r0 in range(0, len(coeffs), cap):
+        rows = np.arange(r0, min(r0 + cap, len(coeffs)))
+        k0 = min(spec.n, max(1, _BLOCK_BITS - (rows.size - 1).bit_length()))
+        stages = [(0, 1 << k0)] + [(1 << k, 2 << k) for k in range(k0, spec.n) if k % s == 0]
+        brows = _basis_rows(spec, forms[:, :k0], coeffs[rows])
         for lo, hi in stages:
             if lo:  # the bits this stage adds, for the rows still alive
-                extra = basis_rows(rows, brows.shape[1], hi.bit_length() - 1)
-                brows = np.concatenate([brows, extra], axis=1)
+                new = forms[:, brows.shape[1]:hi.bit_length() - 1]
+                brows = np.concatenate([brows, _basis_rows(spec, new, coeffs[rows])], axis=1)
             bits = min((hi - lo).bit_length() - 1, _BLOCK_BITS)
             per_call = max(1, cap >> bits)
             kept = []
@@ -384,12 +374,14 @@ def _stage_sweep(n: int, s: int, nrows: int, basis_rows) -> np.ndarray:
     return out
 
 
-def nonsingular_form(brows: np.ndarray) -> bool:
-    """True iff M_a = [B(a, e_j)]_j is nonsingular for every a != 0, for the
-    one form with basis values brows[i, j] = B(e_i, e_j) (bilinear_form):
-    _stage_sweep on one row with s = 1. On a presemifield's structure
-    constants it says "no zero divisors"."""
-    return bool(_stage_sweep(brows.shape[0], 1, 1, lambda rows, lo, hi: brows[None, lo:hi])[0])
+def nonsingular_table(cols: np.ndarray) -> bool:
+    """True iff every matrix cols[a], a != 0, is nonsingular, with row a of
+    the table holding its n columns as integers: on a presemifield's column
+    table cols[a, j] = a * e_j, "no zero divisors". _full_rank on rows 1..,
+    2^_BLOCK_BITS rows at a time, stopping at the first singular block."""
+    step = 1 << _BLOCK_BITS
+    return all(_full_rank(cols[lo:lo + step].T.copy()).all()
+               for lo in range(1, len(cols), step))
 
 
 def planar_sweep(spec, exponents: list[int], coeffs: np.ndarray) -> np.ndarray:
@@ -410,8 +402,7 @@ def planar_sweep(spec, exponents: list[int], coeffs: np.ndarray) -> np.ndarray:
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
     s, forms = _sweep_forms(spec, tuple(map(int, exponents)))
-    return _stage_sweep(spec.n, s, coeffs.shape[0],
-                        lambda rows, lo, hi: _basis_rows(spec, forms[:, lo:hi], coeffs[rows]))
+    return _stage_sweep(spec, s, forms, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ s(x) = sum_i Tr_i(zeta_i x) of a subfield chain, the chained-trace product
 xy + (x s(y) + y s(x))^2; its trivial chain, s = Tr, is the
 binary-semifield product. A presemifield is held as its structure
 constants S[i, j] = e_i * e_j on the polynomial basis (Knuth's cubical
-array), the basis values of f's form (kernels.bilinear_form), so the
-product is biadditive by construction; every operation reads S or the
-column table C[a, j] = a * e_j. The constructor checks that S is symmetric
-and that every x -> a*x, a != 0, is nonsingular (no zero divisors) with
-kernels.nonsingular_form, the stage loop of the planarity sweep, so no
-constructed Presemifield has any.
+array), the definition on basis pairs, so the product is biadditive by
+construction, and its column table C[a, j] = a * e_j, the span of S; every
+operation reads S or C. The constructor checks that S is symmetric and
+that every x -> a*x, a != 0, is nonsingular (no zero divisors) on C with
+kernels.nonsingular_table, which shares only the rank elimination with the
+planarity sweep, so no constructed Presemifield has any.
 Only the full 2^n x 2^n table (for n <= TABLE_N_MAX) holds 4^n entries.
 
 A unital semifield is obtained from a presemifield in two ways, both
@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import BudgetError, Fe, FieldSpec, TowerView, hex_bits, tower, vec_frob, vec_mul
+from .fields import (BudgetError, Fe, FieldSpec, TowerView, hex_bits, span, tower, vec_eval,
+                     vec_frob, vec_mul)
 from .linearized import LinearizedPoly, inverse_map
 from .planar import DOPoly, FamilyParams, family_coeffs
 from .planar import is_planar_bruteforce  # noqa: F401 (perfbench's tracer looks it up here)
@@ -43,19 +44,11 @@ TABLE_N_MAX = 12        # the full 2^n x 2^n table: table() and dump_table
 _NUCLEI_ROWS = 1 << 10  # nuclei test at most this many a at once
 
 
-def _span(vectors: np.ndarray) -> np.ndarray:
-    """out[a] = the sum of vectors[i] over the bits i of a, by doubling."""
-    out = np.zeros((1 << len(vectors),) + vectors.shape[1:], dtype=vectors.dtype)
-    for i, v in enumerate(vectors):
-        h = 1 << i
-        np.bitwise_xor(out[:h], v, out=out[h:2 * h])
-    return out
-
-
 class Presemifield:
     """Carrier field plus a commutative biadditive product with no zero
     divisors, held as its structure constants consts[i, j] = e_i * e_j and
-    the column table cols[a, j] = a * e_j built from them by doubling."""
+    the column table cols[a, j] = a * e_j, their span, since
+    (a + e_i) * e_j = a * e_j + e_i * e_j."""
 
     def __init__(self, spec: FieldSpec, label: str, consts, identity: int | None = None):
         n = spec.n
@@ -68,9 +61,9 @@ class Presemifield:
         self.label = label
         self.identity = identity
         self.consts = consts.astype(spec.dtype)
-        if not kernels.nonsingular_form(self.consts):
+        self.cols = span(self.consts)
+        if not kernels.nonsingular_table(self.cols):
             raise ValueError(f"{label}: product has zero divisors")
-        self.cols = _span(self.consts)  # (a + e_i) * e_j = a * e_j + e_i * e_j
         for arr in (self.consts, self.cols):
             arr.setflags(write=False)
 
@@ -94,7 +87,7 @@ class Presemifield:
         (x + e_i)*y = x*y + y*e_i."""
         if self.spec.n > TABLE_N_MAX:
             raise BudgetError(f"product table for n={self.spec.n} exceeds n<={TABLE_N_MAX}")
-        return _span(self.cols.T)
+        return span(self.cols.T)
 
     # -- structure checks -----------------------------------------------------
 
@@ -117,17 +110,26 @@ class Presemifield:
 # Constructions
 # ---------------------------------------------------------------------------
 
+def _basis_products(spec: FieldSpec, exponents, coeffs) -> np.ndarray:
+    """e_i * e_j = e_i e_j + f(e_i + e_j) + f(e_i) + f(e_j) for all i, j, for
+    f = sum_t coeffs[t] x^exponents[t]: the definition on basis pairs, with
+    f evaluated by vec_eval at the n^2 points e_i + e_j and the n points e_i."""
+    e = 1 << np.arange(spec.n, dtype=np.int64)
+    terms = [((int(x),), int(c)) for x, c in zip(exponents, np.ravel(coeffs))]
+    fe = vec_eval(spec, terms, [e])
+    return vec_mul(spec, e[:, None], e) ^ vec_eval(spec, terms, [e[:, None] ^ e]) ^ fe[:, None] ^ fe
+
+
 def field_presemifield(spec: FieldSpec) -> Presemifield:
-    """The field itself, as the trivial (pre)semifield: the form of f = 0."""
-    return Presemifield(spec, "field", kernels.bilinear_form(spec, [], []), identity=1)
+    """The field itself, as the trivial (pre)semifield: f = 0."""
+    return Presemifield(spec, "field", _basis_products(spec, [], []), identity=1)
 
 
 def presemifield_from_planar(f: DOPoly) -> Presemifield:
-    """x*y = xy + f(x+y) + f(x) + f(y) for a planar quadratic f. Its
-    structure constants are the basis values B(e_i, e_j) of the form that
-    the rank kernel tests (kernels.bilinear_form); the constructor's exact
-    rank test raises ValueError when f is not planar."""
-    return Presemifield(f.spec, "planar", kernels.bilinear_form(f.spec, *f.as_row()))
+    """x*y = xy + f(x+y) + f(x) + f(y) for a planar quadratic f, which has
+    no zero divisors exactly when f is planar: the constructor's rank test
+    on the column table raises ValueError when f is not planar."""
+    return Presemifield(f.spec, "planar", _basis_products(f.spec, *f.as_row()))
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ def kantor_presemifield(chain: TraceChain) -> Presemifield:
             w[j] ^= spec.frob(z, j)
     exponents = [2 + (1 << ((j + 1) % n)) for j in range(n)]
     return Presemifield(spec, "kantor",
-                        kernels.bilinear_form(spec, exponents, [spec.sqr(c) for c in w]))
+                        _basis_products(spec, exponents, [spec.sqr(c) for c in w]))
 
 
 def knuth_presemifield(n: int) -> Presemifield:
@@ -177,7 +179,7 @@ def knuth_presemifield(n: int) -> Presemifield:
     form of the registry's Knuth polynomial x^2 Tr(x) = (x Tr(x))^2, the
     chained-trace product of the chain F > GF(2) with weight 1."""
     f = family_coeffs(FamilyParams("Knuth", (), tower(1, n)))
-    return Presemifield(f.spec, "knuth", kernels.bilinear_form(f.spec, *f.as_row()))
+    return Presemifield(f.spec, "knuth", _basis_products(f.spec, *f.as_row()))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +200,7 @@ def to_semifield(P: Presemifield, e: Fe | int = 1,
     if not e:
         raise ValueError("isotopes need a nonzero base point e")
     xs = np.arange(spec.order)
-    col = P._mul(xs, e)  # Re = Le: x -> x*e
+    col = span(P.cols[e])  # Re = Le: x -> x*e, the span of e_j * e = e * e_j
     inv = np.zeros_like(col)
     inv[col] = xs
     if not np.array_equal(col[inv], xs):
@@ -248,24 +250,22 @@ def nuclei(S: Presemifield) -> NucleiReport:
     associator, e.g. (a*x)*y + a*(x*y), is GF(2)-trilinear: it vanishes for
     all x, y iff it does on the basis pairs (e_i, e_j). With
     L[a, i, j] = (a*e_i)*e_j, a gather from the column table, and
-    R[a, i, j] = a*(e_i*e_j), a is in the left nucleus iff L[a] = R[a], in
-    the middle one iff L[a] = L[a]^T (e_i*(a*e_j) = (a*e_j)*e_i) and in the
-    right one iff R[a] = L[a]^T ((e_i*e_j)*a = e_i*(e_j*a)). 2^n * n^3 work,
-    _NUCLEI_ROWS values of a at a time."""
+    R[a, i, j] = a*(e_i*e_j), a is in the left nucleus iff L[a] = R[a] and
+    in the middle one iff L[a] = L[a]^T (e_i*(a*e_j) = (a*e_j)*e_i). The
+    right nucleus, (x*y)*a = x*(y*a), is the left one read through
+    commutativity. 2^n * n^3 work, _NUCLEI_ROWS values of a at a time."""
     if S.identity is None:
         raise ValueError("nuclei are defined for unital semifields; isotope first")
     n_ord = S.spec.order
-    found = np.zeros((3, n_ord), dtype=bool)
+    found = np.zeros((2, n_ord), dtype=bool)
     for a0 in range(0, n_ord, _NUCLEI_ROWS):
         a = np.arange(a0, min(n_ord, a0 + _NUCLEI_ROWS))
         lhs = S.cols[S.cols[a]]
-        rhs = S._mul(a[:, None, None], S.consts)
-        swapped = lhs.transpose(0, 2, 1)
-        for side, (u, v) in enumerate(((lhs, rhs), (lhs, swapped), (rhs, swapped))):
-            found[side, a] = (u == v).all(axis=(1, 2))
-    left, middle, right = (np.flatnonzero(row).tolist() for row in found)
+        found[0, a] = (lhs == S._mul(a[:, None, None], S.consts)).all(axis=(1, 2))
+        found[1, a] = (lhs == lhs.transpose(0, 2, 1)).all(axis=(1, 2))
+    left, middle = (np.flatnonzero(row).tolist() for row in found)
     is_assoc = len(left) == n_ord
-    return NucleiReport(left, middle, right, is_assoc, is_assoc, n_ord)
+    return NucleiReport(left, middle, list(left), is_assoc, is_assoc, n_ord)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,48 @@ def test_report_bytes_match_the_recorded_digest(tmp_path, argv):
     assert _digest_without_version(tmp_path, argv.split()) == GOLDEN_REPORTS[argv]
 
 
+# (report, dumped table) sha256 of semifield output, the report without its
+# "version" line, recorded at 0.27.0, when a presemifield's constants came
+# from kernels.bilinear_form and its zero divisors from kernels.nonsingular_form.
+GOLDEN_SEMIFIELDS = {
+    "semifield --family P1 --m 2 --coeffs 2 --construction isotope":
+        ("082833b186899d27f5a5854c796cd844818b9b3c5ffb50f591dab280a3e5c1dd",
+         "53ab49afafdf4e1b526237b206190d41a68f359237c48a1ea3da0479eb379ef5"),
+    "semifield --family P1 --m 2 --coeffs 2 --construction left-division":
+        ("26191aab23e220f77c6fd198563a6b981bf68cccb63de0fe644de9441e7c834d",
+         "811ca2ccdf8b6171628a1de07996df13c95a5db8a484d21fc3db5f295c827fc7"),
+    "semifield --family P1 --m 3 --coeffs 5 --construction isotope":
+        ("c088f28c1a66b57aaa803c29e39095ba49af222cc940fef56fa2cd3f1b36c9ca",
+         "c4490b23c0c82d5a759d5369dc327e83ef0f012bb2578847805edfcfdefd8768"),
+    "semifield --family P1 --m 3 --coeffs 5 --construction left-division":
+        ("b045e958e5264bed2e741455c47e868d128cb129fdeffad1c64778dcf5964039",
+         "01fd5d98bd3776f845a3b9b2ee12d226bc176da92b3a84801312f0bc59f992c6"),
+    "semifield --family P3 --m 2 --coeffs 1":
+        ("9816fc9340efed2ba83eed6a3382992de5e4c04da793873741484999d925cdea",
+         "9fe466d2e31a28ba6169ef40c9cc9dc6cb9308106d05da10f17ceaab1eb6092d"),
+    "semifield --family P4a --m 2 --coeffs 3":
+        ("1604ffb04c156ca036e81e217a3a71cc204019873b54925bf7724f02b6f41e17",
+         "b37359775802af543e88b0f920733bc9e5871566ea1095fe6d8d8991cf8dc96d"),
+    "semifield --family Knuth --m 1 --k 5":
+        ("4bc70828cd90650dc4b1fd634dc5062e236d7a3038b2f3244c5d91c0c9d59106",
+         "edba74d70f0a176bb5db70809a2276c74fb5115cf83ce96a5b31981be5d06b92"),
+    "semifield --family Knuth --m 1 --k 7":
+        ("7f193c42115d7e50adc701fdd90692866fc5ef1fe4b3a7305c0443bc786b3e8c",
+         "7bab459bf854c3ead58fbb9a545312eaa217f2ca2507cf7e5e6d92759b7389bc"),
+    "semifield --family P1 --m 3 --coeffs 5 --e 2b --construction left-division":
+        ("1c1438bea1428bb214094c6fee4295bb0589e9100432b60838ec01861210f82a",
+         "301ea235a928cf488d2244f350bfe949f7a607b8081b1a4c6808856282756ddb"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SEMIFIELDS))
+def test_semifield_report_and_table_match_the_recorded_digests(tmp_path, argv):
+    dump = tmp_path / "t.bin"
+    report = _digest_without_version(tmp_path, argv.split() + ["--dump-table", str(dump)])
+    table = hashlib.sha256(dump.read_bytes()).hexdigest()
+    assert (report, table) == GOLDEN_SEMIFIELDS[argv]
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)

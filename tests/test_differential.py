@@ -2,9 +2,11 @@
 is_planar_linearized), the no-root criterion and the companion orbit must
 agree on random Dembowski-Ostrom polynomials, on batches that straddle the
 kernel's blocks, through the threaded sweep and on whole sufficiency spaces;
-the one-form rank test must agree with a product table's injectivity; and
-the sweep of one row per scaling orbit must find what a full sweep finds,
-and each row's scaling normal form must have the row's verdict."""
+the column-table rank test must agree with a product table's injectivity,
+and the presemifield constructor must reject exactly the rows the sweep
+rejects; fields.span must be a scalar XOR loop; and the sweep of one row per
+scaling orbit must find what a full sweep finds, and each row's scaling
+normal form must have the row's verdict."""
 
 import contextlib
 import functools
@@ -17,7 +19,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import planar2 as p2
 from planar2 import kernels, planar, semifields, surfaces
-from planar2.fields import vec_mul
+from planar2.fields import span, vec_mul
 from planar2.planar import DOPoly, FamilyParams
 
 GRID = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)]
@@ -266,8 +268,8 @@ def injective_products(consts) -> bool:
     """Reference: x -> a*x is injective for every a != 0, for the product
     with structure constants consts[i, j] = e_i * e_j, read off its full
     table a*y = table[y, a]."""
-    cols = semifields._span(np.asarray(consts))  # cols[a, j] = a * e_j
-    table = semifields._span(cols.T)             # table[y, a] = a * y
+    cols = span(np.asarray(consts))  # cols[a, j] = a * e_j
+    table = span(cols.T)             # table[y, a] = a * y
     return bool((table[1:, 1:] != 0).all())
 
 
@@ -287,7 +289,7 @@ def symmetric_constants(draw):
     else:
         exps = draw(st.lists(_do_exponents(n), max_size=3)) if kind == "form" else []
         row = draw(st.lists(coeff, min_size=len(exps), max_size=len(exps)))
-        consts = kernels.bilinear_form(spec, exps, row).astype(np.int64)
+        consts = semifields._basis_products(spec, exps, row)
     if draw(st.integers(0, 3)):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         delta = draw(st.integers(1, spec.order - 1))
@@ -299,16 +301,56 @@ def symmetric_constants(draw):
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(symmetric_constants(), st.sampled_from([None, 2, 3]))
-def test_nonsingular_form_is_injectivity_of_every_product_map(case, bits):
+def test_nonsingular_table_is_injectivity_of_every_product_map(case, bits):
     kind, consts = case
     want = injective_products(consts)
     if bits is None:
-        got = kernels.nonsingular_form(consts)
+        got = kernels.nonsingular_table(span(consts))
     else:
-        with block_bits(bits):  # the one row's stages split into rank calls of 2^bits
-            got = kernels.nonsingular_form(consts)
+        with block_bits(bits):  # the table's rows split into rank calls of 2^bits
+            got = kernels.nonsingular_table(span(consts))
     assert got == want
     event(f"{kind} nonsingular={want}")
+
+
+@pytest.mark.parametrize("fam,m", [
+    ("P1", 2), ("P2", 2), ("P3", 2), ("P4a", 2), ("P4b", 2), ("SZ-generalized", 4)])
+def test_presemifield_constructor_rejects_exactly_the_rows_the_sweep_rejects(fam, m):
+    # two independent paths to "no zero divisors": the definition on basis
+    # pairs checked on the column table, and the planarity sweep of the row
+    rec = planar.REGISTRY[fam]
+    t = p2.tower(m, rec.k)
+    pairs = planar.family_shape(fam, t) if rec.shape is not None else [(0, m)]  # c x^(1+q)
+    exps = [(1 << u) + (1 << v) for u, v in pairs]
+    rng = np.random.default_rng(7 * m + rec.k)
+    rows = rng.integers(0, t.spec.order, (150, len(exps)))
+    rows[rng.random(rows.shape) < 0.3] = 0
+    want = kernels.planar_sweep(t.spec, exps, rows)
+    for row, planar_row in zip(rows.tolist(), want):
+        f = DOPoly(t, [(c, u, v) for c, (u, v) in zip(row, pairs)])
+        try:
+            semifields.presemifield_from_planar(f)
+        except ValueError:
+            assert not planar_row, row
+        else:
+            assert planar_row, row
+    assert 0 < want.sum() < len(rows)
+
+
+@SETTINGS
+@given(st.integers(0, 10), st.sampled_from([(), (1,), (3,)]), st.data())
+def test_span_is_the_xor_of_the_vectors_over_the_bits_of_each_index(k, tail, data):
+    vectors = np.array(data.draw(st.lists(st.integers(0, (1 << 16) - 1),
+                                          min_size=k * math.prod(tail),
+                                          max_size=k * math.prod(tail))),
+                       dtype=np.uint16).reshape((k,) + tail)
+    want = np.zeros((1 << k,) + tail, dtype=np.uint16)
+    for a in range(1 << k):
+        for i in range(k):
+            if a >> i & 1:
+                want[a] ^= vectors[i]
+    got = span(vectors)
+    assert got.dtype == vectors.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("fam,m,k", [

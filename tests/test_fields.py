@@ -2,6 +2,7 @@
 policy (FieldSpec.bits) at every entry point that takes a field value."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -431,12 +432,16 @@ def test_pow_table_matches_scalar():
             f.mul(7, f.pow(x, e)) for x in range(32)]
 
 
-def test_fe_hash_agrees_with_int_equality():
+def test_fe_equality_is_same_field_and_same_bits_and_hash_agrees():
     spec = p2.field(4)
-    x = spec.fe(3)
-    assert x == 3 and hash(x) == hash(3)
-    assert 3 in {x} and x in {3}
-    assert {spec.fe(b) for b in range(16)} == {spec.fe(b) for b in range(16)}
+    for x, y in itertools.product(range(16), repeat=2):
+        a, b = spec.fe(x), spec.fe(y)
+        assert (a == b) == (x == y) and (a != b) == (x != y)
+        if a == b:
+            assert hash(a) == hash(b)
+    a, b = spec.fe(3), p2.field(8).fe(3)
+    assert a != 3 and 3 != a and a != b
+    assert len({a, b, 3}) == len({3, a, b}) == 3
 
 
 def test_embedding_sends_x_to_the_smallest_root_of_the_base_modulus():

@@ -12,6 +12,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import planar2 as p2
 from planar2 import kernels, planar
+from planar2.fields import span, vec_mul
 from planar2.planar import FamilyParams
 
 
@@ -455,9 +456,10 @@ def test_sweep_forms_equal_the_xor_transformed_standard_forms_on_random_exponent
     assert seen == {True, False}
 
 
-def test_nonsingular_form_runs_the_sweeps_matrix_sequence(monkeypatch):
-    # one row, s = 1: a' < 2^min(n, 14) in one rank call, then 2^14-slices
-    # of each [2^k, 2^(k+1)); the field's own product is nonsingular, so all run
+def test_rank_calls_follow_the_stage_sequence_and_the_table_blocks(monkeypatch):
+    # one sweep row, s = 1: a' < 2^min(n, 14) in one rank call, then 2^14-slices
+    # of each [2^k, 2^(k+1)); a column table goes in 2^14-row blocks from row 1.
+    # 0 * x^3 leaves B(a, x) = a*x, the field's own product, so all of them run
     sizes = []
     real = kernels._full_rank
 
@@ -469,8 +471,12 @@ def test_nonsingular_form_runs_the_sweeps_matrix_sequence(monkeypatch):
     for n, want in ((5, [31]), (16, [(1 << 14) - 1] + [1 << 14] * 3)):
         spec = p2.field(n)
         sizes.clear()
-        assert kernels.nonsingular_form(kernels.bilinear_form(spec, [], []))
+        assert kernels.planar_sweep(spec, [3], np.zeros((1, 1), dtype=np.int64)).all()
         assert sizes == want
+    e = 1 << np.arange(spec.n)
+    sizes.clear()
+    assert kernels.nonsingular_table(span(vec_mul(spec, e[:, None], e).astype(spec.dtype)))
+    assert sizes == [1 << 14] * 3 + [(1 << 14) - 1]
 
 
 def _private_kernel_reads(source: str) -> list[str]:
