@@ -12,7 +12,7 @@ test, and a definition check on full value tables as the independent
 oracle.
 """
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"
 
 from .fields import BudgetError, Fe, FieldSpec, TowerView, field, smallest_irreducible, tower
 from .linearized import (LinearizedPoly, dickson_det, inverse_map, is_permutation,
@@ -25,6 +25,6 @@ from .planar import (FAMILIES, AuditReport, DOPoly, FamilyParams, family_audit,
 from .semifields import (NucleiReport, Presemifield, TraceChain, kantor_presemifield,
                          knuth_presemifield, nuclei, presemifield_from_planar,
                          quartic_example_check, to_semifield)
-from .surfaces import (LinearForm, MvPoly, build_G, count_points_affine,
-                       count_points_projective, langweil_check, langweil_rhs,
+from .surfaces import (LinearForm, MvPoly, build_G, companion_zeros, count_points_affine,
+                       count_points_projective, langweil_bound, langweil_check, langweil_rhs,
                        linear_factor_search, orbit_has_zero, specialize_normal)

@@ -14,6 +14,8 @@ on stderr instead of a traceback); a negative count (--budget, --support,
 --max-n) or fewer than one thread is bad arguments. check runs the
 definition oracle up to GF(2^CHECK_ORACLE_N_MAX) and the rank test always,
 reporting "bruteforce": null beyond; surface takes the rank verdict alone,
+reads orbit_has_zero and the projective zero count of the specialization
+off the companion's orbit values, evaluated once (surfaces.companion_zeros),
 and derives its affine zero count from the projective one. --threads N on
 audit and problem27 means "at most N worker threads": it is checked and
 echoed in the report, but every sweep runs on the calling thread, so any
@@ -144,20 +146,20 @@ def cmd_surface(args) -> int:
     f = _family_poly(args, t)
     g = surfaces.build_G(f, t, shape=args.family)
     factors, remainder = surfaces.linear_factor_search(g, budget=args.budget)
-    psi_h = surfaces.specialize_normal(g, t).homogenize()
-    lw = surfaces.langweil_check(psi_h, certified_irreducible=False, budget=args.budget)
+    count, d, orbit_has_zero = surfaces.companion_zeros(g, t, budget=args.budget)
+    lw = surfaces.langweil_bound(t.q, t.k, d, count, certified_irreducible=False)
     report = {
         "family": args.family,
         "poly": f.to_json(),
         "companion": g.to_json(),
-        "orbit_has_zero": surfaces.orbit_has_zero(g, t),
+        "orbit_has_zero": orbit_has_zero,
         "planar": planar.is_planar_linearized(f),
         "factors": [{"coeffs": hex_bits(form.coeffs), "multiplicity": mult}
                     for form, mult in factors],
         "remainder": remainder.to_json(),
         # a cone: psi_h is a degree-k form, as G's top term x_0...x_(k-1) survives the basis change
-        "specialized_affine_zeros": 1 + (t.q - 1) * lw["count"],
-        "specialized_projective_zeros": lw["count"],
+        "specialized_affine_zeros": 1 + (t.q - 1) * count,
+        "specialized_projective_zeros": count,
         "pointcount_bound": lw,
         **_meta(t, args),
     }

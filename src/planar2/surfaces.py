@@ -310,6 +310,10 @@ def orbit_has_zero(G: MvPoly, t: TowerView) -> bool:
 # Normal-basis specialization to GF(q)
 # ---------------------------------------------------------------------------
 
+_ASYMMETRIC = ("specialized coefficients left GF(q); the input is not "
+               "Frobenius-symmetric like build_G's companions")
+
+
 def specialize_normal(G: MvPoly, t: TowerView) -> MvPoly:
     """Substitute the normal-basis coordinates and re-type over GF(q).
 
@@ -328,8 +332,7 @@ def specialize_normal(G: MvPoly, t: TowerView) -> MvPoly:
                                               for i in range(t.k)])
                       for j in range(t.k)})
     if any(spec.frob(c, t.m) != c for c in h.terms.values()):
-        raise RuntimeError("specialized coefficients left GF(q); the input is not "
-                           "Frobenius-symmetric like build_G's companions")
+        raise RuntimeError(_ASYMMETRIC)
 
     base = t.base_field()
     out = {e: t.project_base(c).bits for e, c in h.terms.items()}
@@ -362,6 +365,50 @@ def count_points_projective(P: MvPoly, budget: int = COUNT_LIMIT) -> int:
         raise BudgetError(f"projective enumeration of {total} points exceeds the budget")
     return sum(int(np.count_nonzero(P.evaluate_vec([0] * p + [1] + list(block.T)) == 0))
                for p in range(v) for block in lex_chunks((spec.order,) * (v - 1 - p)))
+
+
+def companion_zeros(G: MvPoly, t: TowerView,
+                    budget: int = COUNT_LIMIT) -> tuple[int, int, bool]:
+    """(count, d, orbit_has_zero(G, t)), where count and d are
+    count_points_projective and the degree of
+    specialize_normal(G, t).homogenize(), read off G's orbit values
+    without building that polynomial.
+
+    The normal-basis coordinates y of eps = sum_i y_i xi^(q^i) run over
+    GF(q)^k exactly once as eps runs over GF(q^k), and the specialization
+    psi takes the orbit value of G at eps. The substitution is linear and
+    invertible, so it keeps the degree d and maps G_top, the degree-d part
+    of G, to the top part of psi. With A(P) the number of eps, 0 included,
+    whose orbit value under P is 0, the chart z = 1 of psi_h holds A(G)
+    projective zeros and the hyperplane z = 0 holds those of psi's top
+    part, (A(G_top) - 1)/(q - 1) (G_top(0) = 0 when d > 0). A nonzero
+    constant has no zeros. When G is homogeneous, G_top = G and one table
+    gives both.
+
+    It raises where specialize_normal and count_points_projective would:
+    RuntimeError unless each term (e, c) of G has c^q on its cyclic shift
+    e[-1:] + e[:-1] (so G is fixed by the shift combined with c -> c^q,
+    which is exactly when psi's coefficients lie in GF(q)), ValueError on
+    zero G, and BudgetError past budget points of P^k.
+    """
+    if G.nvars != t.k:
+        raise ValueError("specialization needs one variable per Frobenius power")
+    frob = t.spec.frob
+    if any(G.terms.get(e[-1:] + e[:-1]) != frob(c, t.m) for e, c in G.terms.items()):
+        raise RuntimeError(_ASYMMETRIC)
+    if G.is_zero():
+        raise ValueError("projective count needs a nonzero homogeneous polynomial")
+    q = t.q
+    total = sum(q ** p for p in range(t.k + 1))
+    if total > budget:
+        raise BudgetError(f"projective enumeration of {total} points exceeds the budget")
+    vals = orbit_value_table(G, t)
+    affine = int(np.count_nonzero(vals == 0))
+    d = G.degree()
+    top = MvPoly(t.spec, t.k, {e: c for e, c in G.terms.items() if sum(e) == d})
+    at_infinity = affine if top == G else int(np.count_nonzero(orbit_value_table(top, t) == 0))
+    count = affine + (at_infinity - 1) // (q - 1) if d else 0
+    return count, d, affine > (int(vals[0]) == 0)  # a zero besides eps = 0
 
 
 # ---------------------------------------------------------------------------
@@ -517,18 +564,12 @@ def langweil_rhs(d: int, k: int, q: int) -> int:
     return t1 + t2
 
 
-def langweil_check(Phom: MvPoly, certified_irreducible: bool,
-                   budget: int = COUNT_LIMIT) -> dict:
-    """Compare the projective point count of a homogeneous hypersurface
-    against the deviation bound. The bound is only asserted when the
-    caller certifies absolute irreducibility (decided elsewhere); without
-    the certificate both sides are reported, nothing asserted."""
-    if not Phom.is_homogeneous() or Phom.is_zero():
-        raise ValueError("the bound applies to nonzero homogeneous polynomials")
-    q = Phom.spec.order
-    k = Phom.nvars - 1
-    d = Phom.degree()
-    count = count_points_projective(Phom, budget)
+def langweil_bound(q: int, k: int, d: int, count: int, certified_irreducible: bool) -> dict:
+    """Compare count, the projective points of a degree-d hypersurface in
+    P^k over GF(q), against the deviation bound. The bound is only
+    asserted when the caller certifies absolute irreducibility (decided
+    elsewhere); without the certificate both sides are reported, nothing
+    asserted."""
     expected = q ** (k - 1)
     rhs = langweil_rhs(d, k, q)
     holds = abs(count - expected) <= rhs
@@ -543,3 +584,14 @@ def langweil_check(Phom: MvPoly, certified_irreducible: bool,
         raise RuntimeError(
             f"certified-irreducible hypersurface violates the point-count bound: {report}")
     return report
+
+
+def langweil_check(Phom: MvPoly, certified_irreducible: bool,
+                   budget: int = COUNT_LIMIT) -> dict:
+    """langweil_bound on the projective point count of a homogeneous
+    hypersurface, enumerated by count_points_projective."""
+    if not Phom.is_homogeneous() or Phom.is_zero():
+        raise ValueError("the bound applies to nonzero homogeneous polynomials")
+    count = count_points_projective(Phom, budget)
+    return langweil_bound(Phom.spec.order, Phom.nvars - 1, Phom.degree(), count,
+                          certified_irreducible)

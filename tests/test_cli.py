@@ -384,6 +384,38 @@ def test_surface_factor_search_budget_counts_the_whole_candidate_space(tmp_path,
     assert main(argv + ["--budget", "33554432"]) == 0
 
 
+def test_surface_point_count_budget_boundary(tmp_path, capsys):
+    # P1 at m=2 counts psi_h over P^2(GF(4)): 16 + 4 + 1 = 21 points, while
+    # its factor search needs only 5 candidate forms
+    argv = ["surface", "--family", "P1", "--m", "2", "--coeffs", "2",
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv + ["--budget", "20"]) == 3
+    assert ("budget exceeded: projective enumeration of 21 points exceeds the budget"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r.json").exists()
+    assert main(argv + ["--budget", "21"]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["specialized_projective_zeros"] == 1
+
+
+def test_surface_reads_its_counts_off_one_orbit_table(tmp_path, monkeypatch):
+    # the expanded specialization and its enumeration stay in the library as
+    # the reference; surface reaches neither, and a homogeneous companion
+    # (as every family instance's is) needs one orbit table
+    def not_on_the_surface_path(*args, **kwargs):
+        raise RuntimeError("surface expanded or enumerated psi_h")
+
+    for name in ("specialize_normal", "count_points_projective", "langweil_check",
+                 "orbit_has_zero"):
+        monkeypatch.setattr(surfaces, name, not_on_the_surface_path)
+    tables = []
+    table = surfaces.orbit_value_table
+    monkeypatch.setattr(surfaces, "orbit_value_table",
+                        lambda G, t: tables.append(G.is_homogeneous()) or table(G, t))
+    argv = ["surface", "--family", "P3", "--m", "2", "--coeffs", "b"]
+    assert _digest_without_version(tmp_path, argv) == GOLDEN_SURFACES["P3", "2", "b"]
+    assert tables == [True]
+
+
 def test_surface_p1_factor_recovery(capsys):
     code, out = run(capsys, "surface", "--family", "P1", "--coeffs", "2", "--m", "2")
     rep = json.loads(out)
@@ -447,8 +479,8 @@ def test_fields_beyond_the_ceiling_exit3(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("module, name, argv", [
     (semifields, "to_semifield", ["semifield", "--family", "P1", "--coeffs", "2", "--m", "2"]),
-    (surfaces, "specialize_normal", ["surface", "--family", "P1", "--coeffs", "2", "--m", "2"]),
-    (surfaces, "langweil_check", ["surface", "--family", "P1", "--coeffs", "2", "--m", "2"]),
+    (surfaces, "companion_zeros", ["surface", "--family", "P1", "--coeffs", "2", "--m", "2"]),
+    (surfaces, "langweil_bound", ["surface", "--family", "P1", "--coeffs", "2", "--m", "2"]),
 ])
 @pytest.mark.parametrize("error", [RuntimeError, AssertionError])
 def test_internal_invariant_failure_exits_4(monkeypatch, capsys, module, name, argv, error):

@@ -14,8 +14,8 @@ from planar2.fields import BudgetError, lex_chunks, vec_mul
 from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_table_k2,
                             criterion_table_k3, criterion_table_k4, criterion_lists,
                             family_coeffs, family_param_space, family_shape)
-from planar2.surfaces import (LinearForm, MvPoly, build_G, count_points_affine,
-                              count_points_projective, divmod_linear,
+from planar2.surfaces import (LinearForm, MvPoly, build_G, companion_zeros,
+                              count_points_affine, count_points_projective, divmod_linear,
                               langweil_check, langweil_rhs, linear_factor_search,
                               orbit_has_zero, orbit_value_table, specialize_normal)
 
@@ -546,6 +546,69 @@ def test_projective_count_needs_homogeneous():
     f = p2.field(2)
     with pytest.raises(ValueError):
         count_points_projective(MvPoly(f, 2, {(1, 1): 1, (1, 0): 1}))
+
+
+def _reference_zeros(G, t):
+    psi_h = specialize_normal(G, t).homogenize()
+    return count_points_projective(psi_h), psi_h.degree(), orbit_has_zero(G, t)
+
+
+_COMPANION_CASES = [("P1", m) for m in (2, 3, 4, 5)] + [
+    (fam, m) for fam in ("P2", "P3", "P4a", "P4b") for m in (2, 3)]
+
+
+@pytest.mark.parametrize("fam, m", _COMPANION_CASES)
+def test_companion_zeros_match_the_expanded_specialization(fam, m):
+    # arbitrary DO coefficients on the shape, each zero a quarter of the
+    # time: P1 with a nonzero linear coefficient and every P3 companion are
+    # not homogeneous, so the zeros at infinity come from G's top part
+    t = p2.tower(m, REGISTRY[fam].k)
+    rng = np.random.default_rng([m, REGISTRY[fam].k, len(fam)])
+    shape = family_shape(fam, t)
+    homogeneous = set()
+    for _ in range(10):
+        cs = [int(c) if rng.random() < 0.75 else 0
+              for c in rng.integers(1, t.spec.order, len(shape))]
+        G = build_G(DOPoly(t, [(c, u, v) for c, (u, v) in zip(cs, shape)]), t, shape=fam)
+        homogeneous.add(G.is_homogeneous())
+        assert companion_zeros(G, t) == _reference_zeros(G, t)
+    if fam in ("P1", "P3"):
+        assert False in homogeneous
+
+
+def test_companion_zeros_of_a_constant_and_of_zero():
+    t = p2.tower(2, 3)
+    one = MvPoly.constant(t.spec, 3, 1)
+    assert companion_zeros(one, t) == _reference_zeros(one, t) == (0, 0, False)
+    zero = MvPoly(t.spec, 3, {})
+    with pytest.raises(ValueError, match="nonzero homogeneous"):
+        companion_zeros(zero, t)
+    with pytest.raises(ValueError, match="nonzero homogeneous"):
+        count_points_projective(specialize_normal(zero, t).homogenize())
+
+
+@pytest.mark.parametrize("G", [
+    {(1, 0): 2},  # no conjugate term
+    {(1, 0): 2, (0, 1): 2},  # a conjugate term without the coefficient 2^q
+    {(0, 0): 2},  # a constant outside GF(q)
+])
+def test_companion_zeros_reject_what_the_specialization_rejects(G):
+    t = p2.tower(2, 2)
+    G = MvPoly(t.spec, 2, G)
+    for call in (companion_zeros, specialize_normal):
+        with pytest.raises(RuntimeError, match="left GF\\(q\\)"):
+            call(G, t)
+
+
+def test_companion_zeros_budget_is_the_projective_enumeration():
+    # P^3 over GF(8): 512 + 64 + 8 + 1 points
+    t = p2.tower(3, 3)
+    G = build_G(DOPoly(t, [(5, u, v) for u, v in family_shape("P3", t)]), t, shape="P3")
+    psi_h = specialize_normal(G, t).homogenize()
+    for call, arg in ((companion_zeros, (G, t)), (count_points_projective, (psi_h,))):
+        with pytest.raises(BudgetError, match="^projective enumeration of 585 points exceeds"):
+            call(*arg, budget=584)
+    assert companion_zeros(G, t, budget=585)[0] == count_points_projective(psi_h, budget=585)
 
 
 # -- deviation bound ------------------------------------------------------------------
