@@ -25,8 +25,8 @@ so every layer above may tabulate the field and list its tuples (lex_rows).
 vec_eval is the one evaluator of polynomial value tables: sum c * prod
 x_i^e_i on int64 columns, one log-domain gather per monomial. The value
 tables of planar, linearized and surfaces, the criterion tables, the
-tower's column norm and base trace, and the embedding's root search all
-call it; nothing caches a table of powers.
+tower's column norm and base trace, the embedding's root search and the
+sweep's monomial forms all call it; nothing caches a table of powers.
 
 A TowerView reads GF(2^{mk}) as the degree-k extension of GF(q), q = 2^m.
 The q-Frobenius x -> x^q is m squarings, the relative trace and norm land
@@ -252,10 +252,6 @@ class FieldSpec:
     @property
     def zero(self) -> "Fe":
         return Fe(0, self)
-
-    @property
-    def one(self) -> "Fe":
-        return Fe(1, self)
 
     def elements(self):
         return (Fe(b, self) for b in range(self.order))

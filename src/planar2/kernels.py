@@ -9,8 +9,8 @@ bijection for every nonzero a. Two independent implementations decide it:
     constant, so f is planar iff the n x n GF(2) matrix
     M_a = [B(a, e_j)]_j is nonsingular for every a != 0. This module is
     the only one that knows how a DO polynomial becomes that test's
-    input. One form builder, _monomial_forms, gathers B_t(b_i, e_j) for
-    each monomial from the log tables, for any a-side basis b; one stage
+    input. One form builder, _monomial_forms, evaluates B_t(b_i, e_j) for
+    each monomial with fields.vec_eval, for any a-side basis b; one stage
     loop, _stage_sweep, builds the M_a from the rows B(b_i, .) by
     doubling and tests them by batched elimination, stage by stage with
     early exit. The elimination (_full_rank) goes one bit at a time from
@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from .fields import lex_chunks
+from .fields import lex_chunks, vec_eval, vec_mul
 
 _CHECK_ELEMS = 1 << 16  # the oracle gathers at most this many values D_a(x) at once
 _FIRST_ELEMS = 1 << 15  # ... and at most this many in its first, cached gather
@@ -192,23 +192,20 @@ def reduced_exponent(n: int, e: int) -> int:
 def _monomial_forms(spec, exponents, basis) -> np.ndarray:
     """forms[t, i, j] = B_t(b_i, e_j) for the monomial x^exponents[t] and the
     a-side basis b, where B_t(a, x) = (a+x)^e + a^e + x^e + 0^e; the last
-    slice holds b_i * e_j. Gathers from the log tables at the len(b) x n
-    points b_i + e_j, so any basis costs the same as the standard one."""
-    n, p1 = spec.n, spec.order - 1
+    slice holds b_i * e_j. One fields.vec_eval of x_0^r + x_1^r + x_2^r per
+    monomial at the len(b) x n points (b_i + e_j, b_i, e_j), so any basis
+    costs the same as the standard one."""
+    n = spec.n
     b = np.asarray(basis, dtype=np.int64)[:, None]
     e = 1 << np.arange(n, dtype=np.int64)
-    points = (b ^ e, b, e)
-    logs = [spec.log[x] for x in points]
     forms = np.empty((len(exponents) + 1, b.size, n), dtype=np.int64)
     for t, exponent in enumerate(exponents):
         r = reduced_exponent(n, exponent)
         if bin(r).count("1") > 2:
             raise ValueError(f"x^{exponent} is not a Dembowski-Ostrom monomial over GF(2^{n})")
-        zero = int(r == 0)  # 0^e
-        pab, pa, pb = (np.where(x != 0, spec.exp[lx * r % p1], zero)
-                       for x, lx in zip(points, logs))
-        forms[t] = pab ^ pa ^ pb ^ zero
-    forms[-1] = spec.exp[logs[1] + logs[2]]
+        powers = [((r, 0, 0), 1), ((0, r, 0), 1), ((0, 0, r), 1)]
+        forms[t] = vec_eval(spec, powers, (b ^ e, b, e)) ^ int(r == 0)  # + 0^r
+    forms[-1] = vec_mul(spec, b, e)
     return forms
 
 

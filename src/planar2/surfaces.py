@@ -10,7 +10,9 @@ Reducibility of G explains which coefficients can be planar:
 the relevant factorizations are products of Frobenius-conjugate linear
 forms. linear_factor_search recovers them by exact division, trying only
 the forms whose coefficients are roots of G on the axis lines
-c e_p + e_j: about k^2 q^k evaluations, not q^(2k) candidate forms.
+c e_p + e_j: about k^2 q^k evaluations, not q^(2k) candidate forms. A
+screen on fixed points of a form's hyperplane decides every division,
+repeats included; an exact division confirms each form it passes.
 
 MvPoly is the algebra under all of it: its constructor is the one place
 that XOR-merges terms (sums, products and substitutions hand it their
@@ -434,11 +436,19 @@ def divmod_linear(P: MvPoly, form: LinearForm) -> tuple[MvPoly, MvPoly]:
 _PROBE_SEEDS = (1, 2, 3, 5, 7, 11, 13, 19)
 
 
-def _probe_points(spec: FieldSpec, width: int) -> list[tuple[int, ...]]:
-    """Deterministic assignments for the non-pivot coordinates, all nonzero."""
-    mask = spec.order - 1
-    return [tuple(((s * (j + 1) ** 2 + j) % mask) + 1 for j in range(width))
-            for s in _PROBE_SEEDS]
+def _vanishes_on_probes(P: MvPoly, pivot: int, cand: np.ndarray) -> np.ndarray:
+    """One bool per row c of cand (c[pivot] = 1): whether P vanishes at the
+    probes of the hyperplane X_pivot = sum_(j != pivot) c_j X_j, one per
+    _PROBE_SEEDS entry with fixed nonzero coordinates off the pivot. A
+    factor c . X of P passes, so a row that fails needs no division."""
+    free = [i for i in range(P.nvars) if i != pivot]
+    seeds = np.array(_PROBE_SEEDS, dtype=np.int64)[:, None]
+    point = [(seeds * (r + 1) ** 2 + r) % (P.spec.order - 1) + 1 for r in range(len(free))]
+    on_plane = np.zeros((len(seeds), len(cand)), dtype=np.int64)
+    for x, i in zip(point, free):
+        on_plane ^= vec_mul(P.spec, x, cand[:, i])
+    point.insert(pivot, on_plane)  # one row per probe, one column per candidate
+    return ~P.evaluate_vec(point).any(axis=0)
 
 
 def linear_factor_search(G: MvPoly,
@@ -462,7 +472,9 @@ def linear_factor_search(G: MvPoly,
       the candidates are their products.
     - Candidates are screened by exact evaluation at deterministic points
       of their hyperplane (a true factor vanishes there identically, so no
-      factor is ever screened out), then divided out exactly.
+      factor is ever screened out), then divided out exactly. After each
+      division the quotient is screened on the same form's points, so a
+      further division is tried only where the form may divide again.
 
     That is about k^2 q^k evaluations on the axis lines, against q^(2k)
     candidates in the whole space for k = 3 over GF(q^k); a G' vanishing
@@ -509,29 +521,16 @@ def linear_factor_search(G: MvPoly,
         if not blocks:
             continue
         cand = np.concatenate(blocks)
-        alive = np.ones(cand.shape[0], dtype=bool)
-        for pt in _probe_points(spec, len(free)):
-            if not alive.any():
-                break
-            idx = np.nonzero(alive)[0]
-            piv_col = np.zeros(idx.size, dtype=np.int64)
-            for pos, val in zip(free, pt):
-                piv_col ^= vec_mul(spec, cand[idx, pos], val)
-            point = list(pt)
-            point.insert(pivot, piv_col)
-            vals = work.evaluate_vec(point)
-            alive[idx[vals != 0]] = False
-        for row in cand[alive]:
+        for row in cand[_vanishes_on_probes(work, pivot, cand)]:
             if work.degree() < 1:
                 break
-            form = LinearForm(spec, [int(c) for c in row])
-            mult = 0
-            while True:
+            form, mult, again = LinearForm(spec, [int(c) for c in row]), 0, True
+            while again:  # the screen decides each repeat; a division confirms it
                 q, r = divmod_linear(work, form)
                 if not r.is_zero():
                     break
-                work = q
-                mult += 1
+                work, mult = q, mult + 1
+                again = _vanishes_on_probes(work, pivot, row[None])[0]
             if mult:
                 factors.append((form, mult))
     return factors, work

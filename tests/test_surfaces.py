@@ -300,6 +300,36 @@ def test_factor_search_multiplicity():
     assert rem == MvPoly.constant(f, 3, 1)
 
 
+def _seeded_companions(fam, m):
+    t = p2.tower(m, REGISTRY[fam].k)
+    space = family_param_space(fam, t)
+    picks = np.random.default_rng([m, len(fam)]).choice(len(space), 8, replace=False)
+    return [build_G(family_coeffs(space[i]), t, shape=fam) for i in picks]
+
+
+def test_factor_search_divides_only_by_factors(monkeypatch):
+    # the probe screen decides every division, repeats included, so each
+    # exact division is one multiplicity of a factor and none fails;
+    # coordinate factors are shifted out without a division
+    calls = []
+
+    def spy(P, form):
+        calls.append(divmod_linear(P, form))
+        return calls[-1]
+
+    monkeypatch.setattr(surfaces, "divmod_linear", spy)
+    form = LinearForm(p2.field(4), [1, 2, 0])
+    polys = [form.to_mvpoly() * form.to_mvpoly()] + [
+        G for fam, m in (("P1", 3), ("P2", 2), ("P4a", 2), ("P4b", 2))
+        for G in _seeded_companions(fam, m)]
+    expected = 0
+    for G in polys:
+        factors, _ = linear_factor_search(G)
+        expected += sum(mu for fm, mu in factors if sum(map(bool, fm.coeffs)) > 1)
+    assert all(r.is_zero() for _, r in calls)
+    assert len(calls) == expected > len(polys)
+
+
 def test_p1_factorization_recovery_small():
     t = p2.tower(2, 2)
     spec = t.spec
@@ -400,7 +430,7 @@ def split_polys(draw):
     nvars = draw(st.integers(2, 4))
     coeff = st.one_of(st.just(0), st.just(1), st.integers(0, spec.order - 1))
     forms = draw(st.lists(st.tuples(st.lists(coeff, min_size=nvars, max_size=nvars),
-                                    st.integers(1, 2)), max_size=3))
+                                    st.integers(1, 3)), max_size=3))
     G = MvPoly(spec, nvars, draw(st.dictionaries(
         st.tuples(*[st.integers(0, 1)] * nvars), st.integers(1, spec.order - 1),
         min_size=1, max_size=3)))
