@@ -30,8 +30,10 @@ import itertools
 import json
 import sys
 
+import numpy as np
+
 from . import __version__, kernels, planar, semifields, surfaces
-from .fields import BudgetError, hex_bits, tower
+from .fields import BudgetError, hex_text, tower
 from .planar import DOPoly, FamilyParams
 
 # check runs the 4^n definition oracle only up to this degree (about 0.44 s
@@ -70,8 +72,10 @@ _LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.
 def _json(obj, pad: str = "\n") -> str:
     """json.dumps(obj, sort_keys=True, indent=2) for str-keyed objects, at
     the indentation that pad (a newline and spaces) gives, in the same
-    bytes. With indent, json runs its pure-Python encoder, slow on a
-    report's rows; here nonempty dicts and lists are walked, and a nonempty
+    bytes, where a 1-D or 2-D integer array stands for the lists of its
+    elements' hex strings (fields.hex_bits). With indent, json runs its
+    pure-Python encoder, slow on a report's rows; here nonempty dicts and
+    lists are walked, an array is laid out by _hex_array, and a nonempty
     list of scalars or a table (a nonempty list of nonempty lists of
     scalars) is one call of the C encoder: the table with _SEP between
     items, which then become the row boundaries "]" _SEP "[" and the cell
@@ -79,6 +83,8 @@ def _json(obj, pad: str = "\n") -> str:
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
+    if isinstance(obj, np.ndarray):
+        return _hex_array(obj, pad)
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         items = (f"{inner}{_quote(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
@@ -95,6 +101,26 @@ def _json(obj, pad: str = "\n") -> str:
             return f"[{inner}[{cell}{body}{inner}]{pad}]"
         return "[" + ",".join(inner + _json(v, inner) for v in obj) + pad + "]"
     return json.dumps(obj)
+
+
+def _hex_array(a: np.ndarray, pad: str) -> str:
+    """json.dumps(hex_bits(a), indent=2) at pad for a 1-D or 2-D integer
+    array, in the same bytes. Each distinct value is formatted once
+    (fields.hex_text); the cells and the separators after them, which
+    carry the quotes, fill one object array, one row per table row, and
+    one join writes it."""
+    if a.size == 0:  # [] or, with zero columns, rows of []
+        return "[" + ",".join([pad + "  []"] * len(a)) + pad + "]" if len(a) else "[]"
+    table = a.ndim == 2
+    row = pad + "  " if table else pad  # the indentation of each row's "]"
+    cell = row + "  "
+    text, index = hex_text(a)
+    grid = np.empty((len(a) if table else 1, 2 * a.shape[-1]), dtype=object)
+    grid[:, ::2] = text[index.reshape(len(grid), -1)]
+    grid[:, 1::2] = f'",{cell}"'
+    grid[:, -1] = f'"{row}],{row}[{cell}"'
+    grid[-1, -1] = f'"{row}]{pad}]' if table else f'"{row}]'
+    return (f'[{row}[{cell}"' if table else f'[{cell}"') + "".join(grid.ravel().tolist())
 
 
 def _emit_json(args, obj: dict):
@@ -154,7 +180,7 @@ def cmd_surface(args) -> int:
         "companion": g.to_json(),
         "orbit_has_zero": orbit_has_zero,
         "planar": planar.is_planar_linearized(f),
-        "factors": [{"coeffs": hex_bits(form.coeffs), "multiplicity": mult}
+        "factors": [{"coeffs": np.asarray(form.coeffs), "multiplicity": mult}
                     for form, mult in factors],
         "remainder": remainder.to_json(),
         # a cone: psi_h is a degree-k form, as G's top term x_0...x_(k-1) survives the basis change
@@ -184,11 +210,8 @@ def cmd_semifield(args) -> int:
 def cmd_problem27(args) -> int:
     t = tower(args.m, 2)
     rep = planar.offdiagonal_search(t, args.support, budget=args.budget)
-    rows = hex_bits(rep["planar"])  # formatted once, split by the candidate mask
-    split = {key: list(itertools.compress(rows, mask.tolist()))
-             for key, mask in (("candidates", rep["off"]), ("in_shape", ~rep["off"]))}
-    _emit_json(args, {"tested": rep["tested"], "support": rep["support"], "planar": rows,
-                      **split, **_meta(t, args)})
+    keys = ("tested", "support", "planar", "candidates", "in_shape")  # rows split by rep["off"]
+    _emit_json(args, {**{key: rep[key] for key in keys}, **_meta(t, args)})
     return 0
 
 

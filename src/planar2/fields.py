@@ -356,14 +356,22 @@ class Fe:
 # Vectorized helpers (int64 arrays of element bits)
 # ---------------------------------------------------------------------------
 
-def hex_bits(a) -> list:
-    """Element bits as lowercase hex strings, nested as a.tolist() nests
-    them: the one formatter of report rows. Each distinct value is
-    formatted once."""
+def hex_text(a) -> tuple[np.ndarray, np.ndarray]:
+    """(text, index): the distinct values of a as lowercase hex strings, in
+    an object array, and the position of each element's string in it,
+    shaped like a. The one formatter of element bits: each distinct value
+    is formatted once, and text[index] holds every element's string."""
     a = np.asarray(a, dtype=np.int64)
     values, inverse = np.unique(a, return_inverse=True)
     text = np.array([f"{v:x}" for v in values.tolist()], dtype=object)
-    return text[inverse.reshape(a.shape)].tolist()  # numpy versions disagree on its shape
+    return text, inverse.reshape(a.shape)  # numpy versions disagree on its shape
+
+
+def hex_bits(a) -> list:
+    """Element bits as lowercase hex strings, nested as a.tolist() nests
+    them (hex_text)."""
+    text, index = hex_text(a)
+    return text[index].tolist()
 
 
 def lex_rows(base: int, width: int) -> np.ndarray:

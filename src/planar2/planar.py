@@ -33,7 +33,9 @@ orbit (kernels.planar_orbit_sweep), while tested and the budget count
 every row. _gapped_layout is the one list of the gapped pairs (i, i + jm):
 the criteria's coefficient blocks and problem27's k=2 shape. Reports carry
 their coefficient rows as the sweep's int64 arrays, split by boolean
-masks, up to the writer (fields.hex_bits).
+masks, and hand them to the writer as arrays: cli._json prints each one
+as the JSON of its hex strings, and fields.hex_text formats them there
+and in AuditReport.to_csv.
 """
 
 from __future__ import annotations
@@ -585,8 +587,9 @@ def fraction_map_two_to_one(t: TowerView) -> bool:
 @dataclass(eq=False)
 class AuditReport:
     """An audit's verdicts. planar, extras and failures are int64
-    coefficient rows, one column per layout pair, written through
-    fields.hex_bits; an empty one keeps its width."""
+    coefficient rows, one column per layout pair; an empty one keeps its
+    width. to_json hands them over as arrays, which cli._json writes as
+    hex strings, and to_csv formats them through fields.hex_bits."""
     family: str
     q: int
     k: int
@@ -599,8 +602,8 @@ class AuditReport:
     def to_json(self) -> dict:
         return {
             "family": self.family, "q": self.q, "k": self.k, "mode": self.mode,
-            "tested": self.tested, "planar": hex_bits(self.planar),
-            "extras": hex_bits(self.extras), "failures": hex_bits(self.failures),
+            "tested": self.tested, "planar": self.planar,
+            "extras": self.extras, "failures": self.failures,
         }
 
     def to_csv(self) -> str:

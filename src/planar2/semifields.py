@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import (BudgetError, Fe, FieldSpec, TowerView, hex_bits, span, tower, vec_eval,
-                     vec_frob, vec_mul)
+from .fields import (BudgetError, Fe, FieldSpec, TowerView, span, tower, vec_eval, vec_frob,
+                     vec_mul)
 from .linearized import LinearizedPoly, inverse_map
 from .planar import DOPoly, FamilyParams, family_coeffs
 from .planar import is_planar_bruteforce  # noqa: F401 (perfbench's tracer looks it up here)
@@ -237,8 +237,9 @@ class NucleiReport:
             "order": self.order,
             "left_size": len(self.left), "middle_size": len(self.middle),
             "right_size": len(self.right),
-            "left": hex_bits(self.left), "middle": hex_bits(self.middle),
-            "right": hex_bits(self.right),
+            "left": np.array(self.left, dtype=np.int64),
+            "middle": np.array(self.middle, dtype=np.int64),
+            "right": np.array(self.right, dtype=np.int64),
             "is_associative": self.is_associative,
             "is_field": self.is_field,
         }

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from planar2 import cli, kernels, planar, semifields, surfaces
 from planar2.cli import main
@@ -190,6 +191,10 @@ GOLDEN_AUDITS = {
     ("P1", "4", "converse"): "da5074b8ffbc5561c2478a94c92cb531aee69dc431b78ffde5a0524f9eb8c9da",
     ("P2", "2", "converse"): "07f64466dbd36940d60d2f709489ffd14c93ba28eff6554ece53214fa4449921",
     ("Hu2", "3", "sufficiency"): "4904ee110ba46fa2785741166b1cee912450e81fb3dc9ab4ad7cece76e05213c",
+    # recorded at 0.30.0, when report rows reached the writer as lists of hex strings
+    ("P1", "4", "sufficiency"): "2e2eec194a64a8a621ad93a5298d47f235b93d2eae22c1bad756e6f97204e838",
+    ("P4a", "2", "sufficiency"): "0001c391859f78b441a9c19a14a67d0603274e5aa7801bd7812fcc7297dce68b",
+    ("P4b", "2", "sufficiency"): "a7e9c17b202dcd0389793ed65f182b5e69b57df2d60be11e8c339c84b3bc10ab",
 }
 
 
@@ -221,7 +226,9 @@ def test_problem27_report_bytes_match_the_recorded_digest(tmp_path, m, support):
 # sha256 of report bytes without the "version" line, recorded at 0.14.0, when
 # report rows were Python tuples: a converse audit with extras (P4b m=2: 290
 # planar rows, 119 of them extras), the CSV writer, and a semifield report
-# with the flags it echoes.
+# with the flags it echoes. The P1 m=4 semifield report, with three
+# 256-element nuclei, was recorded at 0.30.0, when nuclei reached the writer
+# as lists of hex strings.
 GOLDEN_REPORTS = {
     "audit --family P4b --m 2 --mode converse --budget 16777216":
         "ab31feba3d065cc96e9d10cdb5a8080f5d8fb615520eefef44d0b99307f7cc1c",
@@ -229,6 +236,8 @@ GOLDEN_REPORTS = {
         "dc145c5ce93d29dfca43fa7e678fc2bd7013108a04076088ad426f5c3064ccc5",
     "semifield --family P1 --m 3 --coeffs 5":
         "c088f28c1a66b57aaa803c29e39095ba49af222cc940fef56fa2cd3f1b36c9ca",
+    "semifield --family P1 --m 4 --coeffs 3":
+        "9ec3aca5dc4fbd18a9fe93592d84cfe9ea19ac39fbef326d12829376d73b401d",
 }
 
 
@@ -298,6 +307,37 @@ def test_report_writer_matches_json_dumps_on_tables():
     rows = [["1f", 0, None], ("a]\x00[b", True, 1.5), [float("nan")], ["\u00e9"]]
     for obj in ({"planar": rows, "extras": [], "tested": 3}, [rows, [[]], [[], [1]]]):
         assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+# int64 tables as reports hand them to the writer: 1-D and 2-D, with zero rows
+# or columns, repeated values and values up to 2^20 - 1, nested in dicts and lists
+_INT_ARRAYS = hnp.arrays(
+    np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+    elements=st.integers(0, 3) | st.integers(0, (1 << 20) - 1))
+_ARRAY_REPORTS = st.recursive(
+    _INT_ARRAYS | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=12)
+
+
+def _hex_lists(obj):
+    """obj with each array replaced by the nested lists of its elements' hex strings."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1:
+            return [f"{c:x}" for c in obj.tolist()]
+        return [[f"{c:x}" for c in row] for row in obj.tolist()]
+    if isinstance(obj, dict):
+        return {k: _hex_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_hex_lists(v) for v in obj]
+    return obj
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_ARRAY_REPORTS)
+def test_report_writer_prints_an_array_as_its_hex_lists(obj):
+    assert cli._json(obj) == json.dumps(_hex_lists(obj), sort_keys=True, indent=2)
 
 
 # sha256 of surface report bytes without the "version" line, recorded at

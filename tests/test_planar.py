@@ -1,11 +1,13 @@
 """Planarity predicates, criteria, families, sets, searches."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import planar2 as p2
-from planar2 import kernels, planar
+from planar2 import cli, kernels, planar
 from planar2.fields import BudgetError, lex_rows
 from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_lists,
                             criterion_table_k2, criterion_table_k3, criterion_table_k4,
@@ -565,7 +567,11 @@ def test_audit_json_and_csv_deterministic():
     t = p2.tower(2, 2)
     r1 = family_audit("P1", t, "sufficiency")
     r2 = family_audit("P1", t, "sufficiency")
-    assert r1.to_json() == r2.to_json()
+    j1, j2 = r1.to_json(), r2.to_json()
+    tables = ("planar", "extras", "failures")
+    assert all(np.array_equal(j1[key], j2[key]) for key in tables)
+    hex_rows = {key: [[f"{c:x}" for c in row] for row in j2[key].tolist()] for key in tables}
+    assert cli._json(j1) == json.dumps({**j2, **hex_rows}, sort_keys=True, indent=2)
     csv = r1.to_csv()
     assert csv.splitlines()[0] == "c0,c1"
     assert len(csv.splitlines()) == len(r1.planar) + 1
@@ -592,7 +598,10 @@ def test_sufficiency_splits_planar_and_failures_in_row_order(monkeypatch):
     assert rep.tested == len(image) and len(rep.failures) > 0 and ok.any()
     assert np.array_equal(rep.planar, image[ok]) and np.array_equal(rep.failures, image[~ok])
     assert rep.extras.shape == (0, 2)
-    assert rep.to_json()["failures"] == [[f"{c:x}" for c in r] for r in image[~ok].tolist()]
+    failures = rep.to_json()["failures"]
+    assert np.array_equal(failures, image[~ok])
+    assert cli._json(failures) == json.dumps([[f"{c:x}" for c in r] for r in image[~ok].tolist()],
+                                             indent=2)
 
 
 @pytest.mark.parametrize("fam, m, forms", [("P1", 4, 8), ("P2", 2, 48), ("P3", 3, 2), ("P4b", 2, 3)])
@@ -615,7 +624,9 @@ def test_audit_csv_without_planar_rows_is_one_newline(monkeypatch):
     rep = family_audit("P1", p2.tower(2, 2), "sufficiency")
     assert rep.planar.shape == (0, 2) and len(rep.failures) == rep.tested > 0
     assert rep.to_csv() == "\n"
-    assert rep.to_json()["planar"] == [] and rep.to_json()["extras"] == []
+    d = rep.to_json()
+    assert all(np.array_equal(d[key], np.empty((0, 2))) for key in ("planar", "extras"))
+    assert cli._json(d["planar"]) == cli._json(d["extras"]) == json.dumps([], indent=2)
 
 
 def test_audit_of_parameter_free_family():

@@ -1,13 +1,14 @@
 """Presemifield constructions, isotopes, nuclei, the quartic example."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import planar2 as p2
-from planar2 import semifields as sf
+from planar2 import cli, semifields as sf
 from planar2.fields import BudgetError, vec_frob, vec_mul
 from planar2.planar import DOPoly, FamilyParams, family_coeffs, family_param_space
 
@@ -382,4 +383,5 @@ def test_nuclei_json():
     rep = sf.nuclei(s)
     d = rep.to_json()
     assert d["left_size"] == 4 and d["is_field"] is True
-    assert d["left"] == ["0", "1", "2", "3"]
+    assert np.array_equal(d["left"], [0, 1, 2, 3])
+    assert cli._json(d["left"]) == json.dumps(["0", "1", "2", "3"], indent=2)
