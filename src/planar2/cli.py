@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -62,7 +61,6 @@ def _emit(args, payload: str):
         sys.stdout.write(payload)
 
 
-_SEP = "\x00"  # never in the C encoder's output: ensure_ascii escapes control characters
 _SCALARS = {str, int, float, bool, type(None)}
 _quote = json.encoder.encode_basestring_ascii  # a key as json writes it; a non-str key raises
 _LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
@@ -75,11 +73,9 @@ def _json(obj, pad: str = "\n") -> str:
     bytes, where a 1-D or 2-D integer array stands for the lists of its
     elements' hex strings (fields.hex_bits). With indent, json runs its
     pure-Python encoder, slow on a report's rows; here nonempty dicts and
-    lists are walked, an array is laid out by _hex_array, and a nonempty
-    list of scalars or a table (a nonempty list of nonempty lists of
-    scalars) is one call of the C encoder: the table with _SEP between
-    items, which then become the row boundaries "]" _SEP "[" and the cell
-    separators. json.dumps writes floats and empty containers."""
+    lists are walked, an array is laid out by _hex_array (the one table
+    writer), and a nonempty list of scalars is one call of the C encoder.
+    json.dumps writes floats and empty containers."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
@@ -90,15 +86,8 @@ def _json(obj, pad: str = "\n") -> str:
         items = (f"{inner}{_quote(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
         return "{" + ",".join(items) + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        types = set(map(type, obj))
-        if types <= _SCALARS:
+        if set(map(type, obj)) <= _SCALARS:
             return f"[{inner}{json.dumps(obj, separators=(',' + inner, ': '))[1:-1]}{pad}]"
-        if (types <= {list, tuple} and all(obj)
-                and set(map(type, itertools.chain.from_iterable(obj))) <= _SCALARS):
-            cell = inner + "  "
-            body = json.dumps(obj, separators=(_SEP, ": "))[2:-2]
-            body = body.replace(f"]{_SEP}[", f"{inner}],{inner}[{cell}").replace(_SEP, "," + cell)
-            return f"[{inner}[{cell}{body}{inner}]{pad}]"
         return "[" + ",".join(inner + _json(v, inner) for v in obj) + pad + "]"
     return json.dumps(obj)
 
