@@ -360,11 +360,19 @@ def hex_text(a) -> tuple[np.ndarray, np.ndarray]:
     """(text, index): the distinct values of a as lowercase hex strings, in
     an object array, and the position of each element's string in it,
     shaped like a. The one formatter of element bits: each distinct value
-    is formatted once, and text[index] holds every element's string."""
+    is formatted once, and text[index] holds every element's string.
+    Linear in a.size + max(a): the distinct values are read off a presence
+    mask over range(max(a) + 1), at most 2^N_MAX bytes for field elements,
+    and each one's rank is scattered into a table that a gathers from."""
     a = np.asarray(a, dtype=np.int64)
-    values, inverse = np.unique(a, return_inverse=True)
-    text = np.array([f"{v:x}" for v in values.tolist()], dtype=object)
-    return text, inverse.reshape(a.shape)  # numpy versions disagree on its shape
+    if a.size and a.min() < 0:
+        raise ValueError("element bits are nonnegative")
+    seen = np.zeros(int(a.max()) + 1 if a.size else 0, dtype=bool)
+    seen[a] = True
+    values = np.flatnonzero(seen)
+    rank = np.empty(seen.size, dtype=np.intp)
+    rank[values] = np.arange(values.size)
+    return np.array([f"{v:x}" for v in values.tolist()], dtype=object), rank[a]
 
 
 def hex_bits(a) -> list:

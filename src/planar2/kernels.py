@@ -13,10 +13,11 @@ bijection for every nonzero a. Two independent implementations decide it:
     each monomial with fields.vec_eval, for any a-side basis b; one stage
     loop, _stage_sweep, builds the M_a from the rows B(b_i, .) by
     doubling and tests them by batched elimination, stage by stage with
-    early exit. The elimination (_full_rank) goes one bit at a time from
-    the top: the largest column of each matrix is its pivot for that bit
-    and is XORed into every column that has the bit, three numpy calls
-    per bit over the whole batch. planar_sweep runs it on many
+    early exit, for s > 1 in doubling slices of each coset range. The
+    elimination (_full_rank) goes one bit at a time from the top: the
+    largest column of each matrix is its pivot for that bit and is XORed
+    into every column that has the bit, three numpy calls per bit over
+    the whole batch. planar_sweep runs it on many
     coefficient rows and tests one a per coset of GF(2^s)* (see there),
     at most (q^k - 1)/(q - 1) matrices for the families of the paper;
     nonsingular_table runs the elimination alone on a stored table of M_a.
@@ -327,31 +328,54 @@ def _nonsingular(brows: np.ndarray, a0: int, bits: int, s: int) -> np.ndarray:
     return ok.reshape(nrows, -1).all(axis=1)
 
 
+def _stages(n: int, s: int, k0: int):
+    """The (lo, hi) ranges of a' that _stage_sweep tests in turn: a' < 2^k0,
+    then [2^k, 2^(k+1)) for k = k0 .. n-1 with s | k. For s > 1 each of
+    those ranges goes in aligned doubling slices, [2^k, 2^k + 1) and then
+    [2^k + 2^j, 2^k + 2^(j+1)) for j = 0 .. k-1, so that a row leaves at its
+    first singular slice instead of after the whole range."""
+    yield 0, 1 << k0
+    for k in range(k0, n):
+        if k % s == 0:
+            if s == 1:
+                yield 1 << k, 2 << k
+            else:
+                yield 1 << k, (1 << k) + 1
+                for j in range(k):
+                    yield (1 << k) + (1 << j), (1 << k) + (2 << j)
+
+
 def _stage_sweep(spec, s: int, forms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The rank test's stage loop: True for each coefficient row whose form
     has M_a nonsingular for every a' in [2^k, 2^(k+1)) with s | k (every
     a != 0 for s = 1), with the basis rows B(b_i, .) from _basis_rows on
     forms, the _sweep_forms of s.
 
-    Rows go in blocks of 2^14. Each block tests the a' < 2^k0 first (a = 1
-    first of all), then a' in [2^k, 2^(k+1)) for k = k0 .. n-1 with s | k,
-    and only the rows that pass a stage go on to the next: most non-planar
-    rows fail at small a. k0 is 1 for a full block and larger for a smaller
-    one, up to min(n, 14) for a single row, so that the first stage fills
-    one rank call. A rank call holds at most 2^14 matrices: several rows
-    while 2^k is small, one row and a slice of the stage when 2^k is larger.
-    The basis rows are asked for per stage, for the bits that stage adds.
+    Rows go in blocks of 2^14. Each block tests the ranges of _stages in
+    turn: the a' < 2^k0 first (a = 1 first of all), then a' in
+    [2^k, 2^(k+1)) for k = k0 .. n-1 with s | k, in doubling slices for
+    s > 1. Only the rows that pass a range go on to the next: most
+    non-planar rows fail at small a, and for s > 1 a row that passes
+    a' = 2^k stops at its first singular slice, not at the end of
+    [2^k, 2^(k+1)). Every row still meets the same matrices, so the
+    verdicts do not depend on the slicing. k0 is 1 for a full block and
+    larger for a smaller one, up to min(n, 14) for a single row, so that
+    the first range fills one rank call. A rank call holds at most 2^14
+    matrices: several rows while a range is small, one row and a 2^14
+    part of the range when it is larger. The basis rows are asked for
+    when a range first needs them, up to bit (hi - 1).bit_length(): a
+    slice's hi can sit below 2^(k+1).
     """
     cap = 1 << _BLOCK_BITS
     out = np.zeros(len(coeffs), dtype=bool)
     for r0 in range(0, len(coeffs), cap):
         rows = np.arange(r0, min(r0 + cap, len(coeffs)))
         k0 = min(spec.n, max(1, _BLOCK_BITS - (rows.size - 1).bit_length()))
-        stages = [(0, 1 << k0)] + [(1 << k, 2 << k) for k in range(k0, spec.n) if k % s == 0]
         brows = _basis_rows(spec, forms[:, :k0], coeffs[rows])
-        for lo, hi in stages:
-            if lo:  # the bits this stage adds, for the rows still alive
-                new = forms[:, brows.shape[1]:hi.bit_length() - 1]
+        for lo, hi in _stages(spec.n, s, k0):
+            top = (hi - 1).bit_length()
+            if top > brows.shape[1]:  # the bits this range adds, for the rows still alive
+                new = forms[:, brows.shape[1]:top]
                 brows = np.concatenate([brows, _basis_rows(spec, new, coeffs[rows])], axis=1)
             bits = min((hi - lo).bit_length() - 1, _BLOCK_BITS)
             per_call = max(1, cap >> bits)
@@ -517,7 +541,10 @@ def planar_orbit_sweep(spec, exponents, patterns) -> np.ndarray:
     support. The normal forms of each pattern (_normal_form_box) go through
     planar_sweep in batches of about _ORBIT_ROWS rows, one call per batch
     on the calling thread, and each planar one is expanded into its orbit,
-    which lists every planar row once."""
+    which lists every planar row once: the orbits are disjoint and each
+    has exactly orbit rows. So one np.lexsort over the columns, last
+    column first, sorts the rows, with no dedup; it also sorts rows too
+    wide for one int64 key, such as problem27's m columns."""
     shifts = _scaling_shifts(spec.n, exponents)
     found = [np.empty((0, shifts.size), dtype=np.int64)]
     for batch in _batches(_normal_forms(spec, shifts, patterns), _ORBIT_ROWS):
@@ -525,4 +552,5 @@ def planar_orbit_sweep(spec, exponents, patterns) -> np.ndarray:
         ends = np.cumsum([len(rows) for rows, _ in batch])
         for (rows, orbit), ok in zip(batch, np.split(mask, ends[:-1])):
             found.append(_scaled_images(spec, shifts, rows[ok], orbit))
-    return np.unique(np.concatenate(found), axis=0)
+    found = np.concatenate(found)
+    return found[np.lexsort(found.T[::-1])]

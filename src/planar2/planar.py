@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import (BudgetError, Fe, TowerView, hex_bits, lex_chunks, vec_div,
+from .fields import (BudgetError, Fe, TowerView, hex_text, lex_chunks, vec_div,
                      vec_eval, vec_frob, vec_mul)
 
 # ---------------------------------------------------------------------------
@@ -589,7 +589,7 @@ class AuditReport:
     """An audit's verdicts. planar, extras and failures are int64
     coefficient rows, one column per layout pair; an empty one keeps its
     width. to_json hands them over as arrays, which cli._json writes as
-    hex strings, and to_csv formats them through fields.hex_bits."""
+    hex strings, and to_csv formats them through fields.hex_text."""
     family: str
     q: int
     k: int
@@ -607,9 +607,18 @@ class AuditReport:
         }
 
     def to_csv(self) -> str:
-        rows = [",".join(row) for row in hex_bits(self.planar)]
-        width = self.planar.shape[1] if rows else 0
-        return "\n".join([",".join(f"c{i}" for i in range(width))] + rows) + "\n"
+        """A header c0,c1,... and one line per planar row, its cells the
+        element strings of fields.hex_text laid out with their separators
+        in one object array and joined once; no rows is one empty line."""
+        if self.planar.size == 0:
+            return "\n" * (len(self.planar) + 1)
+        text, index = hex_text(self.planar)
+        grid = np.empty((len(index), 2 * index.shape[1]), dtype=object)
+        grid[:, ::2] = text[index]
+        grid[:, 1::2] = ","
+        grid[:, -1] = "\n"
+        header = ",".join(f"c{i}" for i in range(index.shape[1]))
+        return header + "\n" + "".join(grid.ravel().tolist())
 
 
 def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22) -> AuditReport:
@@ -643,11 +652,15 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22) -> Au
                         kernels.reduced_exponent(spec.n, (1 << uv[0]) + (1 << uv[1])))
     image = _layout_rows(fam, layout, terms, len(params))
     if converse:
-        return AuditReport(fam, t.q, t.k, mode, tested, rows, rows[~_rows_in(rows, image)],
+        return AuditReport(fam, t.q, t.k, mode, tested, rows, rows[~_rows_in(rows, image, spec.n)],
                            rows[:0])
     exponents = [(1 << u) + (1 << v) for u, v in layout]
     forms = kernels.normal_form(spec, exponents, image)
-    _, first, inverse = np.unique(_row_keys(forms), return_index=True, return_inverse=True)
+    if forms.shape[1] * spec.n <= 63:  # one int64 key per form: sweep each distinct one once
+        _, first, inverse = np.unique(_row_keys(forms, spec.n), return_index=True,
+                                      return_inverse=True)
+    else:  # Knuth's parameter-free layout, k columns over GF(2^k) for k >= 9: its one row
+        first = inverse = np.arange(len(forms))
     mask = kernels.planar_sweep(spec, exponents, forms[first])[inverse]
     return AuditReport(fam, t.q, t.k, mode, len(params), image[mask], image[:0], image[~mask])
 
@@ -668,15 +681,23 @@ def _support_sweep(spec, pairs, support: int, budget: int) -> tuple[int, np.ndar
     return tested, kernels.planar_orbit_sweep(spec, exponents, patterns)
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One void scalar per int64 row, its bytes: rows as keys of np.isin
-    and np.unique."""
-    return np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key per row of n-bit elements: the row's base-2^n digits,
+    first column most significant, so distinct rows get distinct keys and
+    keys order as the rows do lexicographically. ValueError when a row of
+    rows.shape[1] digits needs more than 63 bits. Every family shape has
+    width <= 3, so n <= 20 fits; of the other layouts only Knuth's k
+    columns over GF(2^k) pass 63 bits, at k >= 9."""
+    width = rows.shape[1]
+    if width * n > 63:
+        raise ValueError(f"{width} columns of {n} bits do not fit an int64 key")
+    return rows @ (1 << n * np.arange(width - 1, -1, -1, dtype=np.int64))
 
 
-def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Whether each int64 row of rows is a row of table (same width)."""
-    return np.isin(_row_keys(rows), _row_keys(table))
+def _rows_in(rows: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
+    """Whether each int64 row of rows, n-bit elements, is a row of table
+    (same width)."""
+    return np.isin(_row_keys(rows, n), _row_keys(table, n))
 
 
 def offdiagonal_search(t: TowerView, support_size: int, budget: int = 1 << 22) -> dict:

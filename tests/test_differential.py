@@ -226,6 +226,8 @@ def test_orbit_sweep_matches_the_full_sweep_and_lists_each_orbit_once(shape, row
         with kernel_constant("_ORBIT_ROWS", rows_cap):  # small batches, across patterns
             got = kernels.planar_orbit_sweep(spec, exps, patterns)
     assert got.dtype == np.int64 and np.array_equal(got, want)
+    listed = [tuple(r) for r in got.tolist()]
+    assert listed == sorted(set(listed))  # each planar row once, in lexicographic order
     # the orbits of the listed normal forms cover every row exactly once
     shifts = kernels._scaling_shifts(spec.n, exps)
     blocks = list(kernels._normal_forms(spec, shifts, patterns))

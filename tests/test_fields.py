@@ -202,6 +202,8 @@ def test_hex_bits_formats_like_an_fstring_per_element():
             [[f"{c:x}" for c in row] for row in a.tolist()] if a.ndim == 2
             else [f"{c:x}" for c in a.tolist()])
     assert hex_bits(rows[:0]) == [] and hex_bits(np.array([top])) == ["fffff"]
+    with pytest.raises(ValueError, match="nonnegative"):
+        hex_bits(np.array([3, -1]))
 
 
 def test_lex_chunks_list_lex_rows_in_bounded_blocks():

@@ -457,7 +457,7 @@ def test_sweep_forms_equal_the_xor_transformed_standard_forms_on_random_exponent
 
 
 def test_rank_calls_follow_the_stage_sequence_and_the_table_blocks(monkeypatch):
-    # one sweep row, s = 1: a' < 2^min(n, 14) in one rank call, then 2^14-slices
+    # one sweep row, s = 1: a' < 2^min(n, 14) in one rank call, then 2^14-parts
     # of each [2^k, 2^(k+1)); a column table goes in 2^14-row blocks from row 1.
     # 0 * x^3 leaves B(a, x) = a*x, the field's own product, so all of them run
     sizes = []
@@ -473,6 +473,11 @@ def test_rank_calls_follow_the_stage_sequence_and_the_table_blocks(monkeypatch):
         sizes.clear()
         assert kernels.planar_sweep(spec, [3], np.zeros((1, 1), dtype=np.int64)).all()
         assert sizes == want
+    # s = 2 (x^5): the first call holds [2^k, 2^(k+1)) for k = 0, 2, .., 12, then
+    # [2^14, 2^15) goes in doubling slices of 1, 1, 2, .., 2^13, and k = 15 is no coset top
+    sizes.clear()
+    assert kernels.planar_sweep(spec, [5], np.zeros((1, 1), dtype=np.int64)).all()
+    assert sizes == [sum(1 << k for k in range(0, 14, 2)), 1] + [1 << j for j in range(14)]
     e = 1 << np.arange(spec.n)
     sizes.clear()
     assert kernels.nonsingular_table(span(vec_mul(spec, e[:, None], e).astype(spec.dtype)))

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import planar2 as p2
 from planar2 import cli, kernels, planar
 from planar2.fields import BudgetError, lex_rows
-from planar2.planar import (REGISTRY, DOPoly, FamilyParams, criterion_lists,
+from planar2.planar import (REGISTRY, AuditReport, DOPoly, FamilyParams, criterion_lists,
                             criterion_table_k2, criterion_table_k3, criterion_table_k4,
                             family_audit, family_coeffs, family_param_rows,
                             family_param_space, family_shape, family_tuple,
@@ -563,6 +564,41 @@ def test_support_sweep_budget_boundary(search, tested):
         search(tested - 1)
 
 
+@st.composite
+def _element_rows(draw, max_bits=63):
+    """(n, rows): int64 rows of n-bit elements, width * n <= max_bits, with
+    small values mixed in so that rows repeat and share prefixes."""
+    n = draw(st.integers(1, 20))
+    width = draw(st.integers(0, max_bits // n))
+    top = (1 << n) - 1
+    elements = st.integers(0, min(top, 1)) | st.integers(0, top)
+    return n, draw(hnp.arrays(np.int64, (draw(st.integers(0, 12)), width), elements=elements))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_element_rows())
+def test_row_keys_are_injective_and_keep_the_lexicographic_order(case):
+    n, rows = case
+    keys = planar._row_keys(rows, n)
+    assert keys.dtype == np.int64 and keys.shape == (len(rows),)
+    tuples = [tuple(r) for r in rows.tolist()]
+    for i, (ki, ti) in enumerate(zip(keys.tolist(), tuples)):
+        for kj, tj in zip(keys.tolist()[i:], tuples[i:]):
+            assert (ki < kj, ki == kj) == (ti < tj, ti == tj)
+    with pytest.raises(ValueError, match="int64 key"):  # 63 // n + 1 digits need 64 bits or more
+        planar._row_keys(np.zeros((1, 63 // n + 1), dtype=np.int64), n)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_element_rows(max_bits=80))
+def test_audit_csv_is_a_header_and_one_line_of_hex_cells_per_planar_row(case):
+    _, rows = case
+    rep = AuditReport("P1", 4, 2, "converse", len(rows), rows, rows[:0], rows[:0])
+    lines = [",".join(f"{c:x}" for c in row) for row in rows.tolist()]
+    width = rows.shape[1] if lines else 0
+    assert rep.to_csv() == "\n".join([",".join(f"c{i}" for i in range(width))] + lines) + "\n"
+
+
 def test_audit_json_and_csv_deterministic():
     t = p2.tower(2, 2)
     r1 = family_audit("P1", t, "sufficiency")
@@ -602,6 +638,14 @@ def test_sufficiency_splits_planar_and_failures_in_row_order(monkeypatch):
     assert np.array_equal(failures, image[~ok])
     assert cli._json(failures) == json.dumps([[f"{c:x}" for c in r] for r in image[~ok].tolist()],
                                              indent=2)
+
+
+def test_sufficiency_sweeps_a_layout_too_wide_for_one_key():
+    # Knuth's layout over GF(2^9) has 9 columns of 9 bits: no int64 key holds a row
+    rep = family_audit("Knuth", p2.tower(1, 9), "sufficiency")
+    assert rep.tested == 1 and rep.planar.shape == (1, 9) and len(rep.failures) == 0
+    with pytest.raises(ValueError, match="int64 key"):
+        planar._row_keys(rep.planar, 9)
 
 
 @pytest.mark.parametrize("fam, m, forms", [("P1", 4, 8), ("P2", 2, 48), ("P3", 3, 2), ("P4b", 2, 3)])
