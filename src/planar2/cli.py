@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__, kernels, planar, semifields, surfaces
-from .fields import BudgetError, hex_text, tower
+from .fields import BudgetError, hex_grid, tower
 from .planar import DOPoly, FamilyParams
 
 # check runs the 4^n definition oracle only up to this degree (about 0.44 s
@@ -71,11 +71,11 @@ def _json(obj, pad: str = "\n") -> str:
     """json.dumps(obj, sort_keys=True, indent=2) for str-keyed objects, at
     the indentation that pad (a newline and spaces) gives, in the same
     bytes, where a 1-D or 2-D integer array stands for the lists of its
-    elements' hex strings (fields.hex_bits). With indent, json runs its
-    pure-Python encoder, slow on a report's rows; here nonempty dicts and
-    lists are walked, an array is laid out by _hex_array (the one table
-    writer), and a nonempty list of scalars is one call of the C encoder.
-    json.dumps writes floats and empty containers."""
+    elements' lowercase hex strings (fields.hex_text). With indent, json
+    runs its pure-Python encoder, slow on a report's rows; here nonempty
+    dicts and lists are walked, an array is laid out by _hex_array (the one
+    table writer), and a nonempty list of scalars is one call of the C
+    encoder. json.dumps writes floats and empty containers."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
@@ -93,21 +93,15 @@ def _json(obj, pad: str = "\n") -> str:
 
 
 def _hex_array(a: np.ndarray, pad: str) -> str:
-    """json.dumps(hex_bits(a), indent=2) at pad for a 1-D or 2-D integer
-    array, in the same bytes. Each distinct value is formatted once
-    (fields.hex_text); the cells and the separators after them, which
-    carry the quotes, fill one object array, one row per table row, and
-    one join writes it."""
+    """json.dumps of the lists of a's elements' hex strings, indent=2, at
+    pad for a 1-D or 2-D integer array, in the same bytes: one join of the
+    fields.hex_grid cells, whose separators carry the quotes."""
     if a.size == 0:  # [] or, with zero columns, rows of []
         return "[" + ",".join([pad + "  []"] * len(a)) + pad + "]" if len(a) else "[]"
     table = a.ndim == 2
     row = pad + "  " if table else pad  # the indentation of each row's "]"
     cell = row + "  "
-    text, index = hex_text(a)
-    grid = np.empty((len(a) if table else 1, 2 * a.shape[-1]), dtype=object)
-    grid[:, ::2] = text[index.reshape(len(grid), -1)]
-    grid[:, 1::2] = f'",{cell}"'
-    grid[:, -1] = f'"{row}],{row}[{cell}"'
+    grid = hex_grid(np.atleast_2d(a), f'",{cell}"', f'"{row}],{row}[{cell}"')
     grid[-1, -1] = f'"{row}]{pad}]' if table else f'"{row}]'
     return (f'[{row}[{cell}"' if table else f'[{cell}"') + "".join(grid.ravel().tolist())
 

@@ -375,11 +375,15 @@ def hex_text(a) -> tuple[np.ndarray, np.ndarray]:
     return np.array([f"{v:x}" for v in values.tolist()], dtype=object), rank[a]
 
 
-def hex_bits(a) -> list:
-    """Element bits as lowercase hex strings, nested as a.tolist() nests
-    them (hex_text)."""
-    text, index = hex_text(a)
-    return text[index].tolist()
+def hex_grid(rows, sep: str, end: str) -> np.ndarray:
+    """A table writer's cells, in one object array: per row of a 2-D array of
+    element bits, each element's string (hex_text), then sep, or end after its last."""
+    text, index = hex_text(rows)
+    grid = np.empty((index.shape[0], 2 * index.shape[1]), dtype=object)
+    grid[:, ::2] = text[index]
+    grid[:, 1::2] = sep  # the same str in every cell (np.full would copy it per cell)
+    grid[:, -1] = end
+    return grid
 
 
 def lex_rows(base: int, width: int) -> np.ndarray:

@@ -322,8 +322,7 @@ def _nonsingular(brows: np.ndarray, a0: int, bits: int, s: int) -> np.ndarray:
         h = 1 << i
         np.bitwise_xor(cols[:, :, :h], brows[:, i].T[:, :, None], out=cols[:, :, h:2 * h])
     if a0 == 0:  # a' = 0 is no difference; nor, for s > 1, is a' outside the tops
-        cols = cols[:, :, 1:] if s == 1 else cols[:, :, np.concatenate(
-            [np.arange(1 << k, 2 << k) for k in tops])]
+        cols = np.concatenate([cols[:, :, 1 << k:2 << k] for k in tops], axis=2)
     ok = _full_rank(cols.reshape(n, -1))  # cols is this call's own buffer: consumed
     return ok.reshape(nrows, -1).all(axis=1)
 

@@ -34,7 +34,7 @@ every row. _gapped_layout is the one list of the gapped pairs (i, i + jm):
 the criteria's coefficient blocks and problem27's k=2 shape. Reports carry
 their coefficient rows as the sweep's int64 arrays, split by boolean
 masks, and hand them to the writer as arrays: cli._json prints each one
-as the JSON of its hex strings, and fields.hex_text formats them there
+as the JSON of its hex strings, and fields.hex_grid lays them out there
 and in AuditReport.to_csv.
 """
 
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import (BudgetError, Fe, TowerView, hex_text, lex_chunks, vec_div,
+from .fields import (BudgetError, Fe, TowerView, hex_grid, lex_chunks, vec_div,
                      vec_eval, vec_frob, vec_mul)
 
 # ---------------------------------------------------------------------------
@@ -589,7 +589,7 @@ class AuditReport:
     """An audit's verdicts. planar, extras and failures are int64
     coefficient rows, one column per layout pair; an empty one keeps its
     width. to_json hands them over as arrays, which cli._json writes as
-    hex strings, and to_csv formats them through fields.hex_text."""
+    hex strings, and to_csv lays them out through fields.hex_grid."""
     family: str
     q: int
     k: int
@@ -607,18 +607,12 @@ class AuditReport:
         }
 
     def to_csv(self) -> str:
-        """A header c0,c1,... and one line per planar row, its cells the
-        element strings of fields.hex_text laid out with their separators
-        in one object array and joined once; no rows is one empty line."""
+        """A header c0,c1,... and one line per planar row, the cell grid of
+        fields.hex_grid joined once; no rows is one empty line."""
         if self.planar.size == 0:
             return "\n" * (len(self.planar) + 1)
-        text, index = hex_text(self.planar)
-        grid = np.empty((len(index), 2 * index.shape[1]), dtype=object)
-        grid[:, ::2] = text[index]
-        grid[:, 1::2] = ","
-        grid[:, -1] = "\n"
-        header = ",".join(f"c{i}" for i in range(index.shape[1]))
-        return header + "\n" + "".join(grid.ravel().tolist())
+        header = ",".join(f"c{i}" for i in range(self.planar.shape[1]))
+        return header + "\n" + "".join(hex_grid(self.planar, ",", "\n").ravel().tolist())
 
 
 def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22) -> AuditReport:

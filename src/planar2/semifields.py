@@ -22,9 +22,9 @@ kept because they differ in shape even though each is an isotope:
   * isotope at e:   (x*e) o (y*e) = x*y, identity e*e;
   * left division:  x o y = Le^{-1}(x*y) with Le(x) = x*e, identity e.
 
-Nuclei are read off the associators on basis pairs (the product is
-biadditive, so they are GF(2)-trilinear); for a commutative unital structure
-of these orders, "left nucleus = everything" is the same as being a field.
+Nuclei are kernels of GF(2)-linear maps given by the n basis images a = e_k
+(the associators are trilinear, the product being biadditive); for these
+commutative unital structures, "left nucleus = everything" is a field.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .linearized import LinearizedPoly, inverse_map
 from .planar import DOPoly, FamilyParams, family_coeffs
 from .planar import is_planar_bruteforce  # noqa: F401 (perfbench's tracer looks it up here)
 
-TABLE_N_MAX = 12        # the full 2^n x 2^n table: table() and dump_table
-_NUCLEI_ROWS = 1 << 10  # nuclei test at most this many a at once
+TABLE_N_MAX = 12  # the full 2^n x 2^n table: table() and dump_table
 
 
 class Presemifield:
@@ -245,6 +244,23 @@ class NucleiReport:
         }
 
 
+def _kernel(images) -> list[int]:
+    """The sorted a = sum_k a_k e_k with sum_k a_k images[k] = 0. Image k's
+    element bits, read as one integer, go above n low bits holding 1 << k,
+    and each vector is reduced by top bit against the pivots so far: the
+    low bits of those whose image part reaches zero span the kernel."""
+    n, pivots, basis = len(images), {}, []  # pivots: top bit -> vector
+    for k, image in enumerate(images):
+        v = int.from_bytes(np.asarray(image, dtype="<u4").tobytes(), "little") << n | 1 << k
+        while v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v >> n:
+            pivots[v.bit_length()] = v
+        else:
+            basis.append(v)
+    return np.sort(span(np.array(basis, dtype=np.int64))).tolist()
+
+
 def nuclei(S: Presemifield) -> NucleiReport:
     """Left/middle/right nuclei of a unital semifield. A Presemifield's
     product is biadditive and commutative by construction, so each
@@ -252,21 +268,18 @@ def nuclei(S: Presemifield) -> NucleiReport:
     all x, y iff it does on the basis pairs (e_i, e_j). With
     L[a, i, j] = (a*e_i)*e_j, a gather from the column table, and
     R[a, i, j] = a*(e_i*e_j), a is in the left nucleus iff L[a] = R[a] and
-    in the middle one iff L[a] = L[a]^T (e_i*(a*e_j) = (a*e_j)*e_i). The
-    right nucleus, (x*y)*a = x*(y*a), is the left one read through
-    commutativity. 2^n * n^3 work, _NUCLEI_ROWS values of a at a time."""
+    in the middle one iff L[a] = L[a]^T (e_i*(a*e_j) = (a*e_j)*e_i). Both
+    are linear in a, so each nucleus is the _kernel of its n basis images
+    a = e_k, n^3 bits each. The right nucleus, (x*y)*a = x*(y*a), is the
+    left one read through commutativity."""
     if S.identity is None:
         raise ValueError("nuclei are defined for unital semifields; isotope first")
-    n_ord = S.spec.order
-    found = np.zeros((2, n_ord), dtype=bool)
-    for a0 in range(0, n_ord, _NUCLEI_ROWS):
-        a = np.arange(a0, min(n_ord, a0 + _NUCLEI_ROWS))
-        lhs = S.cols[S.cols[a]]
-        found[0, a] = (lhs == S._mul(a[:, None, None], S.consts)).all(axis=(1, 2))
-        found[1, a] = (lhs == lhs.transpose(0, 2, 1)).all(axis=(1, 2))
-    left, middle = (np.flatnonzero(row).tolist() for row in found)
-    is_assoc = len(left) == n_ord
-    return NucleiReport(left, middle, list(left), is_assoc, is_assoc, n_ord)
+    e = 1 << np.arange(S.spec.n)
+    lhs = S.cols[S.cols[e]]
+    left = _kernel(lhs ^ S._mul(e[:, None, None], S.consts))
+    middle = _kernel(lhs ^ lhs.transpose(0, 2, 1))
+    is_assoc = len(left) == S.spec.order
+    return NucleiReport(left, middle, list(left), is_assoc, is_assoc, S.spec.order)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +324,8 @@ def quartic_example_check(m: int, rng_triples: int = 1000, seed: int = 0) -> dic
     ell = LinearizedPoly(t, [1, wb, 1, w2])
     ell_inv = inverse_map(ell)
 
-    if m == 2:
-        xs = np.arange(spec.order, dtype=np.int64)
-        xg, yg = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
-    else:
-        basis = np.array([1 << i for i in range(spec.n)], dtype=np.int64)
-        xg, yg = (a.ravel() for a in np.meshgrid(basis, basis, indexing="ij"))
+    xs = np.arange(spec.order) if m == 2 else 1 << np.arange(spec.n)  # all of it, or the basis
+    xg, yg = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
 
     frq = lambda arr, j: vec_frob(spec, arr, j * t.m)
     pre = presemifield_from_planar(h)

@@ -9,7 +9,7 @@ import pytest
 
 import planar2 as p2
 from planar2 import linearized, planar, semifields, surfaces
-from planar2.fields import (N_MAX, hex_bits, is_irreducible, lex_chunks, lex_rows, mat_det,
+from planar2.fields import (N_MAX, hex_text, is_irreducible, lex_chunks, lex_rows, mat_det,
                             mat_solve, vec_div, vec_eval, vec_frob, vec_mul)
 
 
@@ -191,19 +191,23 @@ def test_lex_rows_lists_tuples_like_itertools_product():
             itertools.product(range(base), repeat=width))
 
 
-def test_hex_bits_formats_like_an_fstring_per_element():
+def test_hex_text_formats_like_an_fstring_per_element():
+    def strings(a):  # each element's string, nested as a.tolist() nests them
+        text, index = hex_text(a)
+        return text[index].tolist()
+
     rng = np.random.default_rng(20)
     top = (1 << N_MAX) - 1
     rows = rng.integers(0, top + 1, size=(50, 3))
     rows[:5] = [0, 1, top]  # repeated values, both ends of the range
     for a in (rows, rows[:, 0], rows[:0], np.empty((0, 4), dtype=np.int64),
               np.arange(20, dtype=np.int64)):
-        assert hex_bits(a) == (
+        assert strings(a) == (
             [[f"{c:x}" for c in row] for row in a.tolist()] if a.ndim == 2
             else [f"{c:x}" for c in a.tolist()])
-    assert hex_bits(rows[:0]) == [] and hex_bits(np.array([top])) == ["fffff"]
+    assert strings(rows[:0]) == [] and strings(np.array([top])) == ["fffff"]
     with pytest.raises(ValueError, match="nonnegative"):
-        hex_bits(np.array([3, -1]))
+        hex_text(np.array([3, -1]))
 
 
 def test_lex_chunks_list_lex_rows_in_bounded_blocks():

@@ -9,7 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import planar2 as p2
 from planar2 import cli, semifields as sf
-from planar2.fields import BudgetError, vec_frob, vec_mul
+from planar2.fields import N_MAX, BudgetError, vec_frob, vec_mul
 from planar2.planar import DOPoly, FamilyParams, family_coeffs, family_param_space
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -231,6 +231,38 @@ def test_nuclei_agree_with_the_exhaustive_oracle(case):
     assert rep.is_field == rep.is_associative == (len(rep.left) == s.spec.order)
 
 
+@st.composite
+def planted_images(draw):
+    """n <= 8 basis images, each a row of element bits, with planted
+    dependencies at distinct positions: a zero image, an image repeating
+    another, and an image that is the XOR of two others, as far as n allows."""
+    n = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([1, 3, (1 << N_MAX) - 1]))  # small tops collide often
+    images = np.array(draw(st.lists(st.lists(st.integers(0, top), min_size=width,
+                                             max_size=width), min_size=n, max_size=n)))
+    at = draw(st.permutations(range(n)))
+    plants = draw(st.lists(st.sampled_from(["zero", "repeat", "xor"]), unique=True))
+    for plant in plants:
+        used = {"zero": 1, "repeat": 2, "xor": 3}[plant]
+        if used > len(at):
+            continue
+        (target, *sources), at = at[:used], at[used:]
+        images[target] = functools.reduce(np.bitwise_xor, images[sources], 0 * images[target])
+    return images
+
+
+@SETTINGS
+@given(planted_images())
+def test_kernel_lists_every_combination_of_images_that_vanishes(images):
+    n = len(images)
+    want = [a for a in range(1 << n)
+            if not functools.reduce(np.bitwise_xor, images[[k for k in range(n) if a >> k & 1]],
+                                    0 * images[0]).any()]
+    event(f"kernel dimension {len(want).bit_length() - 1}")
+    assert sf._kernel(images) == want
+
+
 @SETTINGS
 @given(semifields(tables=True))
 def test_presemifield_axioms_and_isotope_identity(case):
@@ -276,11 +308,13 @@ def test_constructor_checks_the_structure_constants():
 
 
 def test_nuclei_beyond_the_table_limit_need_no_table():
-    big = sf.field_presemifield(p2.field(sf.TABLE_N_MAX + 1))
-    rep = sf.nuclei(big)
-    assert rep.is_field and len(rep.left) == len(rep.middle) == big.spec.order
-    with pytest.raises(BudgetError):
-        big.table()
+    # at N_MAX, a pass over every a would be 2^n * n^3 work; the kernels are n^4
+    for n in (sf.TABLE_N_MAX + 1, N_MAX):
+        big = sf.field_presemifield(p2.field(n))
+        rep = sf.nuclei(big)
+        assert rep.is_field and len(rep.left) == len(rep.middle) == big.spec.order
+        with pytest.raises(BudgetError):
+            big.table()
 
 
 def test_nuclei_require_identity():
