@@ -67,28 +67,33 @@ _LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.
            type(None): lambda _: "null"}
 
 
-def _json(obj, pad: str = "\n") -> str:
+def _json(obj, pad: str = "\n", tables: dict | None = None) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) for str-keyed objects, at
     the indentation that pad (a newline and spaces) gives, in the same
     bytes, where a 1-D or 2-D integer array stands for the lists of its
     elements' lowercase hex strings (fields.hex_text). With indent, json
     runs its pure-Python encoder, slow on a report's rows; here nonempty
     dicts and lists are walked, an array is laid out by _hex_array (the one
-    table writer), and a nonempty list of scalars is one call of the C
-    encoder. json.dumps writes floats and empty containers."""
+    table writer) once per object and indentation (tables holds the text,
+    so a report that hands one array over under several keys formats it
+    once), and a nonempty list of scalars is one call of the C encoder.
+    json.dumps writes floats and empty containers."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
+    tables = {} if tables is None else tables
     if isinstance(obj, np.ndarray):
-        return _hex_array(obj, pad)
+        if (id(obj), pad) not in tables:
+            tables[id(obj), pad] = _hex_array(obj, pad)
+        return tables[id(obj), pad]
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
-        items = (f"{inner}{_quote(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
+        items = (f"{inner}{_quote(k)}: {_json(v, inner, tables)}" for k, v in sorted(obj.items()))
         return "{" + ",".join(items) + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) <= _SCALARS:
             return f"[{inner}{json.dumps(obj, separators=(',' + inner, ': '))[1:-1]}{pad}]"
-        return "[" + ",".join(inner + _json(v, inner) for v in obj) + pad + "]"
+        return "[" + ",".join(inner + _json(v, inner, tables) for v in obj) + pad + "]"
     return json.dumps(obj)
 
 

@@ -28,9 +28,9 @@ parameter or coefficient spaces; converse sweeps report extras instead of
 asserting their absence, since the necessity direction of the family
 characterizations is asymptotic in m. Converse audits and the sparse
 problem27 search are one search, _support_sweep: every coefficient row of
-bounded support on a list of exponent pairs, one sweep row per scaling
-orbit (kernels.planar_orbit_sweep), while tested and the budget count
-every row. _gapped_layout is the one list of the gapped pairs (i, i + jm):
+bounded support on a list of exponent pairs, one sweep row per orbit
+of scaling and Frobenius (kernels.planar_orbit_sweep), while tested and
+the budget count every row. _gapped_layout is the one list of the gapped pairs (i, i + jm):
 the criteria's coefficient blocks and problem27's k=2 shape. Reports carry
 their coefficient rows as the sweep's int64 arrays, split by boolean
 masks, and hand them to the writer as arrays: cli._json prints each one
@@ -662,7 +662,7 @@ def family_audit(fam: str, t: TowerView, mode: str, budget: int = 1 << 22) -> Au
 def _support_sweep(spec, pairs, support: int, budget: int) -> tuple[int, np.ndarray]:
     """(tested, rows): the planar coefficient rows on the exponent pairs
     (u, v) whose support has at most support columns, found with one sweep
-    row per scaling orbit of each support pattern
+    row per orbit of scaling and Frobenius on each support pattern
     (kernels.planar_orbit_sweep). tested counts every such row,
     sum_(s <= support) C(w, s) (2^n - 1)^s for w pairs, which is order^w at
     support = w; BudgetError when it exceeds budget, before any sweep."""

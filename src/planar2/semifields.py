@@ -232,13 +232,17 @@ class NucleiReport:
     order: int
 
     def to_json(self) -> dict:
+        """The report, each nucleus as an int64 array; equal nuclei share
+        one array, which cli._json formats once."""
+        left = np.array(self.left, dtype=np.int64)
+        middle = left if self.middle == self.left else np.array(self.middle, dtype=np.int64)
+        right = (left if self.right == self.left else
+                 middle if self.right == self.middle else np.array(self.right, dtype=np.int64))
         return {
             "order": self.order,
             "left_size": len(self.left), "middle_size": len(self.middle),
             "right_size": len(self.right),
-            "left": np.array(self.left, dtype=np.int64),
-            "middle": np.array(self.middle, dtype=np.int64),
-            "right": np.array(self.right, dtype=np.int64),
+            "left": left, "middle": middle, "right": right,
             "is_associative": self.is_associative,
             "is_field": self.is_field,
         }
@@ -279,7 +283,7 @@ def nuclei(S: Presemifield) -> NucleiReport:
     left = _kernel(lhs ^ S._mul(e[:, None, None], S.consts))
     middle = _kernel(lhs ^ lhs.transpose(0, 2, 1))
     is_assoc = len(left) == S.spec.order
-    return NucleiReport(left, middle, list(left), is_assoc, is_assoc, S.spec.order)
+    return NucleiReport(left, middle, left, is_assoc, is_assoc, S.spec.order)
 
 
 # ---------------------------------------------------------------------------

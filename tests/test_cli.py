@@ -228,7 +228,10 @@ def test_problem27_report_bytes_match_the_recorded_digest(tmp_path, m, support):
 # planar rows, 119 of them extras), the CSV writer, and a semifield report
 # with the flags it echoes. The P1 m=4 semifield report, with three
 # 256-element nuclei, was recorded at 0.30.0, when nuclei reached the writer
-# as lists of hex strings.
+# as lists of hex strings. The P2 m=3 converse audit and problem27 m=6 were
+# recorded at 0.33.0, when the sweep took one row per scaling orbit only:
+# the P2 m=3 full-support box of 7 * 511 * 511 normal forms spans seven
+# kernels._ORBIT_ROWS blocks.
 GOLDEN_REPORTS = {
     "audit --family P4b --m 2 --mode converse --budget 16777216":
         "ab31feba3d065cc96e9d10cdb5a8080f5d8fb615520eefef44d0b99307f7cc1c",
@@ -238,6 +241,10 @@ GOLDEN_REPORTS = {
         "c088f28c1a66b57aaa803c29e39095ba49af222cc940fef56fa2cd3f1b36c9ca",
     "semifield --family P1 --m 4 --coeffs 3":
         "9ec3aca5dc4fbd18a9fe93592d84cfe9ea19ac39fbef326d12829376d73b401d",
+    "audit --family P2 --m 3 --mode converse --budget 1099511627776":
+        "d297edbd5a959bbc0be16ac48f1d8acbfe75855b8219c33804171e398b2d4f0d",
+    "problem27 --m 6 --support 2 --budget 1099511627776":
+        "80d81a6f2bcda40496dec7ca1f68355d0e4d521c6a2e5dd0cd226acab1b06e8c",
 }
 
 

@@ -5,8 +5,9 @@ kernel's blocks, through the threaded sweep and on whole sufficiency spaces;
 the column-table rank test must agree with a product table's injectivity,
 and the presemifield constructor must reject exactly the rows the sweep
 rejects; fields.span must be a scalar XOR loop; and the sweep of one row per
-scaling orbit must find what a full sweep finds, and each row's scaling
-normal form must have the row's verdict."""
+orbit of scaling and Frobenius must find what a full sweep finds, those
+orbits must cover every row once, and each row's scaling normal form must
+have the row's verdict."""
 
 import contextlib
 import functools
@@ -241,6 +242,34 @@ def test_orbit_sweep_matches_the_full_sweep_and_lists_each_orbit_once(shape, row
     shared = any(math.gcd(d, p1) not in (1, p1) for d in shifts.tolist())
     event(f"d=0 {fixed} shared-factor d {shared} "
           f"multi-position {max(map(len, patterns)) > 1} planar {len(want) > 0}")
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(orbit_shapes(), st.sampled_from([None, 61]))
+def test_frobenius_leaders_cover_every_row_once(shape, rows_cap):
+    # each leader's Frobenius conjugates below its cycle length, then their
+    # scaling orbits: the orbits of scaling and Frobenius together must list
+    # every row of the patterns exactly once, so no orbit is missed and no
+    # two leaders share one
+    spec, exps, patterns = shape
+    full = pattern_rows(spec, len(exps), patterns)
+    shifts = kernels._scaling_shifts(spec.n, exps)
+    with kernel_constant("_ORBIT_ROWS", rows_cap or kernels._ORBIT_ROWS):
+        blocks = list(kernels._frobenius_leaders(spec, shifts, patterns))
+        images = [kernels._scaled_images(spec, shifts, box.conjugates(spec, rows, cycle),
+                                         box.orbit) for rows, cycle, box in blocks]
+    images = np.concatenate([np.empty((0, len(exps)), dtype=np.int64), *images])
+    assert len(images) == len(full)
+    assert np.array_equal(np.unique(images, axis=0), np.unique(full, axis=0))
+    # every leader is a scaling normal form
+    leaders = np.concatenate([np.empty((0, len(exps)), dtype=np.int64),
+                              *(rows for rows, _, _ in blocks)])
+    assert np.array_equal(kernels.normal_form(spec, exps, leaders), leaders)
+    p1 = spec.order - 1
+    fixed = any(d == 0 for d in shifts.tolist())
+    shared = any(math.gcd(d, p1) not in (1, p1) for d in shifts.tolist())
+    forms = sum(len(rows) for rows, _ in kernels._normal_forms(spec, shifts, patterns))
+    event(f"d=0 {fixed} shared-factor d {shared} fewer leaders than forms {len(leaders) < forms}")
 
 
 @pytest.mark.parametrize("fam,m", [

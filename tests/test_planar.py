@@ -707,10 +707,15 @@ def test_offdiagonal_search_is_one_sweep_of_the_whole_shape(monkeypatch):
 
     monkeypatch.setattr(kernels, "planar_sweep", counted)
     rep = offdiagonal_search(t, 2)
-    # one call on the scaling normal forms of every support of size <= 2:
-    # d_i = 9*2^i - 2 = 7, 16, 34 mod 63 gives 1 (empty) + 7 + 1 + 1 (one
-    # position) + 3 * 63 (two positions) rows, not the 12,097 vectors tested
-    assert calls == [([1 + 8, 2 + 16, 4 + 32], (1 + 7 + 1 + 1 + 3 * 63, 3))]
+    # one call on the Frobenius leaders among the scaling normal forms of
+    # every support of size <= 2. d_i = 9*2^i - 2 = 7, 16, 34 mod 63 gives
+    # boxes of 1 (empty), 7 + 1 + 1 (one position) and 3 * 63 (two
+    # positions) normal forms; Frobenius doubles logs, so it acts on the box
+    # [0, 7) as x -> 2x mod 7 with 3 cycles, and on each 63-row box, the
+    # quotient Z/63 of the logs by the scaling shifts, as doubling, whose
+    # cycles are the 13 cyclotomic cosets of 2 mod 63. So 1 + 3 + 1 + 1 +
+    # 3 * 13 rows, not the 199 normal forms or the 12,097 vectors tested
+    assert calls == [([1 + 8, 2 + 16, 4 + 32], (1 + 3 + 1 + 1 + 3 * 13, 3))]
     assert rep["tested"] == 1 + 3 * 63 + 3 * 63 ** 2
 
 
