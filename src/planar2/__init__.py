@@ -12,7 +12,7 @@ test, and a definition check on full value tables as the independent
 oracle.
 """
 
-__version__ = "0.34.0"
+__version__ = "0.35.0"
 
 from .fields import BudgetError, Fe, FieldSpec, TowerView, field, smallest_irreducible, tower
 from .linearized import (LinearizedPoly, dickson_det, inverse_map, is_permutation,

@@ -26,17 +26,17 @@ bijection for every nonzero a. Two independent implementations decide it:
     scaling f -> mu^-2 f(mu x) and the Galois conjugation
     f -> sigma o f o sigma^-1, sigma(x) = x^2, which squares every
     coefficient. On the logs L of a row's coefficients they act as
-    L -> 2^i L + j*d, a group of order up to n(2^n - 1), and the planar
-    rows are expanded back into their orbits. The scaling normal forms,
-    one row per scaling orbit, fill one box per support pattern
-    (_normal_form_box), and normal_form maps given rows to them by the
-    box's walk (_box_walk), so a caller that holds the rows, such as a
-    sufficiency audit, sweeps only their distinct normal forms. Frobenius
-    permutes each box as pi(x) = the normal form of 2x, which is
+    L -> 2^i L + j*d, a group of order up to n(2^n - 1). One class,
+    _PatternBox, knows a support pattern's box of scaling normal forms,
+    one row per scaling orbit: its bounds, its walk, which normal_form
+    uses too, so that a caller that holds the rows, such as a sufficiency
+    audit, sweeps only their distinct normal forms; the Frobenius
+    permutation pi(x) = the normal form of 2x, which is
     (pi_S(x_S), 2*x_F + J(x_S)*d_F mod 2^n - 1) over the coordinates S
     the walk constrains and the free ones F, J the scaling exponent the
-    walk adds; the sweep takes one leader per pi-cycle, the normal form of
-    least box index among those of a row's n conjugates (_PatternBox).
+    walk adds; its leaders, one per pi-cycle, the normal form of least box
+    index among those of a row's n conjugates; and the expansion of the
+    planar leaders back into their orbits.
   * planar_check_table, the definition on a full value table, for any f.
     D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2, so D_a
     is a bijection iff min(v, v + a^2) takes distinct values on a
@@ -445,63 +445,14 @@ def _scaling_shifts(n: int, exponents) -> np.ndarray:
     return np.array([(reduced_exponent(n, e) - 2) % p1 for e in exponents], dtype=np.int64)
 
 
-def _normal_form_box(p1: int, shifts: np.ndarray, pattern) -> tuple[list[int], list[int], int]:
-    """(bounds, steps, orbit) for the rows with support pattern
-    (t_1 < ... < t_r): the normal forms are the rows with log c_(t_i) in
-    [0, bounds[i]), the j that keep log c_(t_1) .. log c_(t_(i-1)) are the
-    multiples of steps[i], and every orbit has orbit rows.
-
-    j in Z/p1 adds j*d_t to log c_t. The shifts of the first coordinate
-    are the multiples of g_1 = gcd(d_(t_1), p1), so log c_(t_1) has one
-    value in [0, g_1) per orbit, and the j that keep it are the multiples
-    of step = p1/g_1. They shift the next coordinate by the multiples of
-    g_2 = gcd(step*d_(t_2), p1), and keep it for the multiples of
-    step*p1/g_2; and so on. At the end the stabilizer is the multiples of
-    step, which has p1/gcd(step, p1) elements, so orbit = gcd(step, p1)."""
-    step, steps, bounds = 1, [], []
-    for t in pattern:
-        steps.append(step)
-        bounds.append(math.gcd(step * int(shifts[t]), p1))
-        step *= p1 // bounds[-1]
-    return bounds, steps, math.gcd(step, p1)
-
-
-def _box_walk(p1: int, d: np.ndarray, bounds, steps, logs: np.ndarray) -> None:
-    """Move each column of logs, the logs in [0, p1) of the coefficients on
-    a support pattern with shifts d and _normal_form_box's bounds and
-    steps, one row per coordinate, to its normal form, in place.
-
-    At t_i the j that keep the coordinates before it are the multiples of
-    step, and j = step*y adds y*D to L = log c_(t_i), D = step*d_t mod p1.
-    That reaches L plus the multiples of g = gcd(D, p1), so
-    y = -(L div g) / (D/g) mod p1/g, one modular inverse per coordinate,
-    takes L to L mod g in [0, g). Any y of that class does, so j is taken
-    as step*y mod p1 with y unreduced, and L mod g is taken directly.
-    Adding j*d_t to every coordinate leaves the earlier ones where they
-    are, so only the later ones are updated. A coordinate with g = p1 is
-    free: no such j moves it, so the walk reads it nowhere and only adds
-    the sum J of the j to it, J*d_t. Coordinates are rows, so that each
-    numpy call runs over contiguous memory."""
-    for i, (g, step) in enumerate(zip(bounds, steps)):
-        if g < p1:
-            if i + 1 < len(bounds):
-                m = p1 // g
-                j = logs[i] // g * (-step * pow(step * int(d[i]) % p1 // g, -1, m) % p1) % p1
-                later = logs[i + 1:]
-                later += d[i + 1:, None] * j
-                later %= p1
-            logs[i] %= g
-
-
 def normal_form(spec, exponents, rows: np.ndarray) -> np.ndarray:
     """The normal form of each coefficient row of the shape x^exponents[t]:
     the one row of its orbit under the scaling f -> mu^-2 f(mu x), which
-    keeps planarity (planar_orbit_sweep), that lies in _normal_form_box's
-    box for its support pattern. Equal rows for rows of one orbit, the row
-    itself for a normal form, int64 like the rows. The rows of one support
-    pattern go together, through the box's walk (_box_walk)."""
+    keeps planarity (planar_orbit_sweep), that lies in the _PatternBox of
+    its support pattern. Equal rows for rows of one orbit, the row itself
+    for a normal form, int64 like the rows. The rows of one support
+    pattern go together, through the box's walk."""
     rows = np.asarray(rows, dtype=np.int64)
-    p1 = spec.order - 1
     shifts = _scaling_shifts(spec.n, exponents)
     out = np.zeros_like(rows)
     support = (rows != 0) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
@@ -509,167 +460,175 @@ def normal_form(spec, exponents, rows: np.ndarray) -> np.ndarray:
         pattern = [t for t in range(rows.shape[1]) if key >> t & 1]
         at = np.ix_(np.flatnonzero(support == key), pattern)
         logs = np.ascontiguousarray(spec.log[rows[at]].T)
-        bounds, steps, _ = _normal_form_box(p1, shifts, pattern)
-        _box_walk(p1, shifts[pattern], bounds, steps, logs)
+        _PatternBox(spec, shifts, pattern).walk(logs)
         out[at] = spec.exp[logs.T]
     return out
 
 
 class _PatternBox:
-    """The box of one support pattern's scaling normal forms, and the
-    Frobenius permutation pi of it. Box rows are held as logs, one row per
-    coordinate and one column per box row, as _box_walk takes them.
+    """The box of one support pattern's scaling normal forms, its walk, and
+    the Frobenius permutation pi of it. Box rows are held as logs, one row
+    per coordinate and one column per box row, so that each numpy call of
+    the walk runs over contiguous memory.
 
-    bounds, steps and orbit are _normal_form_box's; a row's box index is
-    its place in lexicographic order (fields.lex_chunks over bounds).
+    For the pattern (t_1 < ... < t_r), the normal forms are the rows with
+    log c_(t_i) in [0, bounds[i]), the j that keep log c_(t_1) ..
+    log c_(t_(i-1)) are the multiples of steps[i], and every scaling orbit
+    has orbit rows. j in Z/p1 adds j*d_t to log c_t. The shifts of the
+    first coordinate are the multiples of g_1 = gcd(d_(t_1), p1), so
+    log c_(t_1) has one value in [0, g_1) per orbit, and the j that keep it
+    are the multiples of step = p1/g_1. They shift the next coordinate by
+    the multiples of g_2 = gcd(step*d_(t_2), p1), and keep it for the
+    multiples of step*p1/g_2; and so on. At the end the stabilizer is the
+    multiples of step, which has p1/gcd(step, p1) elements, so
+    orbit = gcd(step, p1). A row's box index is its lexicographic place.
+
     c -> c^2 on every coefficient doubles every log and keeps the support,
     so it maps scaling orbits to scaling orbits, and pi(x), the normal form
     of 2x mod p1, is a permutation of the box; pi^i(x) is the normal form
-    of 2^i x, one _box_walk, and pi^n = 1. The walk constrains the
-    coordinates S with bound < p1 and reads no free one (F), so
+    of 2^i x, one walk, and pi^n = 1. The walk constrains the coordinates
+    S with bound < p1 and reads no free one (F), so
     pi(x) = (pi_S(x_S), 2*x_F + J(x_S)*d_F mod p1), with pi_S and J the
     walk on the doubled x_S; and as it goes from the first coordinate to
-    the last, the first j coordinates of pi(x) depend on those of x alone.
-
+    the last, the first w coordinates of pi(x) depend on those of x alone.
     So the leaders, the rows of least box index in their pi-cycles, are
-    found prefix first. The prefixes over the first k coordinates, the most
-    whose box has at most _ORBIT_ROWS rows, take one walk: it gives pi as a
-    permutation of their indices, and each further power is one gather
-    (_prefix_cycles). A row leads only if its prefix leads in the prefix's
-    own pi-cycle, of some length c | n, and pi^i moves such a prefix up
-    unless c | i. So only the tails of leading prefixes are ever listed,
-    and only those of prefixes with c < n are walked, at the powers
-    c, 2c, .. < n (_settle)."""
+    found prefix first (leaders)."""
 
-    def __init__(self, p1: int, shifts: np.ndarray, pattern):
-        self.p1, self.pattern, self.width = p1, list(pattern), shifts.size
-        self.d = shifts[self.pattern]
-        self.bounds, self.steps, self.orbit = _normal_form_box(p1, shifts, pattern)
-        self.weights = np.array([math.prod(self.bounds[i + 1:]) for i in range(len(pattern))],
-                                dtype=np.int64)  # box index = weights @ logs
-        self.k = 0
-        while self.k < len(self.bounds) and math.prod(self.bounds[:self.k + 1]) <= _ORBIT_ROWS:
-            self.k += 1
+    def __init__(self, spec, shifts: np.ndarray, pattern):
+        self.spec, self.pattern, self.width = spec, list(pattern), shifts.size
+        self.p1, self.d = spec.order - 1, shifts[self.pattern]
+        step, self.steps, self.bounds = 1, [], []
+        for d in self.d.tolist():
+            self.steps.append(step)
+            self.bounds.append(math.gcd(step * d, self.p1))
+            step *= self.p1 // self.bounds[-1]
+        self.orbit = math.gcd(step, self.p1)
 
-    def rows(self, spec, logs: np.ndarray) -> np.ndarray:
+    def walk(self, logs: np.ndarray) -> None:
+        """Move each column of logs, the logs in [0, p1) of the first
+        len(logs) coordinates of rows on the pattern, to the first
+        len(logs) coordinates of its normal form, in place.
+
+        At t_i the j that keep the coordinates before it are the multiples
+        of step, and j = step*y adds y*D to L = log c_(t_i),
+        D = step*d_t mod p1. That reaches L plus the multiples of
+        g = gcd(D, p1), so y = -(L div g) / (D/g) mod p1/g, one modular
+        inverse per coordinate, takes L to L mod g in [0, g). Any y of that
+        class does, so j is taken as step*y mod p1 with y unreduced, and
+        L mod g is taken directly. Adding j*d_t to every coordinate leaves
+        the earlier ones where they are, so only the later ones are
+        updated. A coordinate with g = p1 is free: no such j moves it, so
+        the walk reads it nowhere and only adds the sum J of the j to it,
+        J*d_t."""
+        p1, d, w = self.p1, self.d[:len(logs)], len(logs)
+        for i, (g, step) in enumerate(zip(self.bounds[:w], self.steps)):
+            if g < p1:
+                if i + 1 < w:
+                    m = p1 // g
+                    j = logs[i] // g * (-step * pow(step * int(d[i]) % p1 // g, -1, m) % p1) % p1
+                    later = logs[i + 1:]
+                    later += d[i + 1:, None] * j
+                    later %= p1
+                logs[i] %= g
+
+    def rows(self, logs: np.ndarray) -> np.ndarray:
         """The coefficient rows, zero off the pattern, of box rows' logs."""
         rows = np.zeros((logs.shape[1], self.width), dtype=np.int64)
-        rows[:, self.pattern] = spec.exp[logs.T]
+        rows[:, self.pattern] = self.spec.exp[logs.T]
         return rows
 
     def _power(self, x: np.ndarray, i: int) -> np.ndarray:
         """pi^i on the first len(x) coordinates of box rows' logs."""
-        w = len(x)
         y = x * pow(2, i, self.p1) % self.p1
-        _box_walk(self.p1, self.d[:w], self.bounds[:w], self.steps[:w], y)
+        self.walk(y)
         return y
 
-    def _prefix_cycles(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(prefixes, cycle): the logs of the leading prefixes over the
-        first k coordinates, in lexicographic order, and the lengths of
-        their pi-cycles."""
-        bounds = self.bounds[:self.k]
-        x = np.indices(bounds, dtype=np.int64).reshape(self.k, math.prod(bounds))
-        if x.shape[1] == 1:
-            return x, np.ones(1, dtype=np.int64)
-        pi = self.weights[:self.k] // math.prod(self.bounds[self.k:]) @ self._power(x, 1)
-        index = np.arange(x.shape[1])
-        least, image = index.copy(), index
-        for _ in range(n - 1):
-            image = pi[image]
-            np.minimum(least, image, out=least)
-        heads = np.flatnonzero(least == index)
-        cycle, image = np.full(len(heads), n, dtype=np.int64), heads
-        for i in range(1, n):
-            image = pi[image]
-            cycle[(image == heads) & (cycle == n)] = i
-        return x[:, heads], cycle
+    def leaders(self):
+        """(rows, cycle) blocks of about _ORBIT_ROWS leaders, in box order,
+        as coefficient rows, with the lengths of their pi-cycles.
 
-    def _settle(self, logs: np.ndarray, cycle: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        The prefixes over the first k coordinates, the most whose box has
+        at most _ORBIT_ROWS rows, take one walk: it gives pi as a
+        permutation of their indices, and each further power is one gather.
+        The least index over a prefix's n images finds the leading
+        prefixes, and a second pass over those alone finds the length
+        c | n of each one's pi-cycle. A row leads only if its prefix leads
+        in the prefix's own pi-cycle, and pi^i moves such a prefix up
+        unless c | i. So only the tails of leading prefixes are listed, in
+        blocks, and only those of prefixes with c < n are walked, at the
+        powers c, 2c, .. < n (_settle). The weights of the box index are
+        built here: a normal_form box (Knuth's 9 columns of 9 bits) overflows."""
+        n, bounds = self.spec.n, self.bounds
+        k = 0
+        while k < len(bounds) and math.prod(bounds[:k + 1]) <= _ORBIT_ROWS:
+            k += 1
+        x = np.indices(bounds[:k], dtype=np.int64).reshape(k, math.prod(bounds[:k]))
+        cycle = np.ones(1, dtype=np.int64)
+        if x.shape[1] > 1:
+            weights = np.array([math.prod(bounds[i + 1:k]) for i in range(k)], dtype=np.int64)
+            pi = weights @ self._power(x, 1)
+            index = np.arange(x.shape[1])
+            least, image = index.copy(), index
+            for _ in range(n - 1):
+                image = pi[image]
+                np.minimum(least, image, out=least)
+            heads = np.flatnonzero(least == index)
+            cycle, image = np.full(len(heads), n, dtype=np.int64), heads
+            for i in range(1, n):
+                image = pi[image]
+                cycle[(image == heads) & (cycle == n)] = i
+            x = x[:, heads]
+        if k == len(bounds):
+            yield self.rows(x), cycle
+            return
+        weights = np.array([math.prod(bounds[i + 1:]) for i in range(len(bounds))], dtype=np.int64)
+        tail = bounds[k:]
+        per = max(1, _ORBIT_ROWS // math.prod(tail))
+        for h in range(0, x.shape[1], per):
+            heads = x[:, h:h + per]
+            for tail_logs in lex_chunks(tail, _ORBIT_ROWS):
+                logs = np.empty((len(bounds), heads.shape[1], len(tail_logs)), dtype=np.int64)
+                logs[:k] = heads[:, :, None]
+                logs[k:] = tail_logs.T[:, None]
+                logs = logs.reshape(len(bounds), -1)
+                lengths = np.repeat(cycle[h:h + per], len(tail_logs))
+                lead, lengths = self._settle(weights, logs, lengths)
+                logs, lengths = logs[:, lead], lengths[lead]  # the unfiltered block is freed here
+                yield self.rows(logs), lengths
+
+    def _settle(self, weights: np.ndarray, logs: np.ndarray, cycle: np.ndarray):
         """(lead, cycle) for box rows whose prefix leads in a pi-cycle of
         the given length c | n: whether each row leads in its own pi-cycle,
         and that cycle's length, the first multiple of c whose power fixes
         the row. Only the powers c, 2c, .. < n keep the prefix, so only they
         are walked, and a row leaves at the first that moves it down or
         back to itself."""
-        index = self.weights @ logs
+        n, index = self.spec.n, weights @ logs
         lead = np.ones(len(index), dtype=bool)
         out = np.full(len(index), n, dtype=np.int64)
         for c in np.unique(cycle[cycle < n]).tolist():
             rows = np.flatnonzero(cycle == c)
             for i in range(c, n, c):
-                image = self.weights @ self._power(logs[:, rows], i)
+                image = weights @ self._power(logs[:, rows], i)
                 lead[rows[image < index[rows]]] = False
                 out[rows[image == index[rows]]] = i
                 rows = rows[image > index[rows]]
         return lead, out
 
-    def leaders(self, spec):
-        """(rows, cycle) blocks of about _ORBIT_ROWS leaders, in box order,
-        as coefficient rows, with the lengths of their pi-cycles: each
-        leading prefix followed by every tail over the coordinates after the
-        first k (_tail_leaders)."""
-        prefixes, cycle = self._prefix_cycles(spec.n)
-        if self.k == len(self.bounds):
-            yield self.rows(spec, prefixes), cycle
-            return
-        tail = self.bounds[self.k:]
-        per = max(1, _ORBIT_ROWS // math.prod(tail))
-        for h in range(0, prefixes.shape[1], per):
-            for tail_logs in lex_chunks(tail, _ORBIT_ROWS):
-                yield self._tail_leaders(spec, prefixes[:, h:h + per], cycle[h:h + per], tail_logs)
-
-    def _tail_leaders(self, spec, heads: np.ndarray, cycle: np.ndarray, tail_logs: np.ndarray):
-        """(rows, cycle) for the leaders among the box rows that are a
-        leading prefix, a column of heads whose pi-cycle has the length
-        given in cycle, followed by a row of tail_logs: those _settle keeps."""
-        logs = np.empty((len(self.bounds), heads.shape[1], len(tail_logs)), dtype=np.int64)
-        logs[:self.k] = heads[:, :, None]
-        logs[self.k:] = tail_logs.T[:, None]
-        logs = logs.reshape(len(self.bounds), -1)
-        lead, lengths = self._settle(logs, np.repeat(cycle, len(tail_logs)), spec.n)
-        return self.rows(spec, logs[:, lead]), lengths[lead]
-
-    def conjugates(self, spec, rows: np.ndarray, cycle: np.ndarray) -> np.ndarray:
-        """Rows of this box followed by their Frobenius conjugates, every
-        coefficient c replaced by c^(2^i), for 0 < i < the row's cycle
-        length: one row in each scaling orbit of the row's orbit under both
-        groups, since the conjugate, logs 2^i x, lies in the scaling orbit
-        of pi^i(x)."""
-        logs, found = spec.log[rows[:, self.pattern].T], [rows]
-        for i in range(1, int(cycle.max(initial=1))):
-            found.append(self.rows(spec, logs[:, cycle > i] * pow(2, i, self.p1) % self.p1))
-        return np.concatenate(found)
-
-
-def _normal_forms(spec, shifts: np.ndarray, patterns):
-    """(rows, orbit) blocks: the normal forms of each support pattern as
-    coefficient rows (zero off the pattern), listed by fields.lex_chunks
-    over their box, and the orbit size they share."""
-    for pattern in patterns:
-        box = _PatternBox(spec.order - 1, shifts, pattern)
-        for logs in lex_chunks(box.bounds, _ORBIT_ROWS):
-            yield box.rows(spec, logs.T), box.orbit
-
-
-def _frobenius_leaders(spec, shifts: np.ndarray, patterns):
-    """(rows, cycle, box) blocks: the leaders (_PatternBox.leaders) of each
-    support pattern's normal forms as coefficient rows, the lengths of
-    their pi-cycles, and their _PatternBox: one row per orbit of scaling
-    and Frobenius together."""
-    for pattern in patterns:
-        box = _PatternBox(spec.order - 1, shifts, pattern)
-        for rows, cycle in box.leaders(spec):
-            yield rows, cycle, box
-
-
-def _scaled_images(spec, shifts: np.ndarray, rows: np.ndarray, orbit: int) -> np.ndarray:
-    """The orbit of each row under scaling, j < orbit: exp[log c_t + j*d_t
-    mod p1], one gather, zero coefficients staying zero (log 0 points into
-    the zeros of exp)."""
-    j = np.arange(orbit, dtype=np.int64)[:, None, None]
-    images = spec.exp[spec.log[rows] + j * shifts % (spec.order - 1)]
-    return images.reshape(-1, shifts.size).astype(np.int64)
+    def expand(self, rows: np.ndarray, cycle: np.ndarray) -> np.ndarray:
+        """Every row of the orbits of rows of this box under scaling and
+        Frobenius, given the lengths of their pi-cycles: the conjugates
+        2^i x of each row's logs x, 0 <= i < its cycle length, one row in
+        each scaling orbit of its pi-cycle (the conjugate 2^i x lies in the
+        scaling orbit of pi^i(x)), and then their scaling orbits, j*d added
+        for j < orbit (logs below 2*p1, which exp reads). No row twice,
+        since those scaling orbits are disjoint and each has orbit rows."""
+        logs = self.spec.log[rows[:, self.pattern].T]
+        conjugates = np.concatenate([logs, *(logs[:, cycle > i] * pow(2, i, self.p1) % self.p1
+                                             for i in range(1, int(cycle.max(initial=1))))], axis=1)
+        j = np.arange(self.orbit, dtype=np.int64)[:, None]
+        images = conjugates[:, None, :] + self.d[:, None, None] * j % self.p1
+        return self.rows(images.reshape(len(self.d), self.orbit * conjugates.shape[1]))
 
 
 def _batches(blocks, cap: int):
@@ -700,29 +659,24 @@ def planar_orbit_sweep(spec, exponents, patterns) -> np.ndarray:
     has coefficient c_t^2 on x^e_t, and D_a h = sigma o D_(sigma^-1 a) f
     o sigma^-1, so h is planar iff f is: it doubles every log. Together
     they act on the logs as L -> 2^i L + j*d, a group of order up to
-    n(2^n - 1). Its orbits are the pi-cycles of scaling orbits: pi(x) is
-    the normal form of 2x in the box of x's pattern (_PatternBox), which
-    is pi(x) = (pi_S(x_S), 2*x_F + J(x_S)*d_F mod 2^n - 1) over the
-    coordinates S that the scaling walk constrains and the free ones F,
-    J the scaling exponent the walk adds. The sweep takes the leader of
-    each cycle, the normal form of least box index among those of its n
-    conjugates. The leaders go through planar_sweep in batches of about
-    _ORBIT_ROWS rows, one call per batch on the calling thread, and each
-    planar one is expanded into its conjugates 2^i x, i below its cycle
-    length, one per scaling orbit of its cycle (_PatternBox.conjugates),
-    and those into their scaling orbits (_scaled_images). That lists
-    every planar row once: the orbits are disjoint, each is the union of
-    the cycle's scaling orbits, and each scaling orbit has exactly orbit
-    rows. So one np.lexsort over the columns, last column first, sorts
-    the rows, with no dedup; it also sorts rows too wide for one int64
-    key, such as problem27's m columns."""
+    n(2^n - 1). Its orbits are the pi-cycles of scaling orbits, pi(x) the
+    normal form of 2x in the _PatternBox of x's pattern, and the sweep
+    takes the leader of each cycle, the normal form of least box index
+    among those of its n conjugates (_PatternBox.leaders). The leaders go
+    through planar_sweep in batches of about _ORBIT_ROWS rows, one call
+    per batch on the calling thread, and each planar one is expanded into
+    its orbit (_PatternBox.expand). That lists every planar row once, since
+    the orbits are disjoint, so one np.lexsort over the columns, last
+    column first, sorts the rows, with no dedup; it also sorts rows too
+    wide for one int64 key, such as problem27's m columns."""
     shifts = _scaling_shifts(spec.n, exponents)
+    boxes = (_PatternBox(spec, shifts, pattern) for pattern in patterns)
     found = [np.empty((0, shifts.size), dtype=np.int64)]
-    for batch in _batches(_frobenius_leaders(spec, shifts, patterns), _ORBIT_ROWS):
+    for batch in _batches(((rows, cycle, box) for box in boxes for rows, cycle in box.leaders()),
+                          _ORBIT_ROWS):
         mask = planar_sweep(spec, exponents, np.concatenate([rows for rows, _, _ in batch]))
         ends = np.cumsum([len(rows) for rows, _, _ in batch])
         for (rows, cycle, box), ok in zip(batch, np.split(mask, ends[:-1])):
-            conjugates = box.conjugates(spec, rows[ok], cycle[ok])
-            found.append(_scaled_images(spec, shifts, conjugates, box.orbit))
+            found.append(box.expand(rows[ok], cycle[ok]))
     found = np.concatenate(found)
     return found[np.lexsort(found.T[::-1])]

@@ -205,6 +205,11 @@ def orbit_shapes(draw):
     return p2.field(n), exps, patterns
 
 
+def box_logs(box) -> np.ndarray:
+    """Every row of a _PatternBox as logs, one row per coordinate, in box order."""
+    return np.indices(box.bounds, dtype=np.int64).reshape(len(box.bounds), math.prod(box.bounds))
+
+
 def pattern_rows(spec, width, patterns) -> np.ndarray:
     """Every coefficient row whose support is one of patterns."""
     blocks = []
@@ -229,12 +234,13 @@ def test_orbit_sweep_matches_the_full_sweep_and_lists_each_orbit_once(shape, row
     assert got.dtype == np.int64 and np.array_equal(got, want)
     listed = [tuple(r) for r in got.tolist()]
     assert listed == sorted(set(listed))  # each planar row once, in lexicographic order
-    # the orbits of the listed normal forms cover every row exactly once
+    # the scaling orbits of every box's normal forms cover every row exactly once
     shifts = kernels._scaling_shifts(spec.n, exps)
-    blocks = list(kernels._normal_forms(spec, shifts, patterns))
-    assert sum(orbit * len(reps) for reps, orbit in blocks) == len(full)
-    images = np.concatenate([kernels._scaled_images(spec, shifts, reps, orbit)
-                             for reps, orbit in blocks])
+    boxes = [kernels._PatternBox(spec, shifts, pattern) for pattern in patterns]
+    forms = [box.rows(box_logs(box)) for box in boxes]
+    assert sum(box.orbit * len(reps) for box, reps in zip(boxes, forms)) == len(full)
+    images = np.concatenate([box.expand(reps, np.ones(len(reps), dtype=np.int64))  # no Frobenius
+                             for box, reps in zip(boxes, forms)])
     assert len(images) == len(full) and np.array_equal(np.unique(images, axis=0),
                                                        np.unique(full, axis=0))
     p1 = spec.order - 1
@@ -254,10 +260,10 @@ def test_frobenius_leaders_cover_every_row_once(shape, rows_cap):
     spec, exps, patterns = shape
     full = pattern_rows(spec, len(exps), patterns)
     shifts = kernels._scaling_shifts(spec.n, exps)
+    boxes = [kernels._PatternBox(spec, shifts, pattern) for pattern in patterns]
     with kernel_constant("_ORBIT_ROWS", rows_cap or kernels._ORBIT_ROWS):
-        blocks = list(kernels._frobenius_leaders(spec, shifts, patterns))
-        images = [kernels._scaled_images(spec, shifts, box.conjugates(spec, rows, cycle),
-                                         box.orbit) for rows, cycle, box in blocks]
+        blocks = [(rows, cycle, box) for box in boxes for rows, cycle in box.leaders()]
+    images = [box.expand(rows, cycle) for rows, cycle, box in blocks]
     images = np.concatenate([np.empty((0, len(exps)), dtype=np.int64), *images])
     assert len(images) == len(full)
     assert np.array_equal(np.unique(images, axis=0), np.unique(full, axis=0))
@@ -268,8 +274,31 @@ def test_frobenius_leaders_cover_every_row_once(shape, rows_cap):
     p1 = spec.order - 1
     fixed = any(d == 0 for d in shifts.tolist())
     shared = any(math.gcd(d, p1) not in (1, p1) for d in shifts.tolist())
-    forms = sum(len(rows) for rows, _ in kernels._normal_forms(spec, shifts, patterns))
+    forms = sum(math.prod(box.bounds) for box in boxes)
     event(f"d=0 {fixed} shared-factor d {shared} fewer leaders than forms {len(leaders) < forms}")
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(orbit_shapes())
+def test_walking_a_prefix_gives_the_prefix_of_the_full_walk(shape):
+    # the leader search reads pi on prefixes of box rows: that is sound only
+    # if the walk sets coordinate i from coordinates 0..i alone. Every
+    # support pattern of the exponents, on 2^12 rows of random logs
+    spec, exps, _ = shape
+    shifts = kernels._scaling_shifts(spec.n, exps)
+    rng = np.random.default_rng(spec.n * 8 + len(exps))
+    for r in range(len(exps) + 1):
+        for pattern in itertools.combinations(range(len(exps)), r):
+            box = kernels._PatternBox(spec, shifts, pattern)
+            logs = rng.integers(0, spec.order - 1, (r, 1 << 12))
+            full = logs.copy()
+            box.walk(full)
+            assert (full < np.array(box.bounds, dtype=np.int64)[:, None]).all()
+            for w in range(r + 1):
+                prefix = logs[:w].copy()
+                box.walk(prefix)
+                assert np.array_equal(prefix, full[:w])
+    event(f"exponents {len(exps)}")
 
 
 @pytest.mark.parametrize("fam,m", [

@@ -358,7 +358,7 @@ def test_normal_form_is_one_row_per_scaling_orbit_inside_the_box(case):
     assert np.array_equal(kernels.normal_form(spec, exps, scaled), nf)
     for row in nf.tolist():
         pattern = [t for t, c in enumerate(row) if c]
-        bounds, _, _ = kernels._normal_form_box(p1, shifts, pattern)
+        bounds = kernels._PatternBox(spec, shifts, pattern).bounds
         assert all(spec.log[row[t]] < b for t, b in zip(pattern, bounds))
     event(f"moved {not np.array_equal(nf, rows)} n {spec.n}")
 

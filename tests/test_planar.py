@@ -662,6 +662,23 @@ def test_sufficiency_sweeps_one_row_per_scaling_orbit(monkeypatch, fam, m, forms
     assert len(rep.planar) == rep.tested and len(rep.failures) == 0
 
 
+@pytest.mark.parametrize("fam, m, leaders", [
+    ("P1", 2, 9), ("P1", 3, 18), ("P1", 4, 42), ("P1", 5, 116), ("P3", 2, 716),
+    ("P2", 2, 2118), ("P4a", 2, 24798), ("P4b", 2, 24798)])
+def test_converse_sweeps_one_row_per_orbit(monkeypatch, fam, m, leaders):
+    # the "leaders swept" column of README's converse table: a change to the
+    # orbit layer that sweeps more rows than one per orbit fails here
+    sweep, swept = kernels.planar_sweep, []
+
+    def counted(spec, exponents, rows):
+        swept.append(len(rows))
+        return sweep(spec, exponents, rows)
+
+    monkeypatch.setattr(kernels, "planar_sweep", counted)
+    rep = family_audit(fam, p2.tower(m, REGISTRY[fam].k), "converse", budget=1 << 40)
+    assert swept == [leaders] and rep.tested > leaders
+
+
 def test_audit_csv_without_planar_rows_is_one_newline(monkeypatch):
     monkeypatch.setattr(kernels, "planar_sweep",
                         lambda spec, exponents, rows: np.zeros(len(rows), dtype=bool))
