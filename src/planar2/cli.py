@@ -12,8 +12,9 @@ flags included), 2 = internal disagreement between planarity criteria,
 4 = internal invariant failed (a RuntimeError or AssertionError, reported
 on stderr instead of a traceback); a negative count (--budget, --support,
 --max-n) or fewer than one thread is bad arguments. check runs the
-definition oracle up to GF(2^CHECK_ORACLE_N_MAX) and the rank test always,
-reporting "bruteforce": null beyond; surface takes the rank verdict alone,
+definition oracle (kernels.planar_check_table, on the value table alone)
+up to GF(2^CHECK_ORACLE_N_MAX) and the rank test always, reporting
+"bruteforce": null beyond; surface takes the rank verdict alone,
 reads orbit_has_zero and the projective zero count of the specialization
 off the companion's orbit values, evaluated once (surfaces.companion_zeros),
 and derives its affine zero count from the projective one. --threads N on
@@ -35,8 +36,11 @@ from . import __version__, kernels, planar, semifields, surfaces
 from .fields import BudgetError, hex_grid, tower
 from .planar import DOPoly, FamilyParams
 
-# check runs the 4^n definition oracle only up to this degree (about 0.44 s
-# for a planar input over GF(2^14)); beyond it the rank verdict decides.
+# check runs the definition oracle only up to this degree; beyond it the
+# rank verdict decides and "bruteforce" is null. On a DO table the oracle
+# costs about n^2 2^n (2.4 ms in process for a planar input over
+# GF(2^14)), but the cap stays: lifting it changes the report bytes of
+# every check beyond GF(2^14).
 CHECK_ORACLE_N_MAX = 14
 # the smallest value each count takes
 _LEAST = {"budget": 0, "support": 0, "threads": 1, "max_n": 0}

@@ -1,7 +1,8 @@
 """Hot loops: the batched GF(2)-rank planarity sweep and its definition oracle.
 
 A function f on GF(2^n) is planar when x -> f(x+a) + f(x) + a*x is a
-bijection for every nonzero a. Two independent implementations decide it:
+bijection for every nonzero a. Two implementations decide it, one from a
+polynomial's exponents and coefficients, one from its value table:
 
   * the rank test, for Dembowski-Ostrom (DO) polynomials.
     B(a, x) = f(a+x) + f(a) + f(x) + f(0) + a*x is symmetric and
@@ -38,6 +39,15 @@ bijection for every nonzero a. Two independent implementations decide it:
     index among those of a row's n conjugates; and the expansion of the
     planar leaders back into their orbits.
   * planar_check_table, the definition on a full value table, for any f.
+    It reads no exponent or coefficient. n XOR butterflies over the table
+    give its algebraic normal form, and a table of algebraic degree <= 2,
+    such as every DO polynomial's, takes the quadratic path: D_a is
+    affine there, with linear part x -> f(x+a) + f(x) + f(a) + f(0) + a*x,
+    whose columns at the e_j are read off the table and tested by
+    nonsingular_table, about n^2 2^n work. That path shares only
+    _full_rank with the sweep, as presemifields do. Any other table goes
+    through the pair loop, _pairs_check, which uses no degree bound and is
+    the reference the quadratic path is tested against:
     D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2, so D_a
     is a bijection iff min(v, v + a^2) takes distinct values on a
     transversal of the pairs {x, x+a}: 2^(n-1) values per a, tested by a
@@ -46,8 +56,7 @@ bijection for every nonzero a. Two independent implementations decide it:
     r*2^n sits in the x-side tables (a*x, or f(x) + b*x per stage), so
     the XORs that make D_a make the keys, one intp cast per chunk feeds
     the scatter, and a chunk holds at most as many rows as keep r*2^n in
-    the dtype. It assumes no DO form, shares no code with the sweep and
-    serves as the independent oracle.
+    the dtype.
 
 Both are vectorized numpy; there is no other backend.
 """
@@ -123,8 +132,67 @@ def _oracle_tables(spec, fold: int):
     return logt, xs, blocks
 
 
+@functools.lru_cache(maxsize=None)
+def _low_weight(n: int) -> np.ndarray:
+    """The indices of binary weight <= 2 below 2^n, read-only: where the
+    algebraic normal form of a table of degree <= 2 may be nonzero."""
+    low = np.array([0] + [(1 << i) | (1 << j) for j in range(n) for i in range(j + 1)],
+                   dtype=np.intp)
+    low.setflags(write=False)
+    return low
+
+
+def _quadratic(fv: np.ndarray, n: int) -> bool:
+    """True iff the table has algebraic degree <= 2: its algebraic normal
+    form, n XOR butterflies over a copy (XOR acts on all n coordinate
+    functions at once), is zero at every index of binary weight >= 3."""
+    anf = fv.copy()
+    for i in range(n):
+        halves = anf.reshape(-1, 2, 1 << i)
+        halves[:, 1] ^= halves[:, 0]
+    anf[_low_weight(n)] = 0
+    return not anf.any()
+
+
+def _linear_parts(spec, fv: np.ndarray) -> np.ndarray:
+    """cols[a, j] = f(a + e_j) + f(a) + f(e_j) + f(0) + a*e_j, the linear
+    part of D_a at e_j for a table f of degree <= 2, in spec's dtype."""
+    xs = np.arange(spec.order)
+    e = 1 << np.arange(spec.n)
+    cols = fv.take(xs[:, None] ^ e)
+    cols ^= fv[:, None]
+    cols ^= fv[e] ^ fv[0]
+    cols ^= spec.exp.take(spec.log[:, None] + spec.log[e])
+    return cols
+
+
 def planar_check_table(spec, fvals: np.ndarray) -> bool:
-    """True iff the tabulated f is planar over spec's field.
+    """True iff the tabulated f is planar over spec's field: D_a(x) =
+    f(x+a) + f(x) + a*x is a bijection for every a != 0.
+
+    A table of algebraic degree <= 2 (_quadratic), such as the table of
+    any DO polynomial, takes the exact quadratic path: there
+    f(x+a) + f(x) + f(a) + f(0) is GF(2)-bilinear in (a, x), so D_a is
+    affine with linear part x -> f(x+a) + f(x) + f(a) + f(0) + a*x, and
+    D_a is a bijection iff that part is nonsingular. Its columns at the
+    e_j are read off the table (_linear_parts) and nonsingular_table
+    tests every a != 0: about n^2 2^n work. Any other table goes through
+    the definition itself, _pairs_check, about 4^n/2 work.
+    """
+    n, order = spec.n, spec.order
+    fvals = np.asarray(fvals)
+    if (not np.issubdtype(fvals.dtype, np.integer) or fvals.shape != (order,)
+            or fvals.min() < 0 or fvals.max() >= order):
+        raise ValueError(f"expected a table of {order} elements of GF(2^{n})")
+    fv = fvals.astype(spec.dtype)
+    if _quadratic(fv, n):
+        return nonsingular_table(_linear_parts(spec, fv))
+    return _pairs_check(spec, fv)
+
+
+def _pairs_check(spec, fv: np.ndarray) -> bool:
+    """The definition on a validated table of any degree: True iff every
+    D_a, a != 0, is a bijection.
 
     For any f, D_a(x) = f(x+a) + f(x) + a*x satisfies D_a(x+a) = D_a(x) + a^2,
     so D_a maps each pair {x, x+a} to a pair {v, v + a^2}, and D_a is a
@@ -154,13 +222,9 @@ def planar_check_table(spec, fvals: np.ndarray) -> bool:
     in it (16 rows over GF(2^12)).
     """
     n, order = spec.n, spec.order
-    fvals = np.asarray(fvals)
-    if (not np.issubdtype(fvals.dtype, np.integer) or fvals.shape != (order,)
-            or fvals.min() < 0 or fvals.max() >= order):
-        raise ValueError(f"expected a table of {order} elements of GF(2^{n})")
     fold = max(1, min(n, (_FIRST_ELEMS >> (n - 1)).bit_length() - 1))
     logt, xs, blocks = _oracle_tables(spec, fold)
-    expt, fv = spec.exp, fvals.astype(spec.dtype)
+    expt, fv = spec.exp, np.asarray(fv).astype(spec.dtype, copy=False)
     rows = max(1, min(_CHECK_ELEMS >> (n - 1), (np.iinfo(spec.dtype).max + 1) >> n))
     for txa, tx, ax, sq in blocks:
         v = fv.take(txa).astype(ax.dtype, copy=False)
@@ -406,8 +470,10 @@ def _stage_sweep(spec, s: int, forms: np.ndarray, coeffs: np.ndarray) -> np.ndar
 def nonsingular_table(cols: np.ndarray) -> bool:
     """True iff every matrix cols[a], a != 0, is nonsingular, with row a of
     the table holding its n columns as integers: on a presemifield's column
-    table cols[a, j] = a * e_j, "no zero divisors". _full_rank on rows 1..,
-    2^_BLOCK_BITS rows at a time, stopping at the first singular block."""
+    table cols[a, j] = a * e_j, "no zero divisors"; on the linear parts of
+    a quadratic table's difference maps (_linear_parts), planarity.
+    _full_rank on rows 1.., 2^_BLOCK_BITS rows at a time, stopping at the
+    first singular block."""
     step = 1 << _BLOCK_BITS
     return all(_full_rank(cols[lo:lo + step].T.copy()).all()
                for lo in range(1, len(cols), step))

@@ -7,7 +7,9 @@ map x -> f(x+a) + f(x) + f(a) + a*x only by a constant, so planarity has
 two independent tests:
 
   * is_planar_bruteforce - the definition on the full value table (the
-    independent oracle, about 4^n/2 work), and
+    oracle: it reads the linear parts of a quadratic table off the table,
+    about n^2 2^n work, and runs the pair loop on any other, about 4^n/2),
+    and
   * is_planar_linearized - GF(2)-rank of the linear map per a, through the
     rank kernel that also runs every sweep. This module hands kernels only
     exponents and coefficient rows (DOPoly.as_row, the audit layouts).
@@ -150,10 +152,11 @@ class DOPoly:
 def is_planar_bruteforce(f: DOPoly) -> bool:
     """Definition test: every difference map hits every value exactly once.
 
-    Runs kernels.planar_check_table on f's value table: per a, the pair
-    representatives min(v, v + a^2) on half the inputs must be distinct,
-    about 4^n/2 table lookups in all (about 0.44 s for a planar f over
-    GF(2^14)). No Dembowski-Ostrom structure is used."""
+    Runs kernels.planar_check_table on f's value table, which reads no
+    exponent or coefficient. f's table has algebraic degree <= 2, so each
+    difference map is affine and the check tests its linear part, read
+    off the table, for nonsingularity: about n^2 2^n work (about 2.4 ms
+    for a planar f over GF(2^14), 0.5 ms over GF(2^12))."""
     return kernels.planar_check_table(f.spec, f.value_table())
 
 

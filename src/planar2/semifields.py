@@ -13,7 +13,10 @@ construction, and its column table C[a, j] = a * e_j, the span of S; every
 operation reads S or C. The constructor checks that S is symmetric and
 that every x -> a*x, a != 0, is nonsingular (no zero divisors) on C with
 kernels.nonsingular_table, which shares only the rank elimination with the
-planarity sweep, so no constructed Presemifield has any.
+planarity sweep, so no constructed Presemifield has any. The definition
+oracle runs the same test on the linear parts of a quadratic table's
+difference maps, which for f(0) = 0 are the columns a*e_j of f's
+presemifield.
 Only the full 2^n x 2^n table (for n <= TABLE_N_MAX) holds 4^n entries.
 
 A unital semifield is obtained from a presemifield in two ways, both

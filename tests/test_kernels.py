@@ -1,10 +1,13 @@
 """The definition oracle must agree with a set-based reference on arbitrary
-tables, the rank test alone with a scalar GF(2) rank, and the rank kernel
-with the oracle on identical inputs."""
+tables, its quadratic path with its pair loop on tables of degree <= 2,
+the rank test alone with a scalar GF(2) rank, and the rank kernel with the
+oracle on identical inputs."""
 
 import ast
 import contextlib
+import functools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -72,7 +75,8 @@ def check_elems(bits):
 @pytest.mark.parametrize("bits", [0, 4, 18])
 def test_check_tests_every_difference_once(monkeypatch, n, bits):
     # squaring permutes the nonzero elements, so the a^2 of the rows the
-    # oracle tests cover them once each iff every a != 0 is tested once
+    # pair loop tests cover them once each iff every a != 0 is tested once;
+    # f = 0 is quadratic, so the oracle itself scatters nothing
     spec = p2.field(n)
     squares = []
     real = kernels._pairs_distinct
@@ -84,6 +88,8 @@ def test_check_tests_every_difference_once(monkeypatch, n, bits):
     monkeypatch.setattr(kernels, "_pairs_distinct", spy)
     with check_elems(bits):
         assert kernels.planar_check_table(spec, np.zeros(spec.order, dtype=np.int64))
+        assert squares == []
+        assert kernels._pairs_check(spec, np.zeros(spec.order, dtype=np.int64))
     assert sorted(squares) == list(range(1, spec.order))
 
 
@@ -105,7 +111,9 @@ def test_check_agrees_with_reference_on_large_fields(n):
     # the chunks of the late stages carry the largest row offsets in their
     # keys; check_elems(18) makes the cached first block hold more rows
     # than 2^16 keys allow in the field's dtype ((2^9 - 2) x 2^10 and
-    # (2^7 - 2) x 2^12), and check_elems(8) one row per chunk
+    # (2^7 - 2) x 2^12), and check_elems(8) one row per chunk. Both tables
+    # are quadratic (the perturbation is x_(n-1) x_(n-2)), so the pair loop
+    # is called directly too
     spec = p2.field(n)
     t = p2.tower(n // 2, 2)
     fv = planar.family_coeffs(FamilyParams("P1", (t.fe(2),), t)).value_table()
@@ -118,11 +126,26 @@ def test_check_agrees_with_reference_on_large_fields(n):
         with check_elems(bits) if bits else contextlib.nullcontext():
             assert kernels.planar_check_table(spec, fv)
             assert not kernels.planar_check_table(spec, perturbed)
+            assert kernels._pairs_check(spec, fv)
+            assert not kernels._pairs_check(spec, perturbed)
 
 
 # planar DO families by field degree n: (family, m, k)
 _PLANTED = {3: [("P3", 1, 3)], 4: [("P1", 2, 2)], 6: [("P1", 3, 2), ("P3", 2, 3)],
-            8: [("P1", 4, 2), ("P4a", 2, 4), ("P4b", 2, 4)]}
+            8: [("P1", 4, 2), ("P4a", 2, 4), ("P4b", 2, 4)], 10: [("P1", 5, 2)],
+            12: [("P1", 6, 2), ("P3", 4, 3), ("P4b", 3, 4)]}
+
+
+def _planted(draw, n) -> np.ndarray:
+    """The value table of a random instance of one of _PLANTED[n]."""
+    fam, m, k = draw(st.sampled_from(_PLANTED[n]))
+    t = p2.tower(m, k)
+    while True:
+        try:
+            params = (t.fe(draw(st.integers(1, t.spec.order - 1))),)
+            return planar.family_coeffs(FamilyParams(fam, params, t)).value_table()
+        except ValueError:  # the few excluded parameters
+            continue
 
 
 @st.composite
@@ -140,17 +163,8 @@ def tables(draw):
         return n, kind, np.array(draw(st.lists(st.integers(0, order - 1),
                                                 min_size=order, max_size=order)))
     fv = np.zeros(order, dtype=np.int64)
-    families = _PLANTED.get(n, [])
-    if families and draw(st.booleans()):
-        fam, m, k = draw(st.sampled_from(families))
-        t = p2.tower(m, k)
-        while True:
-            try:
-                params = (t.fe(draw(st.integers(1, order - 1))),)
-                fv = planar.family_coeffs(FamilyParams(fam, params, t)).value_table()
-                break
-            except ValueError:  # the few excluded parameters
-                continue
+    if n in _PLANTED and draw(st.booleans()):
+        fv = _planted(draw, n)
     for i in range(n):  # additive terms c * x^(2^i)
         c = draw(st.integers(0, order - 1))
         fv ^= np.array([spec.mul(c, spec.pow(x, 1 << i)) for x in range(order)])
@@ -166,16 +180,97 @@ def test_check_agrees_with_reference_on_arbitrary_tables(case, bits):
     n, kind, fv = case
     spec = p2.field(n)
     fail = _first_failure(spec, fv)
-    if bits is None:
+    with check_elems(bits) if bits is not None else contextlib.nullcontext():
+        # few rows per gather: every stage and chunk of the pair loop runs
         got = kernels.planar_check_table(spec, fv)
-    else:
-        with check_elems(bits):  # few rows per gather: every stage and chunk runs
-            got = kernels.planar_check_table(spec, fv)
+        loop = kernels._pairs_check(spec, fv)  # planted and perturbed tables are quadratic
     assert got == (fail is None)
+    assert loop == (fail is None)
     if kind == "planted":
         assert got
     if kind == "perturbed" and n > 1:
         assert fail is None or fail >= 1 << (n - 2)
+    event(f"{kind} planar={got}")
+
+
+@functools.lru_cache(maxsize=None)
+def _powers(spec, e) -> np.ndarray:
+    """x^e for every x, from the scalar spec.pow; read-only."""
+    out = np.array([spec.pow(x, e) for x in range(spec.order)], dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+@st.composite
+def quadratic_tables(draw, least=1):
+    """(spec, planted, table): a table of algebraic degree <= 2 over
+    GF(2^n), n = least..12, n > 8 in about a quarter of them: random DO
+    terms c*x^(2^u + 2^v), or a planted planar family of _PLANTED; then
+    additive terms c*x^(2^i) and a constant, which keep planarity."""
+    n = draw(st.sampled_from(range(9, 13)) if draw(st.integers(0, 3)) == 0
+             else st.sampled_from(range(least, 9)))
+    spec = p2.field(n)
+    coeff = st.integers(0, spec.order - 1)
+    planted = n in _PLANTED and draw(st.booleans())
+    if planted:
+        fv = _planted(draw, n)
+    else:
+        fv = np.zeros(spec.order, dtype=np.int64)
+        u = st.integers(0, n - 1)
+        for c, i, j in draw(st.lists(st.tuples(coeff, u, u), max_size=3)):
+            fv ^= vec_mul(spec, c, _powers(spec, (1 << i) + (1 << j)))
+    for i in range(n):
+        fv ^= vec_mul(spec, draw(coeff), _powers(spec, 1 << i))
+    fv ^= draw(coeff)
+    return spec, planted, fv
+
+
+def _reference(spec, fvals) -> bool:
+    return (_first_failure(spec, fvals) if spec.n <= 8 else _first_failure_np(spec, fvals)) is None
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(quadratic_tables(), st.integers(1, (1 << 12) - 1))
+def test_quadratic_path_agrees_with_the_pair_loop_and_the_reference(case, c):
+    spec, planted, fv = case
+    n = spec.n
+    assert kernels._quadratic(fv, n)
+    if n >= 3:  # c*x^7 has algebraic degree 3
+        assert not kernels._quadratic(fv ^ vec_mul(spec, c % spec.order or 1, _powers(spec, 7)), n)
+    want = _reference(spec, fv)
+    assert kernels.nonsingular_table(kernels._linear_parts(spec, fv)) == want
+    assert kernels.planar_check_table(spec, fv) == want
+    assert kernels._pairs_check(spec, fv) == want
+    if planted:
+        assert want
+    event(f"n {'<= 8' if n <= 8 else '> 8'} planted={planted} planar={want} "
+          f"constant={fv[0] != 0}")
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(quadratic_tables(least=3), st.sampled_from(("DO", "x^7", "perturbed")),
+       st.integers(0, (1 << 12) - 1), st.integers(1, (1 << 12) - 1))
+def test_only_tables_of_degree_three_or_more_reach_the_pair_scatter(case, kind, x, c):
+    # a DO table never scatters a pair; one with an x^7 term or one
+    # perturbed entry (degree n >= 3) always does, and every verdict holds
+    spec, _, fv = case
+    c = c % spec.order or 1
+    if kind == "x^7":
+        fv = fv ^ vec_mul(spec, c, _powers(spec, 7))
+    elif kind == "perturbed":
+        fv = fv.copy()
+        fv[x % spec.order] ^= c
+    calls = []
+    real = kernels._pairs_distinct
+
+    def spy(v, sq, order):
+        calls.append(v.shape[0])
+        return real(v, sq, order)
+
+    with mock.patch.object(kernels, "_pairs_distinct", spy):
+        got = kernels.planar_check_table(spec, fv)
+    assert bool(calls) == (kind != "DO")
+    assert got == _reference(spec, fv)
     event(f"{kind} planar={got}")
 
 
